@@ -52,7 +52,6 @@ from .realize import (
 )
 from .spectral import (
     ComparisonReport,
-    QNumber,
     SpectralReport,
     SpectrumKind,
     eigensolve_flag,

@@ -470,24 +470,32 @@ class OperatorMatrix:
         return f"OperatorMatrix[{self.basis!r}]({body})"
 
 
-def back_substitute(matrix: OperatorMatrix, eigenvalue: Rat, pivot: int) -> Poly:
-    """Solve the triangular eigenproblem M v = E v with v monic at `pivot`.
+def back_substitute(
+    matrix: OperatorMatrix,
+    eigenvalue: Rat,
+    pivot: int,
+    weights: Sequence[Rat] | None = None,
+) -> Poly:
+    """Solve the triangular problem M v = E W v with v monic at `pivot`.
 
-    The matrix must be triangular in its basis ordering with
-    M[pivot][pivot] = E.  Rows above the pivot are solved upward; a
-    diagonal entry equal to E above the pivot makes the division
-    impossible and raises DegenerateSpectrumError.
+    W is diagonal with entries `weights` (all 1 by default, the plain
+    eigenproblem M v = E v); the pencil solver passes w_i = q^(s i).  The
+    matrix must be triangular in its basis ordering with
+    M[pivot][pivot] = E w_pivot.  Rows above the pivot are solved upward,
+    v_i = sum_(j>i) M[i][j] v_j / (E w_i - M[i][i]); a vanishing divisor
+    raises DegenerateSpectrumError.
     """
     eigenvalue = Fraction(eigenvalue)
     if not (0 <= pivot < matrix.size):
         raise ValueError("pivot outside the matrix")
-    if matrix[pivot][pivot] != eigenvalue:
+    w = weights or [1] * matrix.size
+    if matrix[pivot][pivot] != eigenvalue * w[pivot]:
         raise ValueError("pivot diagonal entry does not match the eigenvalue")
     v = [Fraction(0)] * (pivot + 1)
     v[pivot] = Fraction(1)
     for i in range(pivot - 1, -1, -1):
         rhs = sum((matrix[i][j] * v[j] for j in range(i + 1, pivot + 1)), Fraction(0))
-        denom = eigenvalue - matrix[i][i]
+        denom = eigenvalue * w[i] - matrix[i][i]
         if denom == 0:
             raise DegenerateSpectrumError([i, pivot], eigenvalue)
         v[i] = rhs / denom

@@ -20,6 +20,7 @@ from .algebra import (
     BasisKind,
     DegenerateSpectrumError,
     LaurentPoly,
+    Monomial,
     QuasiMonomial,
     rat,
     rat_str,
@@ -39,7 +40,6 @@ from .spectral import (
     SpectrumKind,
     eigensolve_flag,
     pencil_solve,
-    q_number,
     reference_spectrum,
 )
 from .verify import SUITES, VerifyReport, run_all, run_suite
@@ -129,92 +129,75 @@ def _emit_csv(header: list[str], rows: list[list[str]], out_path: str | None) ->
     _emit(buffer.getvalue(), out_path)
 
 
-def _build_operator(args) -> FockPoly:
-    context_q = args.q if args.realization == "qdil" else Fraction(1)
-    if args.op == "hf":
-        return build_hf(args.p, q=context_q)
-    return build_hg(args.p, args.B, q=context_q)
+# --realization choice -> realization built from the parsed arguments.
+REALIZATIONS = {
+    "diff": lambda args: Differential(),
+    "fd": lambda args: FiniteDifference(args.delta),
+    "qdil": lambda args: QDilatation(args.q),
+}
 
 
 def _build_realization(parser: argparse.ArgumentParser, args) -> Realization:
     try:
-        if args.realization == "diff":
-            return Differential()
-        if args.realization == "fd":
-            return FiniteDifference(args.delta)
-        return QDilatation(args.q)
+        return REALIZATIONS[args.realization](args)
     except ValueError as exc:
         parser.error(str(exc))
 
 
-def _operator_json(args) -> dict:
-    payload = {"name": args.op, "p": rat_str(args.p), "words": _fock_json(_build_operator(args))}
+def _build_operator(args, realization: Realization) -> FockPoly:
+    if args.op == "hf":
+        return build_hf(args.p, q=realization.q)
+    return build_hg(args.p, args.B, q=realization.q)
+
+
+def _operator_json(args, operator: FockPoly) -> dict:
+    payload = {"name": args.op, "p": rat_str(args.p), "words": _fock_json(operator)}
     if args.op == "hg":
         payload["B"] = rat_str(args.B)
     return payload
 
 
-def _realization_json(args) -> dict:
-    if args.realization == "diff":
-        return {"kind": "diff"}
-    if args.realization == "fd":
-        return {"kind": "fd", "delta": rat_str(args.delta)}
-    return {"kind": "qdil", "q": rat_str(args.q)}
-
-
 def cmd_spectrum(parser: argparse.ArgumentParser, args) -> int:
     realization = _build_realization(parser, args)
-    if args.rhs == "scaled" and args.realization == "fd":
+    if args.rhs == "scaled" and realization.basis != Monomial():
         parser.error("scaled right-hand sides need the monomial basis (diff or qdil)")
-    operator = _build_operator(args)
+    operator = _build_operator(args, realization)
     matrix = realize_matrix(operator, realization, args.N)
 
-    pencil_q = args.q if args.realization == "qdil" else Fraction(1)
+    q = realization.q
+    s = 0 if args.rhs == "plain" else args.s
     try:
-        if args.rhs == "plain":
-            report = eigensolve_flag(matrix)
-        else:
-            report = pencil_solve(matrix, args.s, pencil_q)
+        report = eigensolve_flag(matrix) if s == 0 else pencil_solve(matrix, s, q)
     except DegenerateSpectrumError as exc:
-        _emit_json(
-            {
-                "command": "spectrum",
-                "error": {"kind": "degenerate-spectrum", "detail": str(exc)},
-                "operator": _operator_json(args),
-                "realization": _realization_json(args),
-            },
-            args.out,
-        )
+        if args.format == "csv":
+            _emit_csv(["error", "detail"], [["degenerate-spectrum", str(exc)]], args.out)
+        else:
+            _emit_json(
+                {
+                    "command": "spectrum",
+                    "error": {"kind": "degenerate-spectrum", "detail": str(exc)},
+                    "operator": _operator_json(args, operator),
+                    "realization": realization.to_json(),
+                },
+                args.out,
+            )
         return 1
 
-    levels = list(range(args.N + 1))
-    if args.rhs == "plain":
-        kind = SpectrumKind.Q_PLAIN if args.realization == "qdil" else SpectrumKind.CLASSIC
-        ref_name = kind.value
-        reference = [reference_spectrum(kind, n, pencil_q) for n in levels]
-    elif args.s == -1 and args.realization == "qdil":
-        ref_name = SpectrumKind.Q_SCALED_ONCE.value
-        reference = [reference_spectrum(SpectrumKind.Q_SCALED_ONCE, n, pencil_q) for n in levels]
-    elif args.s == -2 and args.realization == "qdil":
-        ref_name = SpectrumKind.Q_SCALED_TWICE.value
-        reference = [reference_spectrum(SpectrumKind.Q_SCALED_TWICE, n, pencil_q) for n in levels]
-    else:
-        # Positive scale powers: the reciprocal-dilation family -4 {n} q^(-s n).
-        ref_name = f"reciprocal(s={args.s})"
-        reference = [-4 * q_number(n, pencil_q) * pencil_q ** (-args.s * n) for n in levels]
+    kind = SpectrumKind.of(s, q)
+    reference = [reference_spectrum(kind, n, q) for n in range(args.N + 1)]
     match = list(report.eigenvalues) == reference
 
     if args.format == "json":
         payload = {
             "command": "spectrum",
-            "operator": _operator_json(args),
-            "realization": _realization_json(args),
+            "operator": _operator_json(args, operator),
+            "realization": realization.to_json(),
             "N": args.N,
-            "rhs": {"kind": args.rhs} if args.rhs == "plain" else {"kind": "scaled", "s": args.s},
+            "rhs": {"kind": args.rhs} if s == 0 else {"kind": "scaled", "s": s},
             "basis": _basis_json(report.basis),
             "levels": _levels_json(report),
             "reference": {
-                "kind": ref_name,
+                "kind": kind.value,
                 "values": [rat_str(v) for v in reference],
                 "match": match,
             },
@@ -236,15 +219,14 @@ def cmd_spectrum(parser: argparse.ArgumentParser, args) -> int:
 
 
 def cmd_stencil(parser: argparse.ArgumentParser, args) -> int:
-    if args.realization == "diff":
-        parser.error("the differential realization has no stencil")
     realization = _build_realization(parser, args)
-    stencil = stencil_of(_build_operator(args), realization)
+    operator = _build_operator(args, realization)
+    stencil = stencil_of(operator, realization)
     if args.format == "json":
         payload = {
             "command": "stencil",
-            "operator": _operator_json(args),
-            "realization": _realization_json(args),
+            "operator": _operator_json(args, operator),
+            "realization": realization.to_json(),
             "stencil": _stencil_json(stencil),
         }
         _emit_json(payload, args.out)
@@ -329,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output path (default stdout)")
 
     spectrum = sub.add_parser("spectrum", help="eigenvalues and eigenpolynomials")
-    add_common(spectrum, ["diff", "fd", "qdil"])
+    add_common(spectrum, list(REALIZATIONS))
     spectrum.add_argument("--N", type=int, default=12, help="flag dimension (default 12)")
     spectrum.add_argument("--rhs", choices=["plain", "scaled"], default="plain",
                           help="plain eigenproblem or scaled right-hand side")

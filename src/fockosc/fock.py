@@ -32,11 +32,17 @@ class NotScalarError(ValueError):
     """An expression expected to be a multiple of the identity is not."""
 
 
-def q_int(m: int, q: Fraction) -> Fraction:
-    """The deformed integer {m} = 1 + q + ... + q^(m-1) (0 for m = 0)."""
+def q_number(n: int, q: Rat) -> Fraction:
+    """Deformed integer {n} = 1 + q + ... + q^(n-1), exactly; {n} = n at q = 1.
+
+    The sum form is total: it needs no division and is defined at q = 1
+    ({0} = 0).
+    """
+    if n < 0:
+        raise ValueError("q-number index must be non-negative")
     acc = Fraction(0)
     power = Fraction(1)
-    for _ in range(m):
+    for _ in range(n):
         acc += power
         power *= q
     return acc
@@ -179,7 +185,7 @@ def _a_pow_through_b_pow(m: int, k: int, q: Fraction) -> dict[Word, Fraction]:
             qm = q**mm
             for (wb, wa), c in go(mm, kk - 1).items():
                 result[(wb + 1, wa)] = result.get((wb + 1, wa), Fraction(0)) + qm * c
-            braket = q_int(mm, q)
+            braket = q_number(mm, q)
             if braket != 0:
                 for (wb, wa), c in go(mm - 1, kk - 1).items():
                     result[(wb, wa)] = result.get((wb, wa), Fraction(0)) + braket * c

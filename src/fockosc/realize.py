@@ -16,6 +16,13 @@ yields the spectrum -4{n}; the opposite sign flips both.  Note that
 b under FiniteDifference collapses to f(y) -> y*f(y - delta), and that
 D_q on y^n gives {n} y^(n-1), so every action below is exact.
 
+Each realization carries its own behaviour: the deformation parameter
+`q` it realizes, the generator actions `lower(f)` and `raise_(f)`, the
+matrix `basis`, its JSON description `to_json()` (and the `label`
+derived from it) and, for the two discrete ones, the generator terms
+that `stencil_of` composes.  Nothing else in the package branches on
+the realization's type.
+
 Besides matrices, operators can be flattened to explicit stencils: a
 list of coefficient functions c_j(y) with (H f)(y) = sum c_j(y) f(y + j*delta)
 (shift mode) or sum c_j(y) f(q^j y) (scale mode).
@@ -25,7 +32,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
 from .algebra import (
     LaurentPoly,
@@ -38,34 +44,93 @@ from .algebra import (
     from_monomial_coeffs,
     rat_str,
 )
-from .fock import AlgebraMismatchError, FockPoly, q_int
+from .fock import AlgebraMismatchError, FockPoly, q_number
 
 
 class UnsupportedDegreeError(ValueError):
     """Stencil extraction is limited to lowering degree at most 2."""
 
 
+# Generator terms of a stencil: offset -> coefficient function.
+Terms = dict[int, LaurentPoly]
+
+
+class Realization:
+    """A substitution of the generators a, b by operators on polynomials.
+
+    Subclasses provide `q`, `lower(f)`, `to_json()` and, where a stencil
+    exists, `stencil_generators()` returning (mode, param, a terms,
+    b terms).  The raising generator and the basis default to
+    multiplication by y and the monomial basis.
+    """
+
+    basis = Monomial()
+
+    def raise_(self, f: Poly) -> Poly:
+        return Poly.monomial(1) * f
+
+    @property
+    def label(self) -> str:
+        """Short name such as "diff" or "fd(delta=1/3)", read off to_json()."""
+        spec = self.to_json()
+        kind = spec.pop("kind")
+        params = ", ".join(f"{key}={value}" for key, value in spec.items())
+        return f"{kind}({params})" if params else kind
+
+
 @dataclass(frozen=True)
-class Differential:
+class Differential(Realization):
+    q = Fraction(1)
+
+    def lower(self, f: Poly) -> Poly:
+        return f.derivative()
+
+    def to_json(self) -> dict:
+        return {"kind": "diff"}
+
+    def stencil_generators(self):
+        raise ValueError("the differential realization has no stencil")
+
     def __repr__(self) -> str:
         return "Differential()"
 
 
 @dataclass(frozen=True)
-class FiniteDifference:
+class FiniteDifference(Realization):
     delta: Fraction
+    q = Fraction(1)
 
     def __post_init__(self):
         object.__setattr__(self, "delta", Fraction(self.delta))
         if self.delta == 0:
             raise ValueError("finite-difference step must be nonzero")
 
+    @property
+    def basis(self) -> QuasiMonomial:
+        """Quasi-monomials, which make a flag-preserving matrix equal its differential one."""
+        return QuasiMonomial(self.delta)
+
+    def lower(self, f: Poly) -> Poly:
+        return (f.shift_arg(self.delta) - f).scale(1 / self.delta)
+
+    def raise_(self, f: Poly) -> Poly:
+        return Poly.monomial(1) * f.shift_arg(-self.delta)
+
+    def to_json(self) -> dict:
+        return {"kind": "fd", "delta": rat_str(self.delta)}
+
+    def stencil_generators(self) -> tuple[str, Fraction, Terms, Terms]:
+        """Shift mode: a = E/d - 1/d and b = y*E^-1, with E the unit shift."""
+        inv = 1 / self.delta
+        a_terms = {1: LaurentPoly({0: inv}), 0: LaurentPoly({0: -inv})}
+        return "shift", self.delta, a_terms, {-1: LaurentPoly({1: 1})}
+
     def __repr__(self) -> str:
         return f"FiniteDifference({rat_str(self.delta)})"
 
 
 @dataclass(frozen=True)
-class QDilatation:
+class QDilatation(Realization):
     q: Fraction
 
     def __post_init__(self):
@@ -73,43 +138,19 @@ class QDilatation:
         if self.q in (0, 1):
             raise ValueError("dilatation parameter must differ from 0 and 1")
 
+    def lower(self, f: Poly) -> Poly:
+        return Poly([q_number(k, self.q) * c for k, c in enumerate(f.coeffs)][1:])
+
+    def to_json(self) -> dict:
+        return {"kind": "qdil", "q": rat_str(self.q)}
+
+    def stencil_generators(self) -> tuple[str, Fraction, Terms, Terms]:
+        """Scale mode: a = (S - 1)/(y(q - 1)) and b = y, with S f(y) = f(qy)."""
+        alpha = LaurentPoly({-1: 1 / (self.q - 1)})
+        return "scale", self.q, {1: alpha, 0: -alpha}, {0: LaurentPoly({1: 1})}
+
     def __repr__(self) -> str:
         return f"QDilatation({rat_str(self.q)})"
-
-
-Realization = Union[Differential, FiniteDifference, QDilatation]
-
-
-def realization_q(r: Realization) -> Fraction:
-    """Deformation parameter realized by r (1 for the undeformed cases)."""
-    return r.q if isinstance(r, QDilatation) else Fraction(1)
-
-
-def apply_a(r: Realization, f: Poly) -> Poly:
-    """Lowering generator: derivative, forward difference, or D_q."""
-    if isinstance(r, Differential):
-        return f.derivative()
-    if isinstance(r, FiniteDifference):
-        d = r.delta
-        return (f.shift_arg(d) - f).scale(Fraction(1) / d)
-    q = r.q
-    return Poly([q_int(k, q) * c for k, c in enumerate(f.coeffs)][1:])
-
-
-def apply_b(r: Realization, f: Poly) -> Poly:
-    """Raising generator: y*f, y*f(y - delta), or y*f."""
-    if isinstance(r, FiniteDifference):
-        return Poly.monomial(1) * f.shift_arg(-r.delta)
-    return Poly.monomial(1) * f
-
-
-def apply_word(r: Realization, k: int, m: int, f: Poly) -> Poly:
-    """Apply the realized word b^k a^m (a acts first)."""
-    for _ in range(m):
-        f = apply_a(r, f)
-    for _ in range(k):
-        f = apply_b(r, f)
-    return f
 
 
 def apply_op(h: FockPoly, r: Realization, f: Poly) -> Poly:
@@ -118,22 +159,21 @@ def apply_op(h: FockPoly, r: Realization, f: Poly) -> Poly:
     The element's deformation parameter must match the realization: 1
     for Differential/FiniteDifference and r.q for QDilatation.
     """
-    if h.q != realization_q(r):
+    if h.q != r.q:
         raise AlgebraMismatchError(
             f"element has q={rat_str(h.q)} but realization carries "
-            f"q={rat_str(realization_q(r))}"
+            f"q={rat_str(r.q)}"
         )
     out = Poly()
     for (k, m), c in h.terms.items():
-        out = out + apply_word(r, k, m, f).scale(c)
+        # The word b^k a^m: a acts first.
+        g = f
+        for _ in range(m):
+            g = r.lower(g)
+        for _ in range(k):
+            g = r.raise_(g)
+        out = out + g.scale(c)
     return out
-
-
-def default_basis(r: Realization):
-    """Matrix basis for a realization: quasi-monomials carry FiniteDifference."""
-    if isinstance(r, FiniteDifference):
-        return QuasiMonomial(r.delta)
-    return Monomial()
 
 
 def realize_matrix(h: FockPoly, r: Realization, n: int) -> OperatorMatrix:
@@ -147,7 +187,7 @@ def realize_matrix(h: FockPoly, r: Realization, n: int) -> OperatorMatrix:
     """
     if n < 0:
         raise ValueError("flag dimension must be non-negative")
-    basis = default_basis(r)
+    basis = r.basis
     size = n + 1
     rows = [[Fraction(0)] * size for _ in range(size)]
     for j in range(size):
@@ -165,18 +205,18 @@ def heisenberg_residual(r: Realization, q: Rat, f: Poly) -> Poly:
     q must be 1 for Differential/FiniteDifference and the realization's
     own parameter for QDilatation.
     """
-    if Fraction(q) != realization_q(r):
+    if Fraction(q) != r.q:
         raise ValueError(
             "tested bracket parameter does not match the realization"
         )
-    ab = apply_a(r, apply_b(r, f))
-    ba = apply_b(r, apply_a(r, f))
+    ab = r.lower(r.raise_(f))
+    ba = r.raise_(r.lower(f))
     return ab - ba.scale(q) - f
 
 
 def vacuum_image(r: Realization) -> Poly:
     """a applied to the vacuum 1; the zero polynomial for every realization."""
-    return apply_a(r, Poly.one())
+    return r.lower(Poly.one())
 
 
 # ---------------------------------------------------------------------------
@@ -220,12 +260,10 @@ class Stencil:
         return acc.to_poly()
 
 
-def _compose_terms(
-    x: dict[int, LaurentPoly], y: dict[int, LaurentPoly], mode: str, param: Fraction
-) -> dict[int, LaurentPoly]:
+def _compose_terms(x: Terms, y: Terms, mode: str, param: Fraction) -> Terms:
     # (c(y) T^i)(d(y) T^j) = c(y) * d(moved y) * T^(i+j), where T moves the
     # argument by i steps: y + i*param for shifts, param^i * y for scalings.
-    out: dict[int, LaurentPoly] = {}
+    out: Terms = {}
     for i, c in x.items():
         for j, d in y.items():
             moved = d.scale_arg(param**i) if mode == "scale" else d.shift_arg(i * param)
@@ -239,40 +277,24 @@ def _compose_terms(
 def stencil_of(h: FockPoly, r: Realization) -> Stencil:
     """Flatten the realized element to explicit coefficient functions.
 
-    Supported for FiniteDifference (shift mode; the generators give
-    a = E/d - 1/d and b = y*E^-1 with E the unit shift, so lowering
-    degree <= 2 keeps the offsets inside {-2..2}) and QDilatation
-    (scale mode, offsets {0..2}).
+    Supported for FiniteDifference (shift mode; lowering degree <= 2
+    keeps the offsets inside {-2..2}) and QDilatation (scale mode,
+    offsets {0..2}); the Differential realization raises ValueError.
     """
-    if isinstance(r, Differential):
-        raise ValueError("the differential realization has no stencil")
-    if h.q != realization_q(r):
+    mode, param, a_terms, b_terms = r.stencil_generators()
+    if h.q != r.q:
         raise AlgebraMismatchError("element and realization deformation differ")
     if h.a_degree() > 2:
         raise UnsupportedDegreeError("stencils are derived for lowering degree <= 2")
 
-    if isinstance(r, FiniteDifference):
-        mode, param = "shift", r.delta
-        inv = Fraction(1) / param
-        a_term: dict[int, LaurentPoly] = {
-            1: LaurentPoly({0: inv}),
-            0: LaurentPoly({0: -inv}),
-        }
-        b_term: dict[int, LaurentPoly] = {-1: LaurentPoly({1: 1})}
-    else:
-        mode, param = "scale", r.q
-        alpha = LaurentPoly({-1: Fraction(1) / (param - 1)})
-        a_term = {1: alpha, 0: -alpha}
-        b_term = {0: LaurentPoly({1: 1})}
-
     identity = {0: LaurentPoly({0: 1})}
-    acc: dict[int, LaurentPoly] = {}
+    acc: Terms = {}
     for (k, m), coeff in h.terms.items():
         word = identity
         for _ in range(m):
-            word = _compose_terms(word, a_term, mode, param)
+            word = _compose_terms(word, a_terms, mode, param)
         for _ in range(k):
-            word = _compose_terms(b_term, word, mode, param)
+            word = _compose_terms(b_terms, word, mode, param)
         for j, c in word.items():
             acc[j] = acc.get(j, LaurentPoly()) + c.scale(coeff)
     terms = tuple(sorted((j, c) for j, c in acc.items() if not c.is_zero))

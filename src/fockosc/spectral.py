@@ -28,39 +28,41 @@ from .algebra import (
     back_substitute,
     rat_str,
 )
-from .fock import q_int
-
-
-class QNumber(NamedTuple):
-    """A deformed integer {n} together with the parameters that produced it."""
-
-    n: int
-    q: Fraction
-    value: Fraction
-
-    @staticmethod
-    def of(n: int, q: Rat) -> "QNumber":
-        q = Fraction(q)
-        return QNumber(n, q, q_number(n, q))
-
-
-def q_number(n: int, q: Rat) -> Fraction:
-    """Deformed integer {n} = 1 + q + ... + q^(n-1), exactly; {n} = n at q = 1.
-
-    The sum form is total: it needs no division and is defined at q = 1.
-    """
-    if n < 0:
-        raise ValueError("q-number index must be non-negative")
-    return q_int(n, Fraction(q))
+from .fock import q_number
 
 
 class SpectrumKind(enum.Enum):
-    """Reference eigenvalue families for level n."""
+    """Reference eigenvalue families -4 {n} q^(-s n) for level n.
 
-    CLASSIC = "classic"          # -4n
-    Q_PLAIN = "qplain"           # -4{n}
-    Q_SCALED_ONCE = "qscaled1"   # -4 q^n {n}
-    Q_SCALED_TWICE = "qscaled2"  # -4 q^2n {n}
+    Each kind carries the scale power s of the problem it belongs to:
+    s = 0 is the plain problem H f = E f, and s != 0 the scaled right-hand
+    side H f = E f(q^s .).  The reciprocal(s=...) kinds are the families
+    that are not named after a deformed spectrum: the positive powers, and
+    every scaled problem at q = 1, where all families reduce to -4n.
+    """
+
+    CLASSIC = "classic", 0                   # -4n
+    Q_PLAIN = "qplain", 0                    # -4{n}
+    Q_SCALED_ONCE = "qscaled1", -1           # -4 q^n {n}
+    Q_SCALED_TWICE = "qscaled2", -2          # -4 q^2n {n}
+    RECIPROCAL_MINUS_TWO = "reciprocal(s=-2)", -2  # -4n (q = 1)
+    RECIPROCAL_MINUS_ONE = "reciprocal(s=-1)", -1  # -4n (q = 1)
+    RECIPROCAL_ONE = "reciprocal(s=1)", 1    # -4 q^-n {n}
+    RECIPROCAL_TWO = "reciprocal(s=2)", 2    # -4 q^-2n {n}
+
+    def __new__(cls, name: str, s: int):
+        kind = object.__new__(cls)
+        kind._value_ = name
+        kind.s = s
+        return kind
+
+    @classmethod
+    def of(cls, s: int, q: Rat) -> "SpectrumKind":
+        """The family a problem with scale power s (0: plain) is checked against."""
+        deformed = {0: cls.Q_PLAIN, -1: cls.Q_SCALED_ONCE, -2: cls.Q_SCALED_TWICE}
+        if q != 1 and s in deformed:
+            return deformed[s]
+        return cls.CLASSIC if s == 0 else cls(f"reciprocal(s={s})")
 
 
 def reference_spectrum(kind: SpectrumKind, n: int, q: Rat | None = None) -> Fraction:
@@ -72,12 +74,7 @@ def reference_spectrum(kind: SpectrumKind, n: int, q: Rat | None = None) -> Frac
     if q is None:
         raise ValueError(f"{kind.value} requires the deformation parameter")
     q = Fraction(q)
-    qn = q_number(n, q)
-    if kind is SpectrumKind.Q_PLAIN:
-        return -4 * qn
-    if kind is SpectrumKind.Q_SCALED_ONCE:
-        return -4 * q**n * qn
-    return -4 * q ** (2 * n) * qn
+    return -4 * q_number(n, q) * q ** (-kind.s * n)
 
 
 class SpectralEntry(NamedTuple):
@@ -145,8 +142,8 @@ def pencil_solve(matrix: OperatorMatrix, s: int, q: Rat) -> SpectralReport:
     """Solve H f = E * f(q^s * .) on the monomial flag.
 
     The substitution is diagonal with entries q^(s n), so level n carries
-    the eigenvalue H[n][n] / q^(s n); eigenvectors come from the scaled
-    back-substitution v_i = sum_(j>i) H[i][j] v_j / (E q^(s i) - H[i][i]).
+    the eigenvalue H[n][n] / q^(s n); eigenvectors come from
+    back_substitute with the row weights w_i = q^(s i).
     Both signs of s are accepted so either dilation direction can be
     matched against a reference family.
     """
@@ -160,24 +157,13 @@ def pencil_solve(matrix: OperatorMatrix, s: int, q: Rat) -> SpectralReport:
     if not preserves_flag(matrix):
         raise NotTriangularError("matrix has entries below the diagonal")
 
-    eigenvalues = tuple(
-        matrix[n][n] / q ** (s * n) for n in range(matrix.size)
-    )
+    weights = [q ** (s * n) for n in range(matrix.size)]
+    eigenvalues = tuple(matrix[n][n] / w for n, w in enumerate(weights))
     _check_distinct_diagonal(eigenvalues)
-
-    entries = []
-    for n, value in enumerate(eigenvalues):
-        v = [Fraction(0)] * (n + 1)
-        v[n] = Fraction(1)
-        for i in range(n - 1, -1, -1):
-            rhs = sum(
-                (matrix[i][j] * v[j] for j in range(i + 1, n + 1)), Fraction(0)
-            )
-            denom = value * q ** (s * i) - matrix[i][i]
-            if denom == 0:
-                raise DegenerateSpectrumError([i, n], value)
-            v[i] = rhs / denom
-        entries.append(SpectralEntry(n, value, Poly(v)))
+    entries = [
+        SpectralEntry(n, value, back_substitute(matrix, value, n, weights))
+        for n, value in enumerate(eigenvalues)
+    ]
     return SpectralReport(matrix.basis, tuple(entries))
 
 

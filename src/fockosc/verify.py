@@ -22,7 +22,6 @@ from .realize import (
     QDilatation,
     Realization,
     heisenberg_residual,
-    realization_q,
     realize_matrix,
     stencil_of,
     vacuum_image,
@@ -32,7 +31,6 @@ from .spectral import (
     eigensolve_flag,
     isospectral_compare,
     pencil_solve,
-    q_number,
     reference_spectrum,
     spectrum_string,
 )
@@ -133,12 +131,9 @@ NOTE_SHIFTED_LAGUERRE = Note(
 )
 
 
-def _realization_label(r: Realization) -> str:
-    if isinstance(r, Differential):
-        return "diff"
-    if isinstance(r, FiniteDifference):
-        return f"fd(delta={rat_str(r.delta)})"
-    return f"qdil(q={rat_str(r.q)})"
+def _case(name: str, inputs: dict, expected: str, got: str, passed: bool | None = None) -> Case:
+    """A case that passes when `got` reads exactly as `expected`, unless told otherwise."""
+    return Case(name, inputs, expected, got, got == expected if passed is None else passed)
 
 
 def _random_poly(rng: random.Random) -> Poly:
@@ -157,34 +152,31 @@ def suite_heisenberg() -> VerifyReport:
     realizations += [QDilatation(q) for q in Q_BRACKET_GRID]
     cases = []
     for r in realizations:
-        q = realization_q(r)
         rng = random.Random(RANDOM_SEED)
         zero = 0
         for _ in range(RESIDUAL_COUNT):
-            if heisenberg_residual(r, q, _random_poly(rng)).is_zero:
+            if heisenberg_residual(r, r.q, _random_poly(rng)).is_zero:
                 zero += 1
         cases.append(
-            Case(
-                case=f"bracket-{_realization_label(r)}",
-                inputs={
-                    "realization": _realization_label(r),
-                    "q": rat_str(q),
+            _case(
+                f"bracket-{r.label}",
+                {
+                    "realization": r.label,
+                    "q": rat_str(r.q),
                     "polynomials": RESIDUAL_COUNT,
                     "max_degree": RESIDUAL_MAX_DEGREE,
                 },
-                expected=f"{RESIDUAL_COUNT}/{RESIDUAL_COUNT} residuals zero",
-                got=f"{zero}/{RESIDUAL_COUNT} residuals zero",
-                passed=zero == RESIDUAL_COUNT,
+                f"{RESIDUAL_COUNT}/{RESIDUAL_COUNT} residuals zero",
+                f"{zero}/{RESIDUAL_COUNT} residuals zero",
             )
         )
         image = vacuum_image(r)
         cases.append(
-            Case(
-                case=f"vacuum-{_realization_label(r)}",
-                inputs={"realization": _realization_label(r)},
-                expected="0",
-                got="0" if image.is_zero else repr(image),
-                passed=image.is_zero,
+            _case(
+                f"vacuum-{r.label}",
+                {"realization": r.label},
+                "0",
+                "0" if image.is_zero else repr(image),
             )
         )
     return VerifyReport("heisenberg", tuple(cases), (NOTE_DILATATION_SIGN,))
@@ -202,12 +194,11 @@ def suite_sl2() -> VerifyReport:
         }
         for label, residual in relations.items():
             cases.append(
-                Case(
-                    case=f"{label} @ n={rat_str(n)}",
-                    inputs={"n": rat_str(n), "relation": label},
-                    expected="0",
-                    got="0" if residual.is_zero else repr(residual),
-                    passed=residual.is_zero,
+                _case(
+                    f"{label} @ n={rat_str(n)}",
+                    {"n": rat_str(n), "relation": label},
+                    "0",
+                    "0" if residual.is_zero else repr(residual),
                 )
             )
     # Deformed Borel relation in its verified normalization:
@@ -217,12 +208,11 @@ def suite_sl2() -> VerifyReport:
         jminus = FockPoly.a(q=q)
         residual = (jzero * jminus).scale(q) - jminus * jzero + jminus
         cases.append(
-            Case(
-                case=f"q(J0.J-)-(J-.J0)=-J- @ q={rat_str(q)}",
-                inputs={"q": rat_str(q)},
-                expected="0",
-                got="0" if residual.is_zero else repr(residual),
-                passed=residual.is_zero,
+            _case(
+                f"q(J0.J-)-(J-.J0)=-J- @ q={rat_str(q)}",
+                {"q": rat_str(q)},
+                "0",
+                "0" if residual.is_zero else repr(residual),
             )
         )
     return VerifyReport("sl2", tuple(cases))
@@ -235,13 +225,7 @@ def suite_casimir() -> VerifyReport:
         expected = -Fraction(n, 2) * (Fraction(n, 2) + 1)
         got = casimir_value(n).value
         cases.append(
-            Case(
-                case=f"casimir n={n}",
-                inputs={"n": str(n)},
-                expected=rat_str(expected),
-                got=rat_str(got),
-                passed=got == expected,
-            )
+            _case(f"casimir n={n}", {"n": str(n)}, rat_str(expected), rat_str(got))
         )
     return VerifyReport("casimir", tuple(cases))
 
@@ -255,27 +239,22 @@ def suite_spectrum() -> VerifyReport:
     cases = []
     for p in P_GRID:
         report = eigensolve_flag(realize_matrix(build_hf(p), Differential(), 20))
-        expected = _reference_string(SpectrumKind.CLASSIC, 21, None)
         cases.append(
-            Case(
-                case=f"classic-diff p={rat_str(p)}",
-                inputs={"operator": "hf", "realization": "diff", "p": rat_str(p), "N": 20},
-                expected=expected,
-                got=spectrum_string(report),
-                passed=spectrum_string(report) == expected,
+            _case(
+                f"classic-diff p={rat_str(p)}",
+                {"operator": "hf", "realization": "diff", "p": rat_str(p), "N": 20},
+                _reference_string(SpectrumKind.CLASSIC, 21, None),
+                spectrum_string(report),
             )
         )
     for q in Q_SPECTRUM_GRID:
         matrix = realize_matrix(build_hf(Fraction(0), q=q), QDilatation(q), 16)
-        report = eigensolve_flag(matrix)
-        expected = _reference_string(SpectrumKind.Q_PLAIN, 17, q)
         cases.append(
-            Case(
-                case=f"deformed-qdil q={rat_str(q)}",
-                inputs={"operator": "hf", "realization": "qdil", "q": rat_str(q), "N": 16},
-                expected=expected,
-                got=spectrum_string(report),
-                passed=spectrum_string(report) == expected,
+            _case(
+                f"deformed-qdil q={rat_str(q)}",
+                {"operator": "hf", "realization": "qdil", "q": rat_str(q), "N": 16},
+                _reference_string(SpectrumKind.Q_PLAIN, 17, q),
+                spectrum_string(eigensolve_flag(matrix)),
             )
         )
     return VerifyReport("spectrum", tuple(cases), (NOTE_DILATATION_SIGN,))
@@ -292,12 +271,12 @@ def suite_isospectral() -> VerifyReport:
             )
             comparison = isospectral_compare(diff_report, fd_report)
             cases.append(
-                Case(
-                    case=f"diff-vs-fd p={rat_str(p)} delta={rat_str(d)}",
-                    inputs={"p": rat_str(p), "delta": rat_str(d), "N": 16},
-                    expected="all levels equal",
-                    got=str(comparison),
-                    passed=comparison.eigenvalues_equal,
+                _case(
+                    f"diff-vs-fd p={rat_str(p)} delta={rat_str(d)}",
+                    {"p": rat_str(p), "delta": rat_str(d), "N": 16},
+                    "all levels equal",
+                    str(comparison),
+                    comparison.eigenvalues_equal,
                 )
             )
     for p in (Fraction(0), Fraction(1)):
@@ -307,12 +286,12 @@ def suite_isospectral() -> VerifyReport:
             hg_report = eigensolve_flag(realize_matrix(hg, Differential(), 16))
             comparison = isospectral_compare(hf_report, hg_report)
             cases.append(
-                Case(
-                    case=f"hg-vs-hf p={rat_str(p)} B={rat_str(big_b)}",
-                    inputs={"p": rat_str(p), "B": rat_str(big_b), "N": 16},
-                    expected="all levels equal",
-                    got=str(comparison),
-                    passed=comparison.eigenvalues_equal,
+                _case(
+                    f"hg-vs-hf p={rat_str(p)} B={rat_str(big_b)}",
+                    {"p": rat_str(p), "B": rat_str(big_b), "N": 16},
+                    "all levels equal",
+                    str(comparison),
+                    comparison.eigenvalues_equal,
                 )
             )
             # Eigenpolynomials: monic Laguerre with superscript p+B-1/2,
@@ -323,52 +302,47 @@ def suite_isospectral() -> VerifyReport:
                 for n, entry in enumerate(hg_report.entries)
             )
             cases.append(
-                Case(
-                    case=f"hg-shifted-laguerre p={rat_str(p)} B={rat_str(big_b)}",
-                    inputs={
+                _case(
+                    f"hg-shifted-laguerre p={rat_str(p)} B={rat_str(big_b)}",
+                    {
                         "p": rat_str(p),
                         "B": rat_str(big_b),
                         "alpha": rat_str(alpha),
                         "shift": rat_str(big_b),
                     },
-                    expected="monic Laguerre(alpha) at y+shift",
-                    got="match" if match else "mismatch",
-                    passed=match,
+                    "monic Laguerre(alpha) at y+shift",
+                    "match" if match else "mismatch",
+                    match,
                 )
             )
     for big_b in B_GRID:
         for d in DELTA_GRID:
             stencil = stencil_of(build_hg(Fraction(0), big_b), FiniteDifference(d))
-            lead = stencil.coeff(2).coeff(0)
-            expected_lead = 4 * big_b / d**2
-            ok = stencil.offsets == (-1, 0, 1, 2) and lead == expected_lead
+            expected_lead = rat_str(4 * big_b / d**2)
             cases.append(
-                Case(
-                    case=f"four-point B={rat_str(big_b)} delta={rat_str(d)}",
-                    inputs={"B": rat_str(big_b), "delta": rat_str(d)},
-                    expected=f"offsets (-1, 0, 1, 2), c2 = {rat_str(expected_lead)}",
-                    got=f"offsets {stencil.offsets}, c2 = {rat_str(lead)}",
-                    passed=ok,
+                _case(
+                    f"four-point B={rat_str(big_b)} delta={rat_str(d)}",
+                    {"B": rat_str(big_b), "delta": rat_str(d)},
+                    f"offsets (-1, 0, 1, 2), c2 = {expected_lead}",
+                    f"offsets {stencil.offsets}, c2 = {rat_str(stencil.coeff(2).coeff(0))}",
                 )
             )
     three_point = stencil_of(build_hf(Fraction(0)), FiniteDifference(Fraction(1)))
     cases.append(
-        Case(
-            case="three-point structure",
-            inputs={"operator": "hf", "delta": "1", "p": "0"},
-            expected="offsets (-1, 0, 1)",
-            got=f"offsets {three_point.offsets}",
-            passed=three_point.offsets == (-1, 0, 1),
+        _case(
+            "three-point structure",
+            {"operator": "hf", "delta": "1", "p": "0"},
+            "offsets (-1, 0, 1)",
+            f"offsets {three_point.offsets}",
         )
     )
     dilatation = stencil_of(build_hf(Fraction(0), q=Fraction(2)), QDilatation(Fraction(2)))
     cases.append(
-        Case(
-            case="dilatation three-point structure",
-            inputs={"operator": "hf", "q": "2", "p": "0"},
-            expected="offsets (0, 1, 2)",
-            got=f"offsets {dilatation.offsets}",
-            passed=dilatation.offsets == (0, 1, 2),
+        _case(
+            "dilatation three-point structure",
+            {"operator": "hf", "q": "2", "p": "0"},
+            "offsets (0, 1, 2)",
+            f"offsets {dilatation.offsets}",
         )
     )
     # Negative control: the deformed spectrum differs from the flat one.
@@ -379,12 +353,12 @@ def suite_isospectral() -> VerifyReport:
         flat[n] != deformed[n] for n in range(2, 5)
     )
     cases.append(
-        Case(
-            case="classic-vs-deformed q=2 diverges",
-            inputs={"q": "2", "levels": 5},
-            expected="equal below level 2, distinct from level 2 on",
-            got="as expected" if diverges else "unexpected pattern",
-            passed=diverges,
+        _case(
+            "classic-vs-deformed q=2 diverges",
+            {"q": "2", "levels": 5},
+            "equal below level 2, distinct from level 2 on",
+            "as expected" if diverges else "unexpected pattern",
+            diverges,
         )
     )
     return VerifyReport(
@@ -401,13 +375,14 @@ def suite_transplant() -> VerifyReport:
         diff_matrix = realize_matrix(build_hf(p), Differential(), 16)
         for d in DELTA_GRID:
             fd_matrix = realize_matrix(build_hf(p), FiniteDifference(d), 16)
+            same = fd_matrix.rows == diff_matrix.rows
             cases.append(
-                Case(
-                    case=f"matrix-transplant p={rat_str(p)} delta={rat_str(d)}",
-                    inputs={"p": rat_str(p), "delta": rat_str(d), "N": 16},
-                    expected="matrices identical entry-for-entry",
-                    got="identical" if fd_matrix.rows == diff_matrix.rows else "differ",
-                    passed=fd_matrix.rows == diff_matrix.rows,
+                _case(
+                    f"matrix-transplant p={rat_str(p)} delta={rat_str(d)}",
+                    {"p": rat_str(p), "delta": rat_str(d), "N": 16},
+                    "matrices identical entry-for-entry",
+                    "identical" if same else "differ",
+                    same,
                 )
             )
             fd_report = eigensolve_flag(fd_matrix)
@@ -419,12 +394,12 @@ def suite_transplant() -> VerifyReport:
                     ok = False
                     break
             cases.append(
-                Case(
-                    case=f"modified-laguerre p={rat_str(p)} delta={rat_str(d)}",
-                    inputs={"p": rat_str(p), "delta": rat_str(d), "N": 16},
-                    expected="eigenpolynomials = monic modified Laguerre",
-                    got="match" if ok else "mismatch",
-                    passed=ok,
+                _case(
+                    f"modified-laguerre p={rat_str(p)} delta={rat_str(d)}",
+                    {"p": rat_str(p), "delta": rat_str(d), "N": 16},
+                    "eigenpolynomials = monic modified Laguerre",
+                    "match" if ok else "mismatch",
+                    ok,
                 )
             )
             stencil = stencil_of(build_hf(p), FiniteDifference(d))
@@ -435,12 +410,12 @@ def suite_transplant() -> VerifyReport:
                     ok = False
                     break
             cases.append(
-                Case(
-                    case=f"stencil-eigenfunction p={rat_str(p)} delta={rat_str(d)}",
-                    inputs={"p": rat_str(p), "delta": rat_str(d), "n_max": 10},
-                    expected="stencil(modified Laguerre_n) = -4n * modified Laguerre_n",
-                    got="holds" if ok else "fails",
-                    passed=ok,
+                _case(
+                    f"stencil-eigenfunction p={rat_str(p)} delta={rat_str(d)}",
+                    {"p": rat_str(p), "delta": rat_str(d), "n_max": 10},
+                    "stencil(modified Laguerre_n) = -4n * modified Laguerre_n",
+                    "holds" if ok else "fails",
+                    ok,
                 )
             )
     return VerifyReport("transplant", tuple(cases))
@@ -454,12 +429,11 @@ def suite_kratzer() -> VerifyReport:
             measured = [kratzer_eigencheck(n, p, omega) for n in range(7)]
             expected = [omega * (4 * n + 2 * p + 1) for n in range(7)]
             cases.append(
-                Case(
-                    case=f"levels p={rat_str(p)} w={rat_str(omega)}",
-                    inputs={"p": rat_str(p), "w": rat_str(omega), "n_max": 6},
-                    expected=", ".join(rat_str(e) for e in expected),
-                    got=", ".join(rat_str(m) for m in measured),
-                    passed=measured == expected,
+                _case(
+                    f"levels p={rat_str(p)} w={rat_str(omega)}",
+                    {"p": rat_str(p), "w": rat_str(omega), "n_max": 6},
+                    ", ".join(rat_str(e) for e in expected),
+                    ", ".join(rat_str(m) for m in measured),
                 )
             )
             polys = [Poly.one(), Poly.monomial(1), laguerre(3, p - Fraction(1, 2))]
@@ -470,12 +444,12 @@ def suite_kratzer() -> VerifyReport:
                     ok = False
                     break
             cases.append(
-                Case(
-                    case=f"gauge p={rat_str(p)} w={rat_str(omega)}",
-                    inputs={"p": rat_str(p), "w": rat_str(omega), "polynomials": 3},
-                    expected=f"E0 = {rat_str(omega * (2 * p + 1))}, residual 0",
-                    got="match" if ok else "mismatch",
-                    passed=ok,
+                _case(
+                    f"gauge p={rat_str(p)} w={rat_str(omega)}",
+                    {"p": rat_str(p), "w": rat_str(omega), "polynomials": 3},
+                    f"E0 = {rat_str(omega * (2 * p + 1))}, residual 0",
+                    "match" if ok else "mismatch",
+                    ok,
                 )
             )
     return VerifyReport("kratzer", tuple(cases), (NOTE_KRATZER_GAP,))
@@ -489,12 +463,11 @@ def suite_parity() -> VerifyReport:
             measured = parity_relation_ratio(n, p, Fraction(1))
             pattern = Fraction((-1) ** n * 2 ** (2 * n + p) * math.factorial(n))
             cases.append(
-                Case(
-                    case=f"parity n={n} p={p}",
-                    inputs={"n": str(n), "p": str(p), "w": "1"},
-                    expected=rat_str(pattern),
-                    got=rat_str(measured),
-                    passed=measured == pattern,
+                _case(
+                    f"parity n={n} p={p}",
+                    {"n": str(n), "p": str(p), "w": "1"},
+                    rat_str(pattern),
+                    rat_str(measured),
                 )
             )
     return VerifyReport("parity", tuple(cases))
@@ -503,46 +476,27 @@ def suite_parity() -> VerifyReport:
 def suite_qpencil() -> VerifyReport:
     """Scaled right-hand sides: both dilation directions, coincidence at q = 1."""
     cases = []
-    kinds = {-1: SpectrumKind.Q_SCALED_ONCE, -2: SpectrumKind.Q_SCALED_TWICE}
     for q in Q_SPECTRUM_GRID:
         matrix = realize_matrix(build_hf(Fraction(0), q=q), QDilatation(q), 12)
-        for s in (-1, -2):
-            report = pencil_solve(matrix, s, q)
-            expected = _reference_string(kinds[s], 13, q)
+        for s in (-1, -2, 1, 2):
+            name = "scaled" if s < 0 else "scaled-reciprocal"
             cases.append(
-                Case(
-                    case=f"scaled s={s} q={rat_str(q)}",
-                    inputs={"q": rat_str(q), "s": str(s), "N": 12},
-                    expected=expected,
-                    got=spectrum_string(report),
-                    passed=spectrum_string(report) == expected,
-                )
-            )
-        for s in (1, 2):
-            report = pencil_solve(matrix, s, q)
-            expected = ", ".join(
-                rat_str(-4 * q_number(n, q) * q ** (-s * n)) for n in range(13)
-            )
-            cases.append(
-                Case(
-                    case=f"scaled-reciprocal s={s} q={rat_str(q)}",
-                    inputs={"q": rat_str(q), "s": str(s), "N": 12},
-                    expected=expected,
-                    got=spectrum_string(report),
-                    passed=spectrum_string(report) == expected,
+                _case(
+                    f"{name} s={s} q={rat_str(q)}",
+                    {"q": rat_str(q), "s": str(s), "N": 12},
+                    _reference_string(SpectrumKind.of(s, q), 13, q),
+                    spectrum_string(pencil_solve(matrix, s, q)),
                 )
             )
     flat = realize_matrix(build_hf(Fraction(0)), Differential(), 8)
     classic = _reference_string(SpectrumKind.CLASSIC, 9, None)
     for s in (-2, -1, 1, 2):
-        report = pencil_solve(flat, s, Fraction(1))
         cases.append(
-            Case(
-                case=f"coincide-at-q=1 s={s}",
-                inputs={"q": "1", "s": str(s), "N": 8},
-                expected=classic,
-                got=spectrum_string(report),
-                passed=spectrum_string(report) == classic,
+            _case(
+                f"coincide-at-q=1 s={s}",
+                {"q": "1", "s": str(s), "N": 8},
+                classic,
+                spectrum_string(pencil_solve(flat, s, Fraction(1))),
             )
         )
     return VerifyReport("qpencil", tuple(cases), (NOTE_SCALE_DIRECTION,))

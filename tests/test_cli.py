@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 
@@ -42,6 +43,18 @@ class TestSpectrumCommand:
         assert code == 1
         assert data["error"]["kind"] == "degenerate-spectrum"
 
+    def test_degenerate_report_follows_csv_format(self, tmp_path):
+        out = tmp_path / "out.csv"
+        code = main(
+            ["spectrum", "--realization", "qdil", "--q", "-1", "--N", "3",
+             "--format", "csv", "--out", str(out)]
+        )
+        assert code == 1
+        rows = list(csv.DictReader(io.StringIO(out.read_text(encoding="utf-8"))))
+        assert rows == [
+            {"error": "degenerate-spectrum", "detail": "eigenvalue 0 occurs at levels (0, 2)"}
+        ]
+
     def test_fd_levels_match_diff(self, tmp_path):
         _, fd = run_json(
             ["spectrum", "--realization", "fd", "--delta", "1/2", "--p", "1", "--N", "8"],
@@ -56,18 +69,30 @@ class TestSpectrumCommand:
         assert [l["E"] for l in fd["levels"]] == [l["E"] for l in diff["levels"]]
         assert fd["basis"] == {"kind": "quasimonomial", "delta": "1/2"}
 
-    def test_scaled_rhs(self, tmp_path):
+    @pytest.mark.parametrize(
+        "realization, s, kind, levels",
+        [
+            # -4 q^n {n} at q = 2: 0, -8, -48, -224, -960
+            (["qdil", "--q", "2"], "-1", "qscaled1", ["0", "-8", "-48", "-224", "-960"]),
+            # -4 q^2n {n} at q = 2: 0, -16, -192, -1792, -15360
+            (["qdil", "--q", "2"], "-2", "qscaled2", ["0", "-16", "-192", "-1792", "-15360"]),
+            # At q = 1 every scaled family is -4n.
+            (["diff"], "-1", "reciprocal(s=-1)", ["0", "-4", "-8", "-12", "-16"]),
+        ],
+        ids=["qscaled1", "qscaled2", "reciprocal-at-q1"],
+    )
+    def test_scaled_rhs(self, tmp_path, realization, s, kind, levels):
         code, data = run_json(
             [
-                "spectrum", "--realization", "qdil", "--q", "2", "--N", "4",
-                "--rhs", "scaled", "--s", "-1",
+                "spectrum", "--realization", *realization, "--N", "4",
+                "--rhs", "scaled", "--s", s,
             ],
             tmp_path,
         )
         assert code == 0
-        assert data["reference"]["kind"] == "qscaled1"
-        # -4 q^n {n} at q = 2: 0, -8, -48, -224, -960
-        assert [lvl["E"] for lvl in data["levels"]] == ["0", "-8", "-48", "-224", "-960"]
+        assert data["reference"]["kind"] == kind
+        assert [lvl["E"] for lvl in data["levels"]] == levels
+        assert data["reference"]["values"] == levels
 
     def test_scaled_reciprocal_direction(self, tmp_path):
         code, data = run_json(
@@ -160,6 +185,9 @@ class TestVerifyCommand:
     def test_all_passes_and_carries_convention_notes(self, tmp_path):
         code, data = run_json(["verify", "all"], tmp_path)
         assert code == 0
+        # The report is pinned byte for byte (the digest perfbench/check.py enforces).
+        digest = hashlib.sha256((tmp_path / "out.json").read_bytes()).hexdigest()
+        assert digest == "eaf0fba7baf3ece9d35d96efa5f82bcc4ed001a6a7a395e133d392218c8dfb9c"
         assert data["passed"] is True
         note_ids = {
             note["id"] for suite in data["suites"] for note in suite["notes"]

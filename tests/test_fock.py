@@ -16,7 +16,7 @@ from fockosc.fock import (
     commutator,
     normal_order_product,
     q_bracket,
-    q_int,
+    q_number,
     sl2_generators,
 )
 from oracles import oracle_product
@@ -163,7 +163,7 @@ class TestActOnPoly:
     def test_diagonal_coefficient_is_deformed_integer(self, p, q):
         for n in range(9):
             image = act_on_poly(build_hf(p, q=q), Poly.monomial(n))
-            assert image.coeff(n) == -4 * q_int(n, q)
+            assert image.coeff(n) == -4 * q_number(n, q)
 
     def test_degree_never_raised(self):
         h = build_hf(F(5, 2))

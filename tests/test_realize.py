@@ -4,14 +4,12 @@ from fractions import Fraction as F
 import pytest
 
 from fockosc.algebra import LaurentPoly, Monomial, Poly, QuasiMonomial
-from fockosc.fock import AlgebraMismatchError, FockPoly, build_hf, build_hg, q_int
+from fockosc.fock import AlgebraMismatchError, FockPoly, build_hf, build_hg, q_number
 from fockosc.realize import (
     Differential,
     FiniteDifference,
     QDilatation,
     UnsupportedDegreeError,
-    apply_a,
-    apply_b,
     apply_op,
     heisenberg_residual,
     realize_matrix,
@@ -46,24 +44,56 @@ class TestRealizationParams:
             QDilatation(q)
 
 
+class TestRealizationProtocol:
+    # y^3 under each realization, by hand:
+    #   diff:  a y^3 = 3y^2,  b y^3 = y^4
+    #   fd:    a y^3 = ((y+d)^3 - y^3)/d = 3y^2 + 3dy + d^2,  b y^3 = y(y-d)^3
+    #   qdil:  a y^3 = {3} y^2 = (1 + q + q^2) y^2,  b y^3 = y^4
+    @pytest.mark.parametrize(
+        "r, q, basis, spec, label, lowered, raised, mode",
+        [
+            (Differential(), F(1), Monomial(), {"kind": "diff"}, "diff",
+             Poly([0, 0, 3]), Poly([0, 0, 0, 0, 1]), None),
+            (FiniteDifference(F(1, 3)), F(1), QuasiMonomial(F(1, 3)),
+             {"kind": "fd", "delta": "1/3"}, "fd(delta=1/3)",
+             Poly([F(1, 9), 1, 3]), Poly([0, F(-1, 27), F(1, 3), -1, 1]), "shift"),
+            (QDilatation(F(3, 7)), F(3, 7), Monomial(),
+             {"kind": "qdil", "q": "3/7"}, "qdil(q=3/7)",
+             Poly([0, 0, F(79, 49)]), Poly([0, 0, 0, 0, 1]), "scale"),
+        ],
+    )
+    def test_methods_on_cubic(self, r, q, basis, spec, label, lowered, raised, mode):
+        assert r.q == q
+        assert r.basis == basis
+        assert r.to_json() == spec
+        assert r.label == label
+        assert r.lower(Poly.monomial(3)) == lowered
+        assert r.raise_(Poly.monomial(3)) == raised
+        if mode is None:
+            with pytest.raises(ValueError):
+                stencil_of(build_hf(0), r)
+        else:
+            assert stencil_of(build_hf(0, q=q), r).mode == mode
+
+
 class TestGeneratorActions:
     def test_differential_pair(self):
         f = Poly([1, 2, 3])
-        assert apply_a(Differential(), f) == Poly([2, 6])
-        assert apply_b(Differential(), f) == Poly([0, 1, 2, 3])
+        assert Differential().lower(f) == Poly([2, 6])
+        assert Differential().raise_(f) == Poly([0, 1, 2, 3])
 
     def test_fd_b_is_shifted_multiplication(self):
         # y(1 - d D-) f collapses to y * f(y - d).
         d = F(1, 2)
         f = Poly([0, 0, 1])
-        assert apply_b(FiniteDifference(d), f) == Poly.monomial(1) * f.shift_arg(-d)
+        assert FiniteDifference(d).raise_(f) == Poly.monomial(1) * f.shift_arg(-d)
 
     def test_qdil_a_on_monomials(self):
         q = F(3, 7)
         r = QDilatation(q)
         for k in range(6):
-            image = apply_a(r, Poly.monomial(k))
-            expected = Poly.monomial(k - 1, q_int(k, q)) if k else Poly()
+            image = r.lower(Poly.monomial(k))
+            expected = Poly.monomial(k - 1, q_number(k, q)) if k else Poly()
             assert image == expected
 
 
@@ -94,8 +124,8 @@ class TestHeisenbergResidual:
         # is +1, never -1.
         r = QDilatation(F(2))
         f = Poly.monomial(3)
-        ab = apply_a(r, apply_b(r, f))
-        ba = apply_b(r, apply_a(r, f))
+        ab = r.lower(r.raise_(f))
+        ba = r.raise_(r.lower(f))
         assert ab - ba.scale(F(2)) == f  # and not -f
 
 
@@ -143,7 +173,7 @@ class TestRealizeMatrix:
     @pytest.mark.parametrize("q", QS)
     def test_qdil_diagonal_is_deformed(self, q):
         m = realize_matrix(build_hf(0, q=q), QDilatation(q), 8)
-        assert m.diagonal() == tuple(-4 * q_int(n, q) for n in range(9))
+        assert m.diagonal() == tuple(-4 * q_number(n, q) for n in range(9))
 
     def test_qdil_small_example(self):
         m = realize_matrix(build_hf(0, q=2), QDilatation(2), 2)

@@ -43,13 +43,6 @@ class TestQNumber:
         with pytest.raises(ValueError):
             q_number(-1, 2)
 
-    def test_record_type(self):
-        from fockosc.spectral import QNumber
-
-        record = QNumber.of(3, 2)
-        assert record == QNumber(3, F(2), F(7))
-        assert QNumber.of(5, 1).value == 5
-
 
 class TestPreservesFlag:
     def test_realized_hf_preserves(self):
