@@ -8,17 +8,14 @@ with arbitrary-precision rational arithmetic throughout.
 """
 
 from .algebra import (
-    BasisKind,
     DegenerateSpectrumError,
     LaurentPoly,
-    Monomial,
     NotTriangularError,
     OperatorMatrix,
     Poly,
     QuasiMonomial,
     back_substitute,
     basis_transplant,
-    quasi_monomial_expand,
     rat,
     rat_str,
 )
@@ -53,7 +50,6 @@ from .realize import (
 from .spectral import (
     ComparisonReport,
     SpectralReport,
-    SpectrumKind,
     eigensolve_flag,
     isospectral_compare,
     pencil_solve,

@@ -6,10 +6,10 @@ arbitrary precision.  Nothing in this package ever rounds.
 
 A `Poly` is a dense coefficient vector over the rationals, lowest power
 first.  A `LaurentPoly` additionally admits negative powers and is stored
-sparsely.  Polynomials can be expressed either in the monomial basis
-1, y, y^2, ... or in the quasi-monomial basis 1, y, y(y-d), y(y-d)(y-2d), ...
-whose elements vanish on the grid 0, d, 2d, ...; `basis_transplant` moves
-coefficient vectors between the two.
+sparsely.  Polynomials are expressed in a quasi-monomial basis 1, y, y(y-d),
+y(y-d)(y-2d), ... whose elements vanish on the grid 0, d, 2d, ...; step
+d = 0 is the monomial basis 1, y, y^2, ...  `basis_transplant` moves
+coefficient vectors between any two of them.
 """
 
 from __future__ import annotations
@@ -308,101 +308,70 @@ class LaurentPoly:
 
 
 @dataclass(frozen=True)
-class Monomial:
-    """The basis 1, y, y^2, ..."""
-
-    def __repr__(self) -> str:
-        return "Monomial()"
-
-
-@dataclass(frozen=True)
 class QuasiMonomial:
-    """The basis 1, y, y(y-d), ... with step d.
+    """The basis 1, y, y(y-d), y(y-d)(y-2d), ... with step d.
 
-    Step 0 is permitted and collapses to the monomial basis, so callers
-    never have to special-case it.
+    Step 0 is the monomial basis 1, y, y^2, ...
     """
 
     delta: Fraction
+
+    def to_json(self) -> dict:
+        if self.delta == 0:
+            return {"kind": "monomial"}
+        return {"kind": "quasimonomial", "delta": rat_str(self.delta)}
 
     def __repr__(self) -> str:
         return f"QuasiMonomial({rat_str(self.delta)})"
 
 
-BasisKind = Union[Monomial, QuasiMonomial]
-
-
-def quasi_monomial_expand(n: int, delta: Rat) -> Poly:
-    """Expand the degree-n quasi-monomial y(y-d)(y-2d)...(y-(n-1)d).
+def basis_element(basis: QuasiMonomial, n: int) -> Poly:
+    """The n-th basis element y(y-d)(y-2d)...(y-(n-1)d), expanded in monomials.
 
     The empty product (n = 0) is 1; the result is always monic of degree
     exactly n and vanishes at the grid points 0, d, ..., (n-1)d.
     """
     if n < 0:
-        raise ValueError("quasi-monomial degree must be non-negative")
-    delta = Fraction(delta)
+        raise ValueError("basis element degree must be non-negative")
+    if basis.delta == 0:
+        return Poly.monomial(n)
     out = Poly.one()
     for k in range(n):
-        out = out * Poly([-k * delta, 1])
+        out = out * Poly([-k * basis.delta, 1])
     return out
-
-
-def basis_element(basis: BasisKind, n: int) -> Poly:
-    """The n-th basis element, expanded in monomials."""
-    if isinstance(basis, QuasiMonomial):
-        return quasi_monomial_expand(n, basis.delta)
-    return Poly.monomial(n)
-
-
-def to_monomial_coeffs(coeffs: Sequence[Rat], basis: BasisKind) -> Poly:
-    """Expand a coefficient vector given in `basis` into an actual polynomial."""
-    out = Poly()
-    for n, c in enumerate(coeffs):
-        c = Fraction(c)
-        if c != 0:
-            out = out + basis_element(basis, n).scale(c)
-    return out
-
-
-def from_monomial_coeffs(p: Poly, basis: BasisKind) -> Poly:
-    """Express a polynomial as a coefficient vector in `basis`.
-
-    The change of basis is unitriangular (each quasi-monomial is monic of
-    its degree), so peeling the leading term top-down is exact and total.
-    The vector is returned packaged as a Poly.
-    """
-    if isinstance(basis, Monomial) or (
-        isinstance(basis, QuasiMonomial) and basis.delta == 0
-    ):
-        return p
-    out: dict[int, Fraction] = {}
-    rest = p
-    while not rest.is_zero:
-        n = rest.degree
-        c = rest.leading
-        out[n] = c
-        rest = rest - basis_element(basis, n).scale(c)
-        if not rest.is_zero and rest.degree >= n:
-            raise AssertionError("basis change failed to reduce the degree")
-    size = max(out) + 1 if out else 0
-    vec = [Fraction(0)] * size
-    for n, c in out.items():
-        vec[n] = c
-    return Poly(vec)
 
 
 def basis_transplant(
-    coeffs: Sequence[Rat] | Poly, from_basis: BasisKind, to_basis: BasisKind
+    coeffs: Sequence[Rat] | Poly, from_basis: QuasiMonomial, to_basis: QuasiMonomial
 ) -> Poly:
     """Reinterpret a coefficient vector from one basis in another.
 
     The input is read in `from_basis`, the same abstract element is
     re-expanded in `to_basis`, and the resulting coefficient vector is
     returned as a Poly.  The round trip from -> to -> from is the identity.
+    Either side with step 0 is the monomial basis and costs nothing.
     """
-    vec = coeffs.coeffs if isinstance(coeffs, Poly) else [Fraction(c) for c in coeffs]
-    expanded = to_monomial_coeffs(vec, from_basis)
-    return from_monomial_coeffs(expanded, to_basis)
+    vec = coeffs if isinstance(coeffs, Poly) else Poly(coeffs)
+    if from_basis.delta != 0:
+        expanded = Poly()
+        for n, c in enumerate(vec.coeffs):
+            if c != 0:
+                expanded = expanded + basis_element(from_basis, n).scale(c)
+        vec = expanded
+    if to_basis.delta == 0:
+        return vec
+    # Each basis element is monic of its degree, so the change of basis is
+    # unitriangular and peeling the leading term top-down is exact and total.
+    out = [Fraction(0)] * len(vec.coeffs)
+    rest = vec
+    while not rest.is_zero:
+        n = rest.degree
+        c = rest.leading
+        out[n] = c
+        rest = rest - basis_element(to_basis, n).scale(c)
+        if not rest.is_zero and rest.degree >= n:
+            raise AssertionError("basis change failed to reduce the degree")
+    return Poly(out)
 
 
 # ---------------------------------------------------------------------------
@@ -414,18 +383,22 @@ class OperatorMatrix:
     """Square matrix of an operator on the flag space P_N, in a stated basis.
 
     Column j holds the coefficient vector of the image of basis element j.
-    Entries are exact rationals.
+    Entries are exact rationals.  `closed` is False when some image had
+    components above degree N that the matrix does not show.
     """
 
-    __slots__ = ("rows", "basis")
+    __slots__ = ("rows", "basis", "closed")
 
-    def __init__(self, rows: Sequence[Sequence[Rat]], basis: BasisKind):
+    def __init__(
+        self, rows: Sequence[Sequence[Rat]], basis: QuasiMonomial, closed: bool = True
+    ):
         mat = tuple(tuple(Fraction(x) for x in row) for row in rows)
         size = len(mat)
         if any(len(row) != size for row in mat):
             raise ValueError("matrix must be square")
         object.__setattr__(self, "rows", mat)
         object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "closed", closed)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("OperatorMatrix is immutable")
@@ -433,11 +406,6 @@ class OperatorMatrix:
     @property
     def size(self) -> int:
         return len(self.rows)
-
-    @property
-    def top_degree(self) -> int:
-        """N for a matrix acting on P_N."""
-        return self.size - 1
 
     def __getitem__(self, i: int) -> tuple[Fraction, ...]:
         return self.rows[i]
@@ -461,6 +429,7 @@ class OperatorMatrix:
             isinstance(other, OperatorMatrix)
             and self.rows == other.rows
             and self.basis == other.basis
+            and self.closed == other.closed
         )
 
     def __repr__(self) -> str:

@@ -16,15 +16,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .algebra import (
-    BasisKind,
-    DegenerateSpectrumError,
-    LaurentPoly,
-    Monomial,
-    QuasiMonomial,
-    rat,
-    rat_str,
-)
+from .algebra import DegenerateSpectrumError, LaurentPoly, rat, rat_str
 from .fock import FockPoly, build_hf, build_hg
 from .realize import (
     Differential,
@@ -37,9 +29,9 @@ from .realize import (
 )
 from .spectral import (
     SpectralReport,
-    SpectrumKind,
     eigensolve_flag,
     pencil_solve,
+    reference_label,
     reference_spectrum,
 )
 from .verify import SUITES, VerifyReport, run_all, run_suite
@@ -50,12 +42,6 @@ def _rational(text: str) -> Fraction:
         return rat(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
-
-
-def _basis_json(basis: BasisKind) -> dict:
-    if isinstance(basis, QuasiMonomial):
-        return {"kind": "quasimonomial", "delta": rat_str(basis.delta)}
-    return {"kind": "monomial"}
 
 
 def _fock_json(element: FockPoly) -> list[dict]:
@@ -159,7 +145,7 @@ def _operator_json(args, operator: FockPoly) -> dict:
 
 def cmd_spectrum(parser: argparse.ArgumentParser, args) -> int:
     realization = _build_realization(parser, args)
-    if args.rhs == "scaled" and realization.basis != Monomial():
+    if args.rhs == "scaled" and realization.basis.delta != 0:
         parser.error("scaled right-hand sides need the monomial basis (diff or qdil)")
     operator = _build_operator(args, realization)
     matrix = realize_matrix(operator, realization, args.N)
@@ -183,8 +169,7 @@ def cmd_spectrum(parser: argparse.ArgumentParser, args) -> int:
             )
         return 1
 
-    kind = SpectrumKind.of(s, q)
-    reference = [reference_spectrum(kind, n, q) for n in range(args.N + 1)]
+    reference = [reference_spectrum(n, q, s) for n in range(args.N + 1)]
     match = list(report.eigenvalues) == reference
 
     if args.format == "json":
@@ -194,10 +179,10 @@ def cmd_spectrum(parser: argparse.ArgumentParser, args) -> int:
             "realization": realization.to_json(),
             "N": args.N,
             "rhs": {"kind": args.rhs} if s == 0 else {"kind": "scaled", "s": s},
-            "basis": _basis_json(report.basis),
+            "basis": report.basis.to_json(),
             "levels": _levels_json(report),
             "reference": {
-                "kind": kind.value,
+                "kind": reference_label(q, s),
                 "values": [rat_str(v) for v in reference],
                 "match": match,
             },

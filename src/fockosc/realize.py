@@ -35,13 +35,11 @@ from fractions import Fraction
 
 from .algebra import (
     LaurentPoly,
-    Monomial,
     OperatorMatrix,
     Poly,
     QuasiMonomial,
-    Rat,
     basis_element,
-    from_monomial_coeffs,
+    basis_transplant,
     rat_str,
 )
 from .fock import AlgebraMismatchError, FockPoly, q_number
@@ -61,10 +59,10 @@ class Realization:
     Subclasses provide `q`, `lower(f)`, `to_json()` and, where a stencil
     exists, `stencil_generators()` returning (mode, param, a terms,
     b terms).  The raising generator and the basis default to
-    multiplication by y and the monomial basis.
+    multiplication by y and the monomial basis QuasiMonomial(0).
     """
 
-    basis = Monomial()
+    basis = QuasiMonomial(0)
 
     def raise_(self, f: Poly) -> Poly:
         return Poly.monomial(1) * f
@@ -180,38 +178,32 @@ def realize_matrix(h: FockPoly, r: Realization, n: int) -> OperatorMatrix:
     """Matrix of the realized element on P_N in the realization's basis.
 
     Column j is the image of basis element j, re-expressed in the same
-    basis; components of degree above N are projected away, which is
-    lossless precisely for flag-preserving operators.  The
+    basis; components of degree above N are projected away, and the
+    matrix records that it is not `closed` when any were nonzero.  The
     FiniteDifference basis is QuasiMonomial(delta), which makes a
     flag-preserving matrix identical to its Differential counterpart.
     """
     if n < 0:
         raise ValueError("flag dimension must be non-negative")
     basis = r.basis
+    monomial = QuasiMonomial(0)
     size = n + 1
+    closed = True
     rows = [[Fraction(0)] * size for _ in range(size)]
     for j in range(size):
         image = apply_op(h, r, basis_element(basis, j))
-        vec = from_monomial_coeffs(image, basis)
-        for i, c in enumerate(vec.coeffs):
-            if i < size:
-                rows[i][j] = c
-    return OperatorMatrix(rows, basis)
+        vec = basis_transplant(image, monomial, basis)
+        closed = closed and len(vec.coeffs) <= size
+        for i, c in enumerate(vec.coeffs[:size]):
+            rows[i][j] = c
+    return OperatorMatrix(rows, basis, closed)
 
 
-def heisenberg_residual(r: Realization, q: Rat, f: Poly) -> Poly:
-    """(a.b - q.b.a - 1) applied to f; identically zero for a valid realization.
-
-    q must be 1 for Differential/FiniteDifference and the realization's
-    own parameter for QDilatation.
-    """
-    if Fraction(q) != r.q:
-        raise ValueError(
-            "tested bracket parameter does not match the realization"
-        )
+def heisenberg_residual(r: Realization, f: Poly) -> Poly:
+    """(a.b - q.b.a - 1) applied to f, with q = r.q; zero for a valid realization."""
     ab = r.lower(r.raise_(f))
     ba = r.raise_(r.lower(f))
-    return ab - ba.scale(q) - f
+    return ab - ba.scale(r.q) - f
 
 
 def vacuum_image(r: Realization) -> Poly:

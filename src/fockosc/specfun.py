@@ -28,7 +28,6 @@ from math import factorial
 
 from .algebra import (
     LaurentPoly,
-    Monomial,
     Poly,
     QuasiMonomial,
     Rat,
@@ -92,7 +91,7 @@ def modified_laguerre(n: int, alpha: Rat, delta: Rat) -> Poly:
     delta = 0 collapses back to the plain Laguerre polynomial.
     """
     base = laguerre(n, alpha)
-    return basis_transplant(base, QuasiMonomial(Fraction(delta)), Monomial())
+    return basis_transplant(base, QuasiMonomial(Fraction(delta)), QuasiMonomial(0))
 
 
 def constant_ratio(a: LaurentPoly, b: LaurentPoly) -> Fraction | None:

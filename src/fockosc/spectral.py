@@ -12,18 +12,16 @@ entries q^(s*n), so triangularity carries over.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
 from .algebra import (
-    BasisKind,
     DegenerateSpectrumError,
-    Monomial,
     NotTriangularError,
     OperatorMatrix,
     Poly,
+    QuasiMonomial,
     Rat,
     back_substitute,
     rat_str,
@@ -31,50 +29,26 @@ from .algebra import (
 from .fock import q_number
 
 
-class SpectrumKind(enum.Enum):
-    """Reference eigenvalue families -4 {n} q^(-s n) for level n.
+def reference_spectrum(n: int, q: Rat = 1, s: int = 0) -> Fraction:
+    """Reference eigenvalue -4 {n} q^(-s n) at level n.
 
-    Each kind carries the scale power s of the problem it belongs to:
-    s = 0 is the plain problem H f = E f, and s != 0 the scaled right-hand
-    side H f = E f(q^s .).  The reciprocal(s=...) kinds are the families
-    that are not named after a deformed spectrum: the positive powers, and
-    every scaled problem at q = 1, where all families reduce to -4n.
+    s = 0 is the plain problem H f = E f and s != 0 the scaled right-hand
+    side H f = E f(q^s .); at q = 1 every family is -4n.
     """
-
-    CLASSIC = "classic", 0                   # -4n
-    Q_PLAIN = "qplain", 0                    # -4{n}
-    Q_SCALED_ONCE = "qscaled1", -1           # -4 q^n {n}
-    Q_SCALED_TWICE = "qscaled2", -2          # -4 q^2n {n}
-    RECIPROCAL_MINUS_TWO = "reciprocal(s=-2)", -2  # -4n (q = 1)
-    RECIPROCAL_MINUS_ONE = "reciprocal(s=-1)", -1  # -4n (q = 1)
-    RECIPROCAL_ONE = "reciprocal(s=1)", 1    # -4 q^-n {n}
-    RECIPROCAL_TWO = "reciprocal(s=2)", 2    # -4 q^-2n {n}
-
-    def __new__(cls, name: str, s: int):
-        kind = object.__new__(cls)
-        kind._value_ = name
-        kind.s = s
-        return kind
-
-    @classmethod
-    def of(cls, s: int, q: Rat) -> "SpectrumKind":
-        """The family a problem with scale power s (0: plain) is checked against."""
-        deformed = {0: cls.Q_PLAIN, -1: cls.Q_SCALED_ONCE, -2: cls.Q_SCALED_TWICE}
-        if q != 1 and s in deformed:
-            return deformed[s]
-        return cls.CLASSIC if s == 0 else cls(f"reciprocal(s={s})")
-
-
-def reference_spectrum(kind: SpectrumKind, n: int, q: Rat | None = None) -> Fraction:
-    """Reference eigenvalue at level n for the given family."""
-    if n < 0:
-        raise ValueError("level must be non-negative")
-    if kind is SpectrumKind.CLASSIC:
-        return Fraction(-4 * n)
-    if q is None:
-        raise ValueError(f"{kind.value} requires the deformation parameter")
     q = Fraction(q)
-    return -4 * q_number(n, q) * q ** (-kind.s * n)
+    return -4 * q_number(n, q) * q ** (-s * n)
+
+
+def reference_label(q: Rat, s: int) -> str:
+    """Name of the family reference_spectrum(., q, s) checks against.
+
+    "classic" (-4n) whenever q = 1; otherwise "qplain" (-4{n}),
+    "qscaled1" (-4 q^n {n}) and "qscaled2" (-4 q^2n {n}) for s = 0, -1, -2,
+    and "reciprocal(s=...)" for the other scale powers.
+    """
+    if q == 1:
+        return "classic"
+    return {0: "qplain", -1: "qscaled1", -2: "qscaled2"}.get(s, f"reciprocal(s={s})")
 
 
 class SpectralEntry(NamedTuple):
@@ -87,7 +61,7 @@ class SpectralEntry(NamedTuple):
 class SpectralReport:
     """Eigenvalues with monic eigen-polynomials, in a declared basis."""
 
-    basis: BasisKind
+    basis: QuasiMonomial
     entries: tuple[SpectralEntry, ...]
 
     @property
@@ -99,11 +73,15 @@ class SpectralReport:
 
 
 def preserves_flag(matrix: OperatorMatrix) -> bool:
-    """True iff every column j is supported on rows 0..j.
+    """True iff the matrix is closed and every column j is supported on rows 0..j.
 
     In the column-is-image convention this says the operator maps each
-    P_n into P_n, i.e. it is triangular in the degree grading.
+    P_n into P_n, i.e. it is triangular in the degree grading.  A matrix
+    whose images left P_N (not `closed`) fails even if its visible part
+    is triangular.
     """
+    if not matrix.closed:
+        return False
     for j in range(matrix.size):
         for i in range(j + 1, matrix.size):
             if matrix[i][j] != 0:
@@ -128,7 +106,7 @@ def eigensolve_flag(matrix: OperatorMatrix) -> SpectralReport:
     DegenerateSpectrumError if two diagonal entries collide.
     """
     if not preserves_flag(matrix):
-        raise NotTriangularError("matrix has entries below the diagonal")
+        raise NotTriangularError("matrix does not preserve the flag")
     diag = matrix.diagonal()
     _check_distinct_diagonal(diag)
     entries = []
@@ -152,10 +130,10 @@ def pencil_solve(matrix: OperatorMatrix, s: int, q: Rat) -> SpectralReport:
         raise ValueError("pencil parameter must be nonzero")
     if s not in (-2, -1, 1, 2):
         raise ValueError("scale power must be one of -2, -1, 1, 2")
-    if not isinstance(matrix.basis, Monomial):
+    if matrix.basis.delta != 0:
         raise NotTriangularError("pencil solving expects the monomial basis")
     if not preserves_flag(matrix):
-        raise NotTriangularError("matrix has entries below the diagonal")
+        raise NotTriangularError("matrix does not preserve the flag")
 
     weights = [q ** (s * n) for n in range(matrix.size)]
     eigenvalues = tuple(matrix[n][n] / w for n, w in enumerate(weights))

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import Monomial, Poly, QuasiMonomial, basis_transplant, rat_str
+from .algebra import Poly, QuasiMonomial, basis_transplant, rat_str
 from .fock import FockPoly, build_hf, build_hg, casimir_value, commutator, sl2_generators
 from .realize import (
     Differential,
@@ -27,7 +27,6 @@ from .realize import (
     vacuum_image,
 )
 from .spectral import (
-    SpectrumKind,
     eigensolve_flag,
     isospectral_compare,
     pencil_solve,
@@ -155,7 +154,7 @@ def suite_heisenberg() -> VerifyReport:
         rng = random.Random(RANDOM_SEED)
         zero = 0
         for _ in range(RESIDUAL_COUNT):
-            if heisenberg_residual(r, r.q, _random_poly(rng)).is_zero:
+            if heisenberg_residual(r, _random_poly(rng)).is_zero:
                 zero += 1
         cases.append(
             _case(
@@ -230,8 +229,8 @@ def suite_casimir() -> VerifyReport:
     return VerifyReport("casimir", tuple(cases))
 
 
-def _reference_string(kind: SpectrumKind, count: int, q: Fraction | None) -> str:
-    return ", ".join(rat_str(reference_spectrum(kind, n, q)) for n in range(count))
+def _reference_string(count: int, q: Fraction = Fraction(1), s: int = 0) -> str:
+    return ", ".join(rat_str(reference_spectrum(n, q, s)) for n in range(count))
 
 
 def suite_spectrum() -> VerifyReport:
@@ -243,7 +242,7 @@ def suite_spectrum() -> VerifyReport:
             _case(
                 f"classic-diff p={rat_str(p)}",
                 {"operator": "hf", "realization": "diff", "p": rat_str(p), "N": 20},
-                _reference_string(SpectrumKind.CLASSIC, 21, None),
+                _reference_string(21),
                 spectrum_string(report),
             )
         )
@@ -253,7 +252,7 @@ def suite_spectrum() -> VerifyReport:
             _case(
                 f"deformed-qdil q={rat_str(q)}",
                 {"operator": "hf", "realization": "qdil", "q": rat_str(q), "N": 16},
-                _reference_string(SpectrumKind.Q_PLAIN, 17, q),
+                _reference_string(17, q),
                 spectrum_string(eigensolve_flag(matrix)),
             )
         )
@@ -347,8 +346,8 @@ def suite_isospectral() -> VerifyReport:
     )
     # Negative control: the deformed spectrum differs from the flat one.
     q2 = Fraction(2)
-    flat = [reference_spectrum(SpectrumKind.CLASSIC, n) for n in range(5)]
-    deformed = [reference_spectrum(SpectrumKind.Q_PLAIN, n, q2) for n in range(5)]
+    flat = [reference_spectrum(n) for n in range(5)]
+    deformed = [reference_spectrum(n, q2) for n in range(5)]
     diverges = flat[:2] == deformed[:2] and all(
         flat[n] != deformed[n] for n in range(2, 5)
     )
@@ -389,7 +388,7 @@ def suite_transplant() -> VerifyReport:
             alpha = p - Fraction(1, 2)
             ok = True
             for n, entry in enumerate(fd_report.entries):
-                expanded = basis_transplant(entry.eigenpoly, QuasiMonomial(d), Monomial())
+                expanded = basis_transplant(entry.eigenpoly, QuasiMonomial(d), QuasiMonomial(0))
                 if expanded != modified_laguerre(n, alpha, d).monic():
                     ok = False
                     break
@@ -484,12 +483,12 @@ def suite_qpencil() -> VerifyReport:
                 _case(
                     f"{name} s={s} q={rat_str(q)}",
                     {"q": rat_str(q), "s": str(s), "N": 12},
-                    _reference_string(SpectrumKind.of(s, q), 13, q),
+                    _reference_string(13, q, s),
                     spectrum_string(pencil_solve(matrix, s, q)),
                 )
             )
     flat = realize_matrix(build_hf(Fraction(0)), Differential(), 8)
-    classic = _reference_string(SpectrumKind.CLASSIC, 9, None)
+    classic = _reference_string(9)
     for s in (-2, -1, 1, 2):
         cases.append(
             _case(

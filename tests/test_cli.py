@@ -77,7 +77,7 @@ class TestSpectrumCommand:
             # -4 q^2n {n} at q = 2: 0, -16, -192, -1792, -15360
             (["qdil", "--q", "2"], "-2", "qscaled2", ["0", "-16", "-192", "-1792", "-15360"]),
             # At q = 1 every scaled family is -4n.
-            (["diff"], "-1", "reciprocal(s=-1)", ["0", "-4", "-8", "-12", "-16"]),
+            (["diff"], "-1", "classic", ["0", "-4", "-8", "-12", "-16"]),
         ],
         ids=["qscaled1", "qscaled2", "reciprocal-at-q1"],
     )

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from fockosc.algebra import LaurentPoly, Monomial, Poly, QuasiMonomial
+from fockosc.algebra import LaurentPoly, OperatorMatrix, Poly, QuasiMonomial
 from fockosc.fock import AlgebraMismatchError, FockPoly, build_hf, build_hg, q_number
 from fockosc.realize import (
     Differential,
@@ -52,12 +52,12 @@ class TestRealizationProtocol:
     @pytest.mark.parametrize(
         "r, q, basis, spec, label, lowered, raised, mode",
         [
-            (Differential(), F(1), Monomial(), {"kind": "diff"}, "diff",
+            (Differential(), F(1), QuasiMonomial(0), {"kind": "diff"}, "diff",
              Poly([0, 0, 3]), Poly([0, 0, 0, 0, 1]), None),
             (FiniteDifference(F(1, 3)), F(1), QuasiMonomial(F(1, 3)),
              {"kind": "fd", "delta": "1/3"}, "fd(delta=1/3)",
              Poly([F(1, 9), 1, 3]), Poly([0, F(-1, 27), F(1, 3), -1, 1]), "shift"),
-            (QDilatation(F(3, 7)), F(3, 7), Monomial(),
+            (QDilatation(F(3, 7)), F(3, 7), QuasiMonomial(0),
              {"kind": "qdil", "q": "3/7"}, "qdil(q=3/7)",
              Poly([0, 0, F(79, 49)]), Poly([0, 0, 0, 0, 1]), "scale"),
         ],
@@ -99,34 +99,38 @@ class TestGeneratorActions:
 
 class TestHeisenbergResidual:
     def test_differential_cubic(self):
-        assert heisenberg_residual(Differential(), 1, Poly.monomial(3)).is_zero
+        assert heisenberg_residual(Differential(), Poly.monomial(3)).is_zero
 
     @pytest.mark.parametrize("delta", DELTAS)
     def test_fd_random_degree_15(self, delta):
         for f in random_polys(25, 15, seed=101):
-            assert heisenberg_residual(FiniteDifference(delta), 1, f).is_zero
+            assert heisenberg_residual(FiniteDifference(delta), f).is_zero
 
     def test_qdil_quartic(self):
-        assert heisenberg_residual(QDilatation(F(3, 7)), F(3, 7), Poly.monomial(4)).is_zero
+        assert heisenberg_residual(QDilatation(F(3, 7)), Poly.monomial(4)).is_zero
 
     @pytest.mark.parametrize("q", [F(2), F(1, 3), F(7, 5)])
     def test_qdil_random(self, q):
         for f in random_polys(25, 15, seed=202):
-            assert heisenberg_residual(QDilatation(q), q, f).is_zero
+            assert heisenberg_residual(QDilatation(q), f).is_zero
 
-    def test_wrong_bracket_parameter_rejected(self):
-        with pytest.raises(ValueError):
-            heisenberg_residual(Differential(), 2, Poly.one())
-
-    def test_flipped_dilatation_sign_breaks_the_relation(self):
-        # With denominator y(1-q) the bracket would come out as -1, not 1:
-        # equivalently, a.b - q.b.a applied through the corrected operators
-        # is +1, never -1.
+    def test_dilatation_bracket_is_plus_one_on_cubic(self):
         r = QDilatation(F(2))
         f = Poly.monomial(3)
         ab = r.lower(r.raise_(f))
         ba = r.raise_(r.lower(f))
         assert ab - ba.scale(F(2)) == f  # and not -f
+
+    def test_flipped_dilatation_sign_gives_bracket_minus_one(self):
+        # The denominator y(1-q) negates a, so a.b - q.b.a = -1 and the
+        # residual (a.b - q.b.a - 1) f is -2f.
+        class FlippedDilatation(QDilatation):
+            def lower(self, f):
+                return -super().lower(f)
+
+        r = FlippedDilatation(F(2))
+        for f in random_polys(10, 8, seed=303):
+            assert heisenberg_residual(r, f) == f.scale(-2)
 
 
 class TestVacuum:
@@ -145,7 +149,7 @@ class TestRealizeMatrix:
             (F(0), F(-4), F(12)),
             (F(0), F(0), F(-8)),
         )
-        assert m.basis == Monomial()
+        assert m.basis == QuasiMonomial(0)
 
     @pytest.mark.parametrize("p", PS)
     @pytest.mark.parametrize("delta", DELTAS)
@@ -191,6 +195,16 @@ class TestRealizeMatrix:
             image = act_on_poly(h, Poly.monomial(j))
             padded = list(image.coeffs) + [F(0)] * (7 - len(image.coeffs))
             assert padded == list(m.column(j))
+
+    @pytest.mark.parametrize(
+        "h, n", [(FockPoly.b(), 0), (FockPoly.word(3, 1), 1)], ids=["b-on-P0", "b3a-on-P1"]
+    )
+    def test_images_leaving_the_flag_are_recorded(self, h, n):
+        # The projected matrix is zero, but the images y and y^3 left P_N.
+        m = realize_matrix(h, Differential(), n)
+        assert all(x == 0 for row in m.rows for x in row)
+        assert not m.closed
+        assert m != OperatorMatrix(m.rows, m.basis)
 
     def test_context_mismatch_rejected(self):
         with pytest.raises(AlgebraMismatchError):
@@ -292,7 +306,7 @@ class TestStencils:
     def test_two_path_equality_fd(self, p, delta):
         # Stencil application and matrix application agree on every basis
         # element of the quasi-monomial flag.
-        from fockosc.algebra import basis_element, from_monomial_coeffs
+        from fockosc.algebra import basis_element, basis_transplant
 
         h = build_hf(p)
         st = stencil_of(h, FiniteDifference(delta))
@@ -300,14 +314,14 @@ class TestStencils:
         basis = QuasiMonomial(delta)
         for j in range(17):
             image = st.apply(basis_element(basis, j))
-            vec = from_monomial_coeffs(image, basis)
+            vec = basis_transplant(image, QuasiMonomial(0), basis)
             padded = list(vec.coeffs) + [F(0)] * (17 - len(vec.coeffs))
             assert padded == list(m.column(j))
 
     @pytest.mark.parametrize("delta", DELTAS)
     @pytest.mark.parametrize("B", [F(1), F(-2, 3)])
     def test_two_path_equality_fd_four_point(self, B, delta):
-        from fockosc.algebra import basis_element, from_monomial_coeffs
+        from fockosc.algebra import basis_element, basis_transplant
 
         h = build_hg(F(5, 2), B)
         st = stencil_of(h, FiniteDifference(delta))
@@ -315,7 +329,7 @@ class TestStencils:
         basis = QuasiMonomial(delta)
         for j in range(17):
             image = st.apply(basis_element(basis, j))
-            vec = from_monomial_coeffs(image, basis)
+            vec = basis_transplant(image, QuasiMonomial(0), basis)
             padded = list(vec.coeffs) + [F(0)] * (17 - len(vec.coeffs))
             assert padded == list(m.column(j))
 

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 import sympy as sp
 
-from fockosc.algebra import LaurentPoly, Monomial, Poly, QuasiMonomial, basis_transplant
+from fockosc.algebra import LaurentPoly, Poly, QuasiMonomial, basis_transplant
 from fockosc.fock import build_hf, build_hg
 from fockosc.realize import Differential, FiniteDifference, realize_matrix, stencil_of
 from fockosc.spectral import eigensolve_flag
@@ -96,7 +96,7 @@ class TestModifiedLaguerre:
         p = F(1)
         report = eigensolve_flag(realize_matrix(build_hf(p), FiniteDifference(delta), 10))
         for n, entry in enumerate(report.entries):
-            expanded = basis_transplant(entry.eigenpoly, QuasiMonomial(delta), Monomial())
+            expanded = basis_transplant(entry.eigenpoly, QuasiMonomial(delta), QuasiMonomial(0))
             assert expanded == modified_laguerre(n, p - F(1, 2), delta).monic()
 
     @pytest.mark.parametrize("B", [F(1), F(-2, 3)])

@@ -4,20 +4,19 @@ import pytest
 
 from fockosc.algebra import (
     DegenerateSpectrumError,
-    Monomial,
     NotTriangularError,
     OperatorMatrix,
     QuasiMonomial,
 )
-from fockosc.fock import build_hf, build_hg
+from fockosc.fock import FockPoly, build_hf, build_hg
 from fockosc.realize import Differential, FiniteDifference, QDilatation, realize_matrix
 from fockosc.spectral import (
-    SpectrumKind,
     eigensolve_flag,
     isospectral_compare,
     pencil_solve,
     preserves_flag,
     q_number,
+    reference_label,
     reference_spectrum,
 )
 
@@ -53,7 +52,7 @@ class TestPreservesFlag:
         rows = [
             [1 if i == j + 1 else 0 for j in range(size)] for i in range(size)
         ]
-        assert not preserves_flag(OperatorMatrix(rows, Monomial()))
+        assert not preserves_flag(OperatorMatrix(rows, QuasiMonomial(0)))
 
     def test_raising_generator_is_not_triangular(self):
         # The spin-2 raising generator leaves the whole space P_2 invariant
@@ -64,6 +63,19 @@ class TestPreservesFlag:
         jplus2 = sl2_generators(2).jplus
         assert not preserves_flag(realize_matrix(jplus2, Differential(), 2))
         assert not preserves_flag(realize_matrix(jplus2, Differential(), 4))
+
+    @pytest.mark.parametrize(
+        "h, n", [(FockPoly.b(), 0), (FockPoly.word(3, 1), 1)], ids=["b-on-P0", "b3a-on-P1"]
+    )
+    def test_images_leaving_the_flag_are_rejected(self, h, n):
+        # b y^0 = y and b^3 a y = y^3 leave P_N; the projected matrix is
+        # zero, which is triangular, so only the recorded overflow shows it.
+        matrix = realize_matrix(h, Differential(), n)
+        assert not preserves_flag(matrix)
+        with pytest.raises(NotTriangularError):
+            eigensolve_flag(matrix)
+        with pytest.raises(NotTriangularError):
+            pencil_solve(matrix, -1, 2)
 
 
 class TestEigensolveFlag:
@@ -84,7 +96,7 @@ class TestEigensolveFlag:
         assert set(info.value.levels) == {0, 2}
 
     def test_non_triangular_rejected(self):
-        m = OperatorMatrix([[0, 0], [1, 1]], Monomial())
+        m = OperatorMatrix([[0, 0], [1, 1]], QuasiMonomial(0))
         with pytest.raises(NotTriangularError):
             eigensolve_flag(m)
 
@@ -164,20 +176,32 @@ class TestPencilSolve:
 
 class TestReferenceSpectrum:
     def test_classic(self):
-        assert reference_spectrum(SpectrumKind.CLASSIC, 5) == -20
+        assert reference_spectrum(5) == -20
 
     def test_deformed(self):
-        assert reference_spectrum(SpectrumKind.Q_PLAIN, 2, F(1, 3)) == F(-16, 3)
+        assert reference_spectrum(2, F(1, 3)) == F(-16, 3)
 
     def test_scaled_once(self):
-        assert reference_spectrum(SpectrumKind.Q_SCALED_ONCE, 2, 2) == -48
+        assert reference_spectrum(2, 2, -1) == -48
 
     def test_scaled_twice(self):
-        assert reference_spectrum(SpectrumKind.Q_SCALED_TWICE, 1, 3) == -36
+        assert reference_spectrum(1, 3, -2) == -36
 
-    def test_deformed_requires_parameter(self):
-        with pytest.raises(ValueError):
-            reference_spectrum(SpectrumKind.Q_PLAIN, 2)
+    @pytest.mark.parametrize(
+        "q, s, label",
+        [
+            (1, 0, "classic"),
+            (1, -2, "classic"),
+            (1, 1, "classic"),
+            (F(3, 7), 0, "qplain"),
+            (F(3, 7), -1, "qscaled1"),
+            (F(3, 7), -2, "qscaled2"),
+            (F(3, 7), 1, "reciprocal(s=1)"),
+            (2, 2, "reciprocal(s=2)"),
+        ],
+    )
+    def test_label(self, q, s, label):
+        assert reference_label(q, s) == label
 
 
 class TestIsospectralCompare:
@@ -204,6 +228,12 @@ class TestIsospectralCompare:
         assert not comparison.eigenvalues_equal
         flags = [c.equal for c in comparison.levels]
         assert flags == [True, True, False, False, False, False, False]
+
+    def test_monomial_basis_is_quasi_monomial_zero(self):
+        matrix = realize_matrix(build_hf(1), Differential(), 6)
+        direct = eigensolve_flag(OperatorMatrix(matrix.rows, QuasiMonomial(0)))
+        comparison = isospectral_compare(direct, eigensolve_flag(matrix))
+        assert comparison.eigenpolys_equal is True
 
     def test_level_count_mismatch_rejected(self):
         a = eigensolve_flag(realize_matrix(build_hf(0), Differential(), 3))
