@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from math import lcm
 from typing import Iterable, Mapping, Sequence, Union
 
 Rat = Union[int, Fraction]
@@ -69,7 +71,7 @@ class Poly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Rat] = ()):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -164,18 +166,25 @@ class Poly:
         return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
 
     def shift_arg(self, offset: Rat) -> "Poly":
-        """Return f(y + offset), expanded exactly."""
+        """Return f(y + offset), expanded exactly, in O(n^2) integer operations.
+
+        Classical Taylor shift by repeated synthetic division.  With
+        f = sum a_j y^j / D over a common denominator D and offset r/s,
+        f(y + r/s) = g(s y + r) / (D s^n) for the integer polynomial
+        g(z) = sum a_j s^(n-j) z^j, so only g is shifted, by the integer r.
+        """
         offset = Fraction(offset)
-        if offset == 0:
+        if offset == 0 or not self.coeffs:
             return self
-        out = Poly()
-        shifted = Poly([offset, 1])
-        power = Poly.one()
-        for c in self.coeffs:
-            if c != 0:
-                out = out + power.scale(c)
-            power = power * shifted
-        return out
+        r, s = offset.numerator, offset.denominator
+        n = len(self.coeffs) - 1
+        denom = lcm(*(c.denominator for c in self.coeffs))
+        g = [c.numerator * (denom // c.denominator) * s ** (n - j)
+             for j, c in enumerate(self.coeffs)]
+        for i in range(n):
+            for k in range(n - 1, i - 1, -1):
+                g[k] += r * g[k + 1]
+        return Poly([Fraction(x, denom * s ** (n - k)) for k, x in enumerate(g)])
 
     def scale_arg(self, factor: Rat) -> "Poly":
         """Return f(factor * y)."""
@@ -325,20 +334,34 @@ class QuasiMonomial:
         return f"QuasiMonomial({rat_str(self.delta)})"
 
 
+_STRIDE = 32
+
+
+@lru_cache(maxsize=256)
+def _quasi_monomial(delta: Fraction, n: int) -> Poly:
+    if n == 0:
+        return Poly.one()
+    return _quasi_monomial(delta, n - 1) * Poly([-(n - 1) * delta, 1])
+
+
 def basis_element(basis: QuasiMonomial, n: int) -> Poly:
     """The n-th basis element y(y-d)(y-2d)...(y-(n-1)d), expanded in monomials.
 
     The empty product (n = 0) is 1; the result is always monic of degree
-    exactly n and vanishes at the grid points 0, d, ..., (n-1)d.
+    exactly n and vanishes at the grid points 0, d, ..., (n-1)d.  Element n
+    is element n-1 times (y - (n-1)d), an O(n) product, and elements are
+    kept in a bounded cache, so the elements 0..n of one step cost O(n^2)
+    rational operations in all.
     """
     if n < 0:
         raise ValueError("basis element degree must be non-negative")
     if basis.delta == 0:
         return Poly.monomial(n)
-    out = Poly.one()
-    for k in range(n):
-        out = out * Poly([-k * basis.delta, 1])
-    return out
+    # Fill the cache upward in strides so a cold call recurses at most
+    # _STRIDE levels deep, whatever n is.
+    for k in range(n % _STRIDE, n, _STRIDE):
+        _quasi_monomial(basis.delta, k)
+    return _quasi_monomial(basis.delta, n)
 
 
 def basis_transplant(

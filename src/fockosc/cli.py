@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -315,9 +316,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_RATIONAL_OPTIONS = ("--p", "--B", "--delta", "--q")
+_NEGATIVE = re.compile(r"-\d")
+
+
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """Spell `--B -2/3` as `--B=-2/3`.
+
+    argparse takes a separate argument such as `-2/3` for an option flag
+    (only plain negative numbers like -1 or -0.5 pass as values), so a
+    negative value that follows a rational option is attached to it.
+    """
+    out: list[str] = []
+    for arg in argv:
+        option = out[-1] if out else ""
+        # argparse also accepts a unique prefix of an option, such as --del.
+        takes_rational = len(option) > 2 and any(o.startswith(option) for o in _RATIONAL_OPTIONS)
+        if takes_rational and _NEGATIVE.match(arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     if args.command == "spectrum":
         if args.N < 0:
             parser.error("--N must be non-negative")

@@ -42,7 +42,7 @@ from .algebra import (
     basis_transplant,
     rat_str,
 )
-from .fock import AlgebraMismatchError, FockPoly, q_number
+from .fock import AlgebraMismatchError, FockPoly
 
 
 class UnsupportedDegreeError(ValueError):
@@ -137,7 +137,14 @@ class QDilatation(Realization):
             raise ValueError("dilatation parameter must differ from 0 and 1")
 
     def lower(self, f: Poly) -> Poly:
-        return Poly([q_number(k, self.q) * c for k, c in enumerate(f.coeffs)][1:])
+        # D_q y^k = {k} y^(k-1), with {k} = {k-1} + q^(k-1) kept running.
+        out = []
+        bracket, power = Fraction(0), Fraction(1)
+        for c in f.coeffs[1:]:
+            bracket += power
+            power *= self.q
+            out.append(bracket * c)
+        return Poly(out)
 
     def to_json(self) -> dict:
         return {"kind": "qdil", "q": rat_str(self.q)}

@@ -4,6 +4,7 @@ Each oracle deliberately takes the slow, obviously-correct route so it
 shares no code path with the implementation it checks:
 
 * normal ordering by single adjacent swaps ab -> q ba + 1, one at a time;
+* argument shifts by expanding every power (y + a)^j;
 * Laguerre polynomials from the three-term recurrence;
 * Hermite polynomials from the explicit factorial formula.
 """
@@ -54,6 +55,18 @@ def oracle_product(x: FockPoly, y: FockPoly) -> dict[tuple[int, int], Fraction]:
             word = wx + wy
             concatenated[word] = concatenated.get(word, Fraction(0)) + cx * cy
     return swap_normal_order(concatenated, x.q)
+
+
+def shift_by_powers(f: Poly, offset: Fraction) -> Poly:
+    """f(y + offset) as sum c_j (y + offset)^j, each power by repeated products."""
+    out = Poly()
+    shifted = Poly([offset, 1])
+    power = Poly.one()
+    for c in f.coeffs:
+        if c != 0:
+            out = out + power.scale(c)
+        power = power * shifted
+    return out
 
 
 def laguerre_recurrence(n: int, alpha: Fraction) -> Poly:

@@ -1,7 +1,8 @@
+import sys
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fockosc.algebra import (
@@ -16,9 +17,14 @@ from fockosc.algebra import (
     rat,
     rat_str,
 )
+from oracles import shift_by_powers
 
 rationals = st.fractions(
     min_value=-100, max_value=100, max_denominator=50
+)
+# Coefficient lists of every length 1..21 equally often (degree up to 20).
+coeff_lists = st.integers(0, 20).flatmap(
+    lambda n: st.lists(rationals, min_size=n + 1, max_size=n + 1)
 )
 
 
@@ -63,6 +69,24 @@ class TestPoly:
         p = Poly([0, 0, 1])  # y^2
         assert p.shift_arg(1) == Poly([1, 2, 1])
         assert p.shift_arg(F(-1, 2)) == Poly([F(1, 4), -1, 1])
+
+    @given(coeff_lists, rationals)
+    @example([], F(5, 3))
+    @example([F(3), F(-1, 2), F(0), F(7, 4)], F(0))
+    @example([F(1, 3), F(2), F(-5, 7)], F(-9, 4))
+    @settings(max_examples=80)
+    def test_shift_arg_matches_power_expansion(self, coeffs, offset):
+        f = Poly(coeffs)
+        assert f.shift_arg(offset) == shift_by_powers(f, offset)
+        assert f.shift_arg(offset).shift_arg(-offset) == f
+
+    @given(coeff_lists, rationals, st.lists(rationals, min_size=3, max_size=3))
+    @settings(max_examples=60)
+    def test_shift_arg_evaluates_at_shifted_point(self, coeffs, offset, points):
+        f = Poly(coeffs)
+        shifted = f.shift_arg(offset)
+        for x in points:
+            assert shifted(x) == f(x + offset)
 
     def test_scale_arg(self):
         assert Poly([1, 1, 1]).scale_arg(2) == Poly([1, 2, 4])
@@ -126,6 +150,37 @@ class TestQuasiMonomial:
             p = basis_element(QuasiMonomial(delta), n)
             for k in range(n):
                 assert p(k * delta) == 0
+
+    @pytest.mark.parametrize("delta", [F(1), F(1, 2), F(-1, 3), F(7, 5)])
+    def test_equals_product_of_linear_factors(self, delta):
+        expected = Poly.one()
+        for n in range(20):
+            assert basis_element(QuasiMonomial(delta), n) == expected
+            expected = expected * Poly([-n * delta, 1])
+
+    def test_repeated_call_returns_equal_immutable_poly(self):
+        basis = QuasiMonomial(F(2, 9))
+        first = basis_element(basis, 12)
+        basis_element(QuasiMonomial(F(-2, 9)), 12)
+        second = basis_element(basis, 12)
+        assert first == second
+        with pytest.raises(AttributeError):
+            second.coeffs = ()
+        assert second.degree == 12 and second(F(2 * 11, 9)) == 0
+
+    def test_high_degree_needs_no_deep_recursion(self):
+        # A cold element of degree 200 must not recurse once per degree.
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 150)
+        try:
+            p = basis_element(QuasiMonomial(F(-5, 11)), 200)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert p.degree == 200
+        assert p(F(-5 * 199, 11)) == 0
 
 
 class TestBasisTransplant:

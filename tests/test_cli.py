@@ -122,6 +122,23 @@ class TestSpectrumCommand:
             main(["spectrum", "--realization", "qdil", "--q", "1"])
         assert info.value.code == 2
 
+    @pytest.mark.parametrize(
+        "args, option, value",
+        [
+            (["spectrum", "--realization", "diff", "--op", "hg", "--N", "2"], "--B", "-2/3"),
+            (["spectrum", "--realization", "fd", "--N", "3"], "--delta", "-1/3"),
+            (["stencil", "--realization", "qdil"], "--q", "-1/2"),
+            (["stencil", "--realization", "fd", "--op", "hg"], "--p", "-1/2"),
+            (["stencil", "--realization", "fd"], "--del", "-2/3"),
+        ],
+        ids=["B", "delta", "q", "p", "delta-prefix"],
+    )
+    def test_negative_rational_as_separate_argument(self, tmp_path, args, option, value):
+        attached, separate = tmp_path / "attached.json", tmp_path / "separate.json"
+        assert main(args + [f"{option}={value}", "--out", str(attached)]) == 0
+        assert main(args + [option, value, "--out", str(separate)]) == 0
+        assert separate.read_bytes() == attached.read_bytes()
+
     def test_stdout_default(self, capsys):
         code = main(["spectrum", "--realization", "diff", "--N", "2"])
         assert code == 0

@@ -97,6 +97,13 @@ class TestGeneratorActions:
             assert image == expected
 
 
+    @pytest.mark.parametrize("q", [F(2), F(1, 3), F(7, 5), F(-6, 7)])
+    def test_qdil_a_matches_per_coefficient_q_numbers(self, q):
+        for f in random_polys(25, 15, seed=404):
+            expected = Poly([q_number(k, q) * c for k, c in enumerate(f.coeffs)][1:])
+            assert QDilatation(q).lower(f) == expected
+
+
 class TestHeisenbergResidual:
     def test_differential_cubic(self):
         assert heisenberg_residual(Differential(), Poly.monomial(3)).is_zero
