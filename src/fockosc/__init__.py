@@ -16,7 +16,6 @@ from .algebra import (
     QuasiMonomial,
     back_substitute,
     basis_transplant,
-    rat,
     rat_str,
 )
 from .fock import (
@@ -45,7 +44,6 @@ from .realize import (
     heisenberg_residual,
     realize_matrix,
     stencil_of,
-    vacuum_image,
 )
 from .spectral import (
     ComparisonReport,
@@ -61,7 +59,6 @@ from .specfun import (
     GaugeMismatchError,
     NotEigenfunctionError,
     NotProportionalError,
-    WeightedState,
     gauge_conjugate_check,
     hermite,
     kratzer_apply,

@@ -38,15 +38,6 @@ class NotTriangularError(ValueError):
     """A matrix expected to be triangular in its basis ordering is not."""
 
 
-def rat(x: Rat | str) -> Fraction:
-    """Coerce an int, Fraction, or "num/den" string to an exact Fraction."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    return Fraction(str(x))
-
-
 def rat_str(x: Rat) -> str:
     """Canonical string form "num/den", with "/den" omitted for integers."""
     x = Fraction(x)
@@ -78,10 +69,6 @@ class Poly:
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("Poly is immutable")
-
-    @staticmethod
-    def zero() -> "Poly":
-        return Poly()
 
     @staticmethod
     def one() -> "Poly":
@@ -231,10 +218,6 @@ class LaurentPoly:
     @staticmethod
     def from_poly(p: Poly) -> "LaurentPoly":
         return LaurentPoly({i: c for i, c in enumerate(p.coeffs)})
-
-    @staticmethod
-    def monomial(power: int, coeff: Rat = 1) -> "LaurentPoly":
-        return LaurentPoly({power: coeff})
 
     @property
     def is_zero(self) -> bool:

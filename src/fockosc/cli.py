@@ -17,7 +17,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .algebra import DegenerateSpectrumError, LaurentPoly, rat, rat_str
+from .algebra import DegenerateSpectrumError, LaurentPoly, rat_str
 from .fock import FockPoly, build_hf, build_hg
 from .realize import (
     Differential,
@@ -40,7 +40,7 @@ from .verify import SUITES, VerifyReport, run_all, run_suite
 
 def _rational(text: str) -> Fraction:
     try:
-        return rat(text)
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
 

@@ -74,10 +74,6 @@ class FockPoly:
     # -- constructors -------------------------------------------------------
 
     @staticmethod
-    def zero(q: Rat = 1) -> "FockPoly":
-        return FockPoly({}, q)
-
-    @staticmethod
     def identity(q: Rat = 1) -> "FockPoly":
         return FockPoly({(0, 0): 1}, q)
 
@@ -111,16 +107,12 @@ class FockPoly:
         """Highest power of a in any word (0 for the zero element)."""
         return max((m for (_, m) in self.terms), default=0)
 
-    def scalar_part(self) -> Fraction:
-        """Coefficient of the identity word."""
-        return self.coeff(0, 0)
-
     def as_scalar(self) -> Fraction:
         """The scalar value, if this element is a multiple of the identity."""
         rest = {w: c for w, c in self.terms.items() if w != (0, 0)}
         if rest:
             raise NotScalarError(f"non-identity words survive: {sorted(rest)}")
-        return self.scalar_part()
+        return self.coeff(0, 0)
 
     def __eq__(self, other: object) -> bool:
         return (

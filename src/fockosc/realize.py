@@ -65,7 +65,7 @@ class Realization:
     basis = QuasiMonomial(0)
 
     def raise_(self, f: Poly) -> Poly:
-        return Poly.monomial(1) * f
+        return Poly((Fraction(0),) + f.coeffs)
 
     @property
     def label(self) -> str:
@@ -109,10 +109,11 @@ class FiniteDifference(Realization):
         return QuasiMonomial(self.delta)
 
     def lower(self, f: Poly) -> Poly:
-        return (f.shift_arg(self.delta) - f).scale(1 / self.delta)
+        inv = 1 / self.delta
+        return Poly([(a - b) * inv for a, b in zip(f.shift_arg(self.delta).coeffs, f.coeffs)])
 
     def raise_(self, f: Poly) -> Poly:
-        return Poly.monomial(1) * f.shift_arg(-self.delta)
+        return super().raise_(f.shift_arg(-self.delta))
 
     def to_json(self) -> dict:
         return {"kind": "fd", "delta": rat_str(self.delta)}
@@ -211,11 +212,6 @@ def heisenberg_residual(r: Realization, f: Poly) -> Poly:
     ab = r.lower(r.raise_(f))
     ba = r.raise_(r.lower(f))
     return ab - ba.scale(r.q) - f
-
-
-def vacuum_image(r: Realization) -> Poly:
-    """a applied to the vacuum 1; the zero polynomial for every realization."""
-    return r.lower(Poly.one())
 
 
 # ---------------------------------------------------------------------------

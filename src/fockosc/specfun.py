@@ -22,7 +22,6 @@ only through w x^2 and the x^p prefactor).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
@@ -158,57 +157,20 @@ def parity_relation_ratio(n: int, p: int, omega: Rat) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WeightedState:
-    """State x^p * exp(-w x^2 / 2) * Q(x) with exact Laurent part Q."""
+def kratzer_apply(q: LaurentPoly, p: Rat, omega: Rat) -> LaurentPoly:
+    """Apply -d^2/dx^2 + w^2 x^2 + p(p-1)/x^2 to x^p exp(-w x^2/2) Q(x).
 
-    p: Fraction
-    omega: Fraction
-    q_part: LaurentPoly
-
-    def __post_init__(self):
-        object.__setattr__(self, "p", Fraction(self.p))
-        object.__setattr__(self, "omega", Fraction(self.omega))
-        if self.omega <= 0:
-            raise ValueError("frequency must be positive")
-
-    @property
-    def is_zero(self) -> bool:
-        return self.q_part.is_zero
-
-    def _check_frame(self, other: "WeightedState") -> None:
-        if self.p != other.p or self.omega != other.omega:
-            raise ValueError("weighted states live in different (p, w) frames")
-
-    def __add__(self, other: "WeightedState") -> "WeightedState":
-        self._check_frame(other)
-        return WeightedState(self.p, self.omega, self.q_part + other.q_part)
-
-    def __sub__(self, other: "WeightedState") -> "WeightedState":
-        self._check_frame(other)
-        return WeightedState(self.p, self.omega, self.q_part - other.q_part)
-
-    def scale(self, k: Rat) -> "WeightedState":
-        return WeightedState(self.p, self.omega, self.q_part.scale(k))
-
-    @staticmethod
-    def ground(p: Rat, omega: Rat) -> "WeightedState":
-        """The bare weight factor itself (Q = 1)."""
-        return WeightedState(Fraction(p), Fraction(omega), LaurentPoly({0: 1}))
-
-
-def kratzer_apply(state: WeightedState) -> WeightedState:
-    """Apply -d^2/dx^2 + w^2 x^2 + p(p-1)/x^2 to a weighted state.
-
+    Returns the Laurent part of the image, which carries the same weight.
     Differentiating the weight twice produces exactly the p(p-1)/x^2 and
     w^2 x^2 terms with opposite sign, so the surviving action on Q is
     -Q'' - 2(p/x - w x) Q' + w(2p+1) Q.
     """
-    p, omega, q = state.p, state.omega, state.q_part
+    omega = Fraction(omega)
+    if omega <= 0:
+        raise ValueError("frequency must be positive")
     dq = q.derivative()
     mixed = (LaurentPoly({-1: p}) - LaurentPoly({1: omega})) * dq
-    new_q = -q.derivative().derivative() - mixed.scale(2) + q.scale(omega * (2 * p + 1))
-    return WeightedState(p, omega, new_q)
+    return -dq.derivative() - mixed.scale(2) + q.scale(omega * (2 * p + 1))
 
 
 def kratzer_eigencheck(n: int, p: Rat, omega: Rat) -> Fraction:
@@ -221,9 +183,7 @@ def kratzer_eigencheck(n: int, p: Rat, omega: Rat) -> Fraction:
     p = Fraction(p)
     omega = Fraction(omega)
     q = _even_substitute(laguerre(n, p - Fraction(1, 2)), omega)
-    state = WeightedState(p, omega, q)
-    image = kratzer_apply(state)
-    value = constant_ratio(image.q_part, state.q_part)
+    value = constant_ratio(kratzer_apply(q, p, omega), q)
     if value is None:
         raise NotEigenfunctionError(
             f"level {n} weighted state (p={rat_str(p)}, w={rat_str(omega)}) "
@@ -234,7 +194,7 @@ def kratzer_eigencheck(n: int, p: Rat, omega: Rat) -> Fraction:
 
 def gauge_conjugate_check(
     poly: Poly, p: Rat, omega: Rat
-) -> tuple[Fraction, WeightedState]:
+) -> tuple[Fraction, LaurentPoly]:
     """Match the weighted action of K against the flag operator.
 
     For Psi = x^p exp(-w x^2/2) P(w x^2) the claim is
@@ -251,13 +211,11 @@ def gauge_conjugate_check(
     p = Fraction(p)
     omega = Fraction(omega)
     q_in = _even_substitute(poly, omega)
-    state = WeightedState(p, omega, q_in)
-    image = kratzer_apply(state)
+    image = kratzer_apply(q_in, p, omega)
 
     h_image = apply_op(build_hf(p), Differential(), poly)
-    shifted = image.q_part + _even_substitute(h_image, omega).scale(omega)
+    shifted = image + _even_substitute(h_image, omega).scale(omega)
     e0 = constant_ratio(shifted, q_in)
     if e0 is None:
         raise GaugeMismatchError("no constant reconciles the two actions")
-    residual = shifted - q_in.scale(e0)
-    return e0, WeightedState(p, omega, residual)
+    return e0, shifted - q_in.scale(e0)

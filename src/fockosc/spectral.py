@@ -68,9 +68,6 @@ class SpectralReport:
     def eigenvalues(self) -> tuple[Fraction, ...]:
         return tuple(e.eigenvalue for e in self.entries)
 
-    def level(self, n: int) -> SpectralEntry:
-        return self.entries[n]
-
 
 def preserves_flag(matrix: OperatorMatrix) -> bool:
     """True iff the matrix is closed and every column j is supported on rows 0..j.
@@ -89,12 +86,25 @@ def preserves_flag(matrix: OperatorMatrix) -> bool:
     return True
 
 
-def _check_distinct_diagonal(diag: tuple[Fraction, ...]) -> None:
+def _solve(matrix: OperatorMatrix, weights: list[Rat]) -> SpectralReport:
+    """Eigensystem of M v = E W v for a flag-preserving M and diagonal W.
+
+    Level n carries the eigenvalue M[n][n] / w_n and the monic degree-n
+    eigen-polynomial from back-substitution.
+    """
+    if not preserves_flag(matrix):
+        raise NotTriangularError("matrix does not preserve the flag")
+    eigenvalues = [matrix[n][n] / w for n, w in enumerate(weights)]
     seen: dict[Fraction, int] = {}
-    for n, value in enumerate(diag):
+    for n, value in enumerate(eigenvalues):
         if value in seen:
             raise DegenerateSpectrumError([seen[value], n], value)
         seen[value] = n
+    entries = [
+        SpectralEntry(n, value, back_substitute(matrix, value, n, weights))
+        for n, value in enumerate(eigenvalues)
+    ]
+    return SpectralReport(matrix.basis, tuple(entries))
 
 
 def eigensolve_flag(matrix: OperatorMatrix) -> SpectralReport:
@@ -105,15 +115,7 @@ def eigensolve_flag(matrix: OperatorMatrix) -> SpectralReport:
     Raises NotTriangularError if the matrix is not flag-preserving and
     DegenerateSpectrumError if two diagonal entries collide.
     """
-    if not preserves_flag(matrix):
-        raise NotTriangularError("matrix does not preserve the flag")
-    diag = matrix.diagonal()
-    _check_distinct_diagonal(diag)
-    entries = []
-    for n, value in enumerate(diag):
-        poly = back_substitute(matrix, value, n)
-        entries.append(SpectralEntry(n, value, poly))
-    return SpectralReport(matrix.basis, tuple(entries))
+    return _solve(matrix, [1] * matrix.size)
 
 
 def pencil_solve(matrix: OperatorMatrix, s: int, q: Rat) -> SpectralReport:
@@ -132,39 +134,25 @@ def pencil_solve(matrix: OperatorMatrix, s: int, q: Rat) -> SpectralReport:
         raise ValueError("scale power must be one of -2, -1, 1, 2")
     if matrix.basis.delta != 0:
         raise NotTriangularError("pencil solving expects the monomial basis")
-    if not preserves_flag(matrix):
-        raise NotTriangularError("matrix does not preserve the flag")
-
-    weights = [q ** (s * n) for n in range(matrix.size)]
-    eigenvalues = tuple(matrix[n][n] / w for n, w in enumerate(weights))
-    _check_distinct_diagonal(eigenvalues)
-    entries = [
-        SpectralEntry(n, value, back_substitute(matrix, value, n, weights))
-        for n, value in enumerate(eigenvalues)
-    ]
-    return SpectralReport(matrix.basis, tuple(entries))
-
-
-class LevelComparison(NamedTuple):
-    level: int
-    left: Fraction
-    right: Fraction
-    equal: bool
+    return _solve(matrix, [q ** (s * n) for n in range(matrix.size)])
 
 
 @dataclass(frozen=True)
 class ComparisonReport:
     """Per-level eigenvalue comparison of two spectral reports."""
 
-    levels: tuple[LevelComparison, ...]
-    eigenvalues_equal: bool
+    mismatches: tuple[int, ...]  # levels whose eigenvalues differ
     # None when the bases differ and polynomials are not comparable.
     eigenpolys_equal: bool | None
 
+    @property
+    def eigenvalues_equal(self) -> bool:
+        return not self.mismatches
+
     def __str__(self) -> str:
-        verdict = "isospectral" if self.eigenvalues_equal else "spectra differ"
-        bad = [c.level for c in self.levels if not c.equal]
-        return verdict if not bad else f"{verdict} (mismatch at levels {bad})"
+        if not self.mismatches:
+            return "isospectral"
+        return f"spectra differ (mismatch at levels {list(self.mismatches)})"
 
 
 def isospectral_compare(a: SpectralReport, b: SpectralReport) -> ComparisonReport:
@@ -175,20 +163,16 @@ def isospectral_compare(a: SpectralReport, b: SpectralReport) -> ComparisonRepor
     """
     if len(a.entries) != len(b.entries):
         raise ValueError("reports cover different level counts")
-    levels = tuple(
-        LevelComparison(n, x.eigenvalue, y.eigenvalue, x.eigenvalue == y.eigenvalue)
-        for n, (x, y) in enumerate(zip(a.entries, b.entries))
+    mismatches = tuple(
+        n for n, (x, y) in enumerate(zip(a.entries, b.entries))
+        if x.eigenvalue != y.eigenvalue
     )
     polys_equal: bool | None = None
     if a.basis == b.basis:
         polys_equal = all(
             x.eigenpoly == y.eigenpoly for x, y in zip(a.entries, b.entries)
         )
-    return ComparisonReport(
-        levels=levels,
-        eigenvalues_equal=all(c.equal for c in levels),
-        eigenpolys_equal=polys_equal,
-    )
+    return ComparisonReport(mismatches, polys_equal)
 
 
 def spectrum_string(report: SpectralReport) -> str:

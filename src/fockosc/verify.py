@@ -24,7 +24,6 @@ from .realize import (
     heisenberg_residual,
     realize_matrix,
     stencil_of,
-    vacuum_image,
 )
 from .spectral import (
     eigensolve_flag,
@@ -169,7 +168,7 @@ def suite_heisenberg() -> VerifyReport:
                 f"{zero}/{RESIDUAL_COUNT} residuals zero",
             )
         )
-        image = vacuum_image(r)
+        image = r.lower(Poly.one())
         cases.append(
             _case(
                 f"vacuum-{r.label}",

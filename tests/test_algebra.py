@@ -14,7 +14,6 @@ from fockosc.algebra import (
     back_substitute,
     basis_element,
     basis_transplant,
-    rat,
     rat_str,
 )
 from oracles import shift_by_powers
@@ -30,8 +29,6 @@ coeff_lists = st.integers(0, 20).flatmap(
 
 class TestRational:
     def test_parse_and_format_roundtrip(self):
-        assert rat("15/8") == F(15, 8)
-        assert rat("-4") == F(-4)
         assert rat_str(F(-4)) == "-4"
         assert rat_str(F(15, 8)) == "15/8"
         assert rat_str(F(-3, 6)) == "-1/2"

@@ -2,8 +2,17 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fockosc.algebra import LaurentPoly, OperatorMatrix, Poly, QuasiMonomial
+from fockosc.algebra import (
+    LaurentPoly,
+    OperatorMatrix,
+    Poly,
+    QuasiMonomial,
+    basis_element,
+    basis_transplant,
+)
 from fockosc.fock import AlgebraMismatchError, FockPoly, build_hf, build_hg, q_number
 from fockosc.realize import (
     Differential,
@@ -14,8 +23,8 @@ from fockosc.realize import (
     heisenberg_residual,
     realize_matrix,
     stencil_of,
-    vacuum_image,
 )
+from fockosc.spectral import preserves_flag
 
 DELTAS = [F(1), F(1, 2), F(-1, 3)]
 QS = [F(2), F(1, 2), F(3, 7)]
@@ -145,7 +154,7 @@ class TestVacuum:
         "r", [Differential(), FiniteDifference(F(1, 2)), QDilatation(F(5, 2))]
     )
     def test_vacuum_is_annihilated(self, r):
-        assert vacuum_image(r).is_zero
+        assert r.lower(Poly.one()).is_zero
 
 
 class TestRealizeMatrix:
@@ -384,3 +393,45 @@ class TestFlagInvariance:
         assert all(im.is_zero or im.degree <= 2 for im in images_p2)
         overflow = apply_op(jplus2, r, Poly.monomial(4))
         assert overflow.degree == 5
+
+
+small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+realizations = st.one_of(
+    small_rationals.filter(lambda d: d != 0).map(FiniteDifference),
+    small_rationals.filter(lambda q: q not in (0, 1)).map(QDilatation),
+)
+polys = st.lists(small_rationals, min_size=1, max_size=8).map(Poly)
+
+
+@st.composite
+def lowering_elements(draw, q):
+    """Elements with lowering degree <= 2; half of them keep only words b^k a^m with k <= m."""
+    keys = st.tuples(st.integers(0, 3), st.integers(0, 2))
+    terms = draw(st.dictionaries(keys, small_rationals, max_size=4))
+    if draw(st.booleans()):
+        terms = {(k, m): c for (k, m), c in terms.items() if k <= m}
+    return FockPoly(terms, q)
+
+
+class TestStencilMatrixProperty:
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_stencil_and_matrix_follow_the_untruncated_action(self, data):
+        r = data.draw(realizations)
+        h = data.draw(lowering_elements(r.q))
+        stencil = stencil_of(h, r)
+        f = data.draw(polys)
+        assert stencil.apply(f) == apply_op(h, r, f)
+
+        n = data.draw(st.integers(0, 5))
+        m = realize_matrix(h, r, n)
+        columns = [
+            basis_transplant(stencil.apply(basis_element(r.basis, j)), QuasiMonomial(0), r.basis)
+            for j in range(n + 1)
+        ]
+        # The matrix preserves the flag exactly when no untruncated image
+        # reaches above its own level, and then its columns are those images.
+        assert preserves_flag(m) == all(len(c.coeffs) <= j + 1 for j, c in enumerate(columns))
+        if preserves_flag(m):
+            for j, c in enumerate(columns):
+                assert list(c.coeffs) + [F(0)] * (n + 1 - len(c.coeffs)) == list(m.column(j))
