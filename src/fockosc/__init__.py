@@ -24,7 +24,6 @@ from .fock import (
     FockPoly,
     NotScalarError,
     SL2Generators,
-    act_on_poly,
     build_hf,
     build_hg,
     casimir_value,

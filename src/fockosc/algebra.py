@@ -386,63 +386,43 @@ def basis_transplant(
 
 
 class OperatorMatrix:
-    """Square matrix of an operator on the flag space P_N, in a stated basis.
+    """Operator on the flag space P_N, stored as the images of its basis.
 
-    Column j holds the coefficient vector of the image of basis element j.
-    Entries are exact rationals.  `closed` is False when some image had
-    components above degree N that the matrix does not show.
+    `columns[j]` is the image of basis element j, expressed in `basis` and
+    not truncated, so an image that leaves P_N keeps its components above
+    degree N.  Entries are exact rationals.  `rows` is the derived
+    (N+1)x(N+1) view of the part inside P_N.
     """
 
-    __slots__ = ("rows", "basis", "closed")
+    __slots__ = ("columns", "basis")
 
-    def __init__(
-        self, rows: Sequence[Sequence[Rat]], basis: QuasiMonomial, closed: bool = True
-    ):
-        mat = tuple(tuple(Fraction(x) for x in row) for row in rows)
-        size = len(mat)
-        if any(len(row) != size for row in mat):
-            raise ValueError("matrix must be square")
-        object.__setattr__(self, "rows", mat)
+    def __init__(self, columns: Iterable[Poly], basis: QuasiMonomial):
+        object.__setattr__(self, "columns", tuple(columns))
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "closed", closed)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("OperatorMatrix is immutable")
 
     @property
     def size(self) -> int:
-        return len(self.rows)
+        return len(self.columns)
 
-    def __getitem__(self, i: int) -> tuple[Fraction, ...]:
-        return self.rows[i]
-
-    def column(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(row[j] for row in self.rows)
-
-    def diagonal(self) -> tuple[Fraction, ...]:
-        return tuple(self.rows[i][i] for i in range(self.size))
-
-    def apply(self, vec: Sequence[Rat]) -> list[Fraction]:
-        """Matrix-vector product with a coefficient vector (padded with 0)."""
-        v = [Fraction(x) for x in vec]
-        if len(v) > self.size:
-            raise ValueError("vector longer than the matrix dimension")
-        v += [Fraction(0)] * (self.size - len(v))
-        return [sum((row[j] * v[j] for j in range(self.size)), Fraction(0)) for row in self.rows]
+    @property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        """Entry (i, j) is coefficient i of column j, for i, j = 0..N."""
+        return tuple(
+            tuple(column.coeff(i) for column in self.columns) for i in range(self.size)
+        )
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, OperatorMatrix)
-            and self.rows == other.rows
+            and self.columns == other.columns
             and self.basis == other.basis
-            and self.closed == other.closed
         )
 
     def __repr__(self) -> str:
-        body = "; ".join(
-            " ".join(rat_str(x) for x in row) for row in self.rows
-        )
-        return f"OperatorMatrix[{self.basis!r}]({body})"
+        return f"OperatorMatrix({list(self.columns)!r}, {self.basis!r})"
 
 
 def back_substitute(
@@ -458,20 +438,27 @@ def back_substitute(
     matrix must be triangular in its basis ordering with
     M[pivot][pivot] = E w_pivot.  Rows above the pivot are solved upward,
     v_i = sum_(j>i) M[i][j] v_j / (E w_i - M[i][i]); a vanishing divisor
-    raises DegenerateSpectrumError.
+    raises DegenerateSpectrumError.  The sums are accumulated column by
+    column, and only nonzero entries cost rational arithmetic: a level of
+    a matrix with upper bandwidth b takes O(b * pivot) of it.
     """
     eigenvalue = Fraction(eigenvalue)
     if not (0 <= pivot < matrix.size):
         raise ValueError("pivot outside the matrix")
     w = weights or [1] * matrix.size
-    if matrix[pivot][pivot] != eigenvalue * w[pivot]:
+    columns = matrix.columns
+    if columns[pivot].coeff(pivot) != eigenvalue * w[pivot]:
         raise ValueError("pivot diagonal entry does not match the eigenvalue")
     v = [Fraction(0)] * (pivot + 1)
     v[pivot] = Fraction(1)
-    for i in range(pivot - 1, -1, -1):
-        rhs = sum((matrix[i][j] * v[j] for j in range(i + 1, pivot + 1)), Fraction(0))
-        denom = eigenvalue * w[i] - matrix[i][i]
-        if denom == 0:
-            raise DegenerateSpectrumError([i, pivot], eigenvalue)
-        v[i] = rhs / denom
+    rhs = [Fraction(0)] * pivot
+    for j in range(pivot, -1, -1):
+        if j < pivot:
+            denom = eigenvalue * w[j] - columns[j].coeff(j)
+            if denom == 0:
+                raise DegenerateSpectrumError([j, pivot], eigenvalue)
+            v[j] = rhs[j] / denom
+        for i, entry in enumerate(columns[j].coeffs[:j]):
+            if entry:
+                rhs[i] += entry * v[j]
     return Poly(v)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, NamedTuple
 
-from .algebra import Poly, Rat, rat_str
+from .algebra import Rat, rat_str
 
 Word = tuple[int, int]  # (power of b, power of a)
 
@@ -88,11 +88,6 @@ class FockPoly:
     @staticmethod
     def word(k: int, m: int, coeff: Rat = 1, q: Rat = 1) -> "FockPoly":
         return FockPoly({(k, m): coeff}, q)
-
-    @staticmethod
-    def from_poly_in_b(p: Poly, q: Rat = 1) -> "FockPoly":
-        """The element P(b), a pure polynomial in the raising generator."""
-        return FockPoly({(k, 0): c for k, c in enumerate(p.coeffs)}, q)
 
     # -- inspection ---------------------------------------------------------
 
@@ -274,18 +269,3 @@ def build_hg(p: Rat, big_b: Rat, q: Rat = 1) -> FockPoly:
         },
         q,
     )
-
-
-def act_on_poly(h: FockPoly, p: Poly) -> Poly:
-    """Act with h on the state P(b)|0>, returning the new polynomial in b.
-
-    The product h * P(b) is normal ordered and every word still carrying
-    a lowering power is annihilated by the vacuum.
-    """
-    product = normal_order_product(h, FockPoly.from_poly_in_b(p, h.q))
-    degree = max((k for (k, m) in product.terms if m == 0), default=-1)
-    coeffs = [Fraction(0)] * (degree + 1)
-    for (k, m), c in product.terms.items():
-        if m == 0:
-            coeffs[k] = c
-    return Poly(coeffs)

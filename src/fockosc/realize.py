@@ -186,8 +186,8 @@ def realize_matrix(h: FockPoly, r: Realization, n: int) -> OperatorMatrix:
     """Matrix of the realized element on P_N in the realization's basis.
 
     Column j is the image of basis element j, re-expressed in the same
-    basis; components of degree above N are projected away, and the
-    matrix records that it is not `closed` when any were nonzero.  The
+    basis and kept whole: an image that leaves P_N keeps its components
+    above degree N, which is what `preserves_flag` reads.  The
     FiniteDifference basis is QuasiMonomial(delta), which makes a
     flag-preserving matrix identical to its Differential counterpart.
     """
@@ -195,16 +195,13 @@ def realize_matrix(h: FockPoly, r: Realization, n: int) -> OperatorMatrix:
         raise ValueError("flag dimension must be non-negative")
     basis = r.basis
     monomial = QuasiMonomial(0)
-    size = n + 1
-    closed = True
-    rows = [[Fraction(0)] * size for _ in range(size)]
-    for j in range(size):
-        image = apply_op(h, r, basis_element(basis, j))
-        vec = basis_transplant(image, monomial, basis)
-        closed = closed and len(vec.coeffs) <= size
-        for i, c in enumerate(vec.coeffs[:size]):
-            rows[i][j] = c
-    return OperatorMatrix(rows, basis, closed)
+    return OperatorMatrix(
+        (
+            basis_transplant(apply_op(h, r, basis_element(basis, j)), monomial, basis)
+            for j in range(n + 1)
+        ),
+        basis,
+    )
 
 
 def heisenberg_residual(r: Realization, f: Poly) -> Poly:

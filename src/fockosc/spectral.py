@@ -70,20 +70,13 @@ class SpectralReport:
 
 
 def preserves_flag(matrix: OperatorMatrix) -> bool:
-    """True iff the matrix is closed and every column j is supported on rows 0..j.
+    """True iff every column j has degree at most j.
 
-    In the column-is-image convention this says the operator maps each
-    P_n into P_n, i.e. it is triangular in the degree grading.  A matrix
-    whose images left P_N (not `closed`) fails even if its visible part
-    is triangular.
+    Columns are untruncated images, so this says the operator maps each
+    P_n into P_n, i.e. it is triangular in the degree grading; an image
+    that leaves P_N fails it by its degree.
     """
-    if not matrix.closed:
-        return False
-    for j in range(matrix.size):
-        for i in range(j + 1, matrix.size):
-            if matrix[i][j] != 0:
-                return False
-    return True
+    return all(len(column.coeffs) <= j + 1 for j, column in enumerate(matrix.columns))
 
 
 def _solve(matrix: OperatorMatrix, weights: list[Rat]) -> SpectralReport:
@@ -94,7 +87,7 @@ def _solve(matrix: OperatorMatrix, weights: list[Rat]) -> SpectralReport:
     """
     if not preserves_flag(matrix):
         raise NotTriangularError("matrix does not preserve the flag")
-    eigenvalues = [matrix[n][n] / w for n, w in enumerate(weights)]
+    eigenvalues = [matrix.columns[n].coeff(n) / w for n, w in enumerate(weights)]
     seen: dict[Fraction, int] = {}
     for n, value in enumerate(eigenvalues):
         if value in seen:

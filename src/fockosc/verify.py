@@ -373,7 +373,7 @@ def suite_transplant() -> VerifyReport:
         diff_matrix = realize_matrix(build_hf(p), Differential(), 16)
         for d in DELTA_GRID:
             fd_matrix = realize_matrix(build_hf(p), FiniteDifference(d), 16)
-            same = fd_matrix.rows == diff_matrix.rows
+            same = fd_matrix.columns == diff_matrix.columns
             cases.append(
                 _case(
                     f"matrix-transplant p={rat_str(p)} delta={rat_str(d)}",

@@ -4,6 +4,8 @@ Each oracle deliberately takes the slow, obviously-correct route so it
 shares no code path with the implementation it checks:
 
 * normal ordering by single adjacent swaps ab -> q ba + 1, one at a time;
+* the action of an element on the vacuum representation P(b)|0>;
+* matrix-vector products row by row over the dense view of a matrix;
 * argument shifts by expanding every power (y + a)^j;
 * Laguerre polynomials from the three-term recurrence;
 * Hermite polynomials from the explicit factorial formula.
@@ -14,8 +16,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from fockosc.algebra import Poly
-from fockosc.fock import FockPoly
+from fockosc.algebra import OperatorMatrix, Poly
+from fockosc.fock import FockPoly, normal_order_product
 
 
 def swap_normal_order(words: dict[str, Fraction], q: Fraction) -> dict[tuple[int, int], Fraction]:
@@ -55,6 +57,29 @@ def oracle_product(x: FockPoly, y: FockPoly) -> dict[tuple[int, int], Fraction]:
             word = wx + wy
             concatenated[word] = concatenated.get(word, Fraction(0)) + cx * cy
     return swap_normal_order(concatenated, x.q)
+
+
+def act_on_poly(h: FockPoly, p: Poly) -> Poly:
+    """Act with h on the state P(b)|0>, returning the new polynomial in b.
+
+    The product h * P(b) is normal ordered and every word still carrying
+    a lowering power is annihilated by the vacuum.
+    """
+    state = FockPoly({(k, 0): c for k, c in enumerate(p.coeffs)}, h.q)
+    product = normal_order_product(h, state)
+    degree = max((k for (k, m) in product.terms if m == 0), default=-1)
+    coeffs = [Fraction(0)] * (degree + 1)
+    for (k, m), c in product.terms.items():
+        if m == 0:
+            coeffs[k] = c
+    return Poly(coeffs)
+
+
+def dense_apply(matrix: OperatorMatrix, vec) -> list[Fraction]:
+    """Product of the (N+1)x(N+1) view `matrix.rows` with a zero-padded vector."""
+    v = [Fraction(x) for x in vec]
+    v += [Fraction(0)] * (matrix.size - len(v))
+    return [sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in matrix.rows]
 
 
 def shift_by_powers(f: Poly, offset: Fraction) -> Poly:

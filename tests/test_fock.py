@@ -9,7 +9,6 @@ from fockosc.fock import (
     AlgebraMismatchError,
     FockPoly,
     NotScalarError,
-    act_on_poly,
     build_hf,
     build_hg,
     casimir_value,
@@ -19,7 +18,7 @@ from fockosc.fock import (
     q_number,
     sl2_generators,
 )
-from oracles import oracle_product
+from oracles import act_on_poly, oracle_product
 
 Q_SAMPLES = [F(1), F(2), F(1, 3)]
 

@@ -25,10 +25,15 @@ from fockosc.realize import (
     stencil_of,
 )
 from fockosc.spectral import preserves_flag
+from oracles import act_on_poly
 
 DELTAS = [F(1), F(1, 2), F(-1, 3)]
 QS = [F(2), F(1, 2), F(3, 7)]
 PS = [F(0), F(1), F(5, 2)]
+
+
+def diagonal(m):
+    return tuple(c.coeff(j) for j, c in enumerate(m.columns))
 
 
 def random_polys(count, max_degree, seed):
@@ -172,7 +177,7 @@ class TestRealizeMatrix:
     def test_transplant_principle_hf(self, p, delta):
         md = realize_matrix(build_hf(p), Differential(), 12)
         mfd = realize_matrix(build_hf(p), FiniteDifference(delta), 12)
-        assert mfd.rows == md.rows
+        assert mfd.columns == md.columns
         assert mfd.basis == QuasiMonomial(delta)
 
     @pytest.mark.parametrize("delta", DELTAS)
@@ -188,39 +193,36 @@ class TestRealizeMatrix:
             h = FockPoly(terms)
             md = realize_matrix(h, Differential(), 9)
             mfd = realize_matrix(h, FiniteDifference(delta), 9)
-            assert mfd.rows == md.rows
+            assert mfd.columns == md.columns
 
     @pytest.mark.parametrize("q", QS)
     def test_qdil_diagonal_is_deformed(self, q):
         m = realize_matrix(build_hf(0, q=q), QDilatation(q), 8)
-        assert m.diagonal() == tuple(-4 * q_number(n, q) for n in range(9))
+        assert diagonal(m) == tuple(-4 * q_number(n, q) for n in range(9))
 
     def test_qdil_small_example(self):
         m = realize_matrix(build_hf(0, q=2), QDilatation(2), 2)
-        assert m.diagonal() == (F(0), F(-4), F(-12))
+        assert diagonal(m) == (F(0), F(-4), F(-12))
 
     def test_fock_action_matches_realized_matrix(self):
         # Acting on b^j through the vacuum is the same linear map as the
         # dilatation realization acting on y^j.
-        from fockosc.fock import act_on_poly
-
         q = F(3, 7)
         h = build_hf(F(1), q=q)
         m = realize_matrix(h, QDilatation(q), 6)
         for j in range(7):
-            image = act_on_poly(h, Poly.monomial(j))
-            padded = list(image.coeffs) + [F(0)] * (7 - len(image.coeffs))
-            assert padded == list(m.column(j))
+            assert act_on_poly(h, Poly.monomial(j)) == m.columns[j]
 
     @pytest.mark.parametrize(
         "h, n", [(FockPoly.b(), 0), (FockPoly.word(3, 1), 1)], ids=["b-on-P0", "b3a-on-P1"]
     )
     def test_images_leaving_the_flag_are_recorded(self, h, n):
-        # The projected matrix is zero, but the images y and y^3 left P_N.
+        # The view inside P_N is zero, but the columns keep the images y
+        # and y^3 that left it.
         m = realize_matrix(h, Differential(), n)
         assert all(x == 0 for row in m.rows for x in row)
-        assert not m.closed
-        assert m != OperatorMatrix(m.rows, m.basis)
+        assert max(len(c.coeffs) for c in m.columns) > n + 1
+        assert m != OperatorMatrix([Poly()] * (n + 1), m.basis)
 
     def test_context_mismatch_rejected(self):
         with pytest.raises(AlgebraMismatchError):
@@ -252,20 +254,15 @@ class TestRealizeMatrix:
     def test_sum_form_at_q_one_is_exactly_differential(self):
         # The deformed-integer sum form is defined at q = 1, where the
         # vacuum action reproduces the differential matrix exactly.
-        from fockosc.fock import act_on_poly
-
         target = realize_matrix(build_hf(0), Differential(), 6)
         h = build_hf(0, q=1)
         for j in range(7):
-            image = act_on_poly(h, Poly.monomial(j))
-            padded = list(image.coeffs) + [F(0)] * (7 - len(image.coeffs))
-            assert padded == list(target.column(j))
+            assert act_on_poly(h, Poly.monomial(j)) == target.columns[j]
 
     def test_degree_non_increase_of_hf(self):
         m = realize_matrix(build_hf(F(5, 2)), Differential(), 10)
         for j in range(11):
-            column = m.column(j)
-            assert all(column[i] == 0 for i in range(j + 1, 11))
+            assert len(m.columns[j].coeffs) <= j + 1
 
 
 class TestStencils:
@@ -330,9 +327,7 @@ class TestStencils:
         basis = QuasiMonomial(delta)
         for j in range(17):
             image = st.apply(basis_element(basis, j))
-            vec = basis_transplant(image, QuasiMonomial(0), basis)
-            padded = list(vec.coeffs) + [F(0)] * (17 - len(vec.coeffs))
-            assert padded == list(m.column(j))
+            assert basis_transplant(image, QuasiMonomial(0), basis) == m.columns[j]
 
     @pytest.mark.parametrize("delta", DELTAS)
     @pytest.mark.parametrize("B", [F(1), F(-2, 3)])
@@ -345,9 +340,7 @@ class TestStencils:
         basis = QuasiMonomial(delta)
         for j in range(17):
             image = st.apply(basis_element(basis, j))
-            vec = basis_transplant(image, QuasiMonomial(0), basis)
-            padded = list(vec.coeffs) + [F(0)] * (17 - len(vec.coeffs))
-            assert padded == list(m.column(j))
+            assert basis_transplant(image, QuasiMonomial(0), basis) == m.columns[j]
 
     @pytest.mark.parametrize("q", QS)
     @pytest.mark.parametrize("B", [F(0), F(1), F(-2, 3)])
@@ -356,9 +349,7 @@ class TestStencils:
         st = stencil_of(h, QDilatation(q))
         m = realize_matrix(h, QDilatation(q), 16)
         for j in range(17):
-            image = st.apply(Poly.monomial(j))
-            padded = list(image.coeffs) + [F(0)] * (17 - len(image.coeffs))
-            assert padded == list(m.column(j))
+            assert st.apply(Poly.monomial(j)) == m.columns[j]
 
     def test_qdil_stencil_of_hg_keeps_three_points(self):
         # The shift coefficient B only reshuffles coefficients; scaling
@@ -369,7 +360,7 @@ class TestStencils:
     def test_negative_delta_matches_positive(self):
         ma = realize_matrix(build_hf(1), FiniteDifference(F(1, 2)), 10)
         mb = realize_matrix(build_hf(1), FiniteDifference(F(-1, 2)), 10)
-        assert ma.diagonal() == mb.diagonal()
+        assert diagonal(ma) == diagonal(mb)
 
     def test_differential_has_no_stencil(self):
         with pytest.raises(ValueError):
@@ -430,8 +421,6 @@ class TestStencilMatrixProperty:
             for j in range(n + 1)
         ]
         # The matrix preserves the flag exactly when no untruncated image
-        # reaches above its own level, and then its columns are those images.
+        # reaches above its own level, and its columns are those images.
         assert preserves_flag(m) == all(len(c.coeffs) <= j + 1 for j, c in enumerate(columns))
-        if preserves_flag(m):
-            for j, c in enumerate(columns):
-                assert list(c.coeffs) + [F(0)] * (n + 1 - len(c.coeffs)) == list(m.column(j))
+        assert list(m.columns) == columns

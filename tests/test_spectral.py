@@ -1,11 +1,14 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fockosc.algebra import (
     DegenerateSpectrumError,
     NotTriangularError,
     OperatorMatrix,
+    Poly,
     QuasiMonomial,
 )
 from fockosc.fock import FockPoly, build_hf, build_hg
@@ -19,6 +22,7 @@ from fockosc.spectral import (
     reference_label,
     reference_spectrum,
 )
+from oracles import dense_apply
 
 
 class TestQNumber:
@@ -48,11 +52,8 @@ class TestPreservesFlag:
         assert preserves_flag(realize_matrix(build_hf(0), Differential(), 8))
 
     def test_multiplication_by_y_does_not(self):
-        size = 9
-        rows = [
-            [1 if i == j + 1 else 0 for j in range(size)] for i in range(size)
-        ]
-        assert not preserves_flag(OperatorMatrix(rows, QuasiMonomial(0)))
+        columns = [Poly.monomial(j + 1) for j in range(9)]
+        assert not preserves_flag(OperatorMatrix(columns, QuasiMonomial(0)))
 
     def test_raising_generator_is_not_triangular(self):
         # The spin-2 raising generator leaves the whole space P_2 invariant
@@ -63,6 +64,9 @@ class TestPreservesFlag:
         jplus2 = sl2_generators(2).jplus
         assert not preserves_flag(realize_matrix(jplus2, Differential(), 2))
         assert not preserves_flag(realize_matrix(jplus2, Differential(), 4))
+        # Column 0 is the image -2y, which reaches above level 0.
+        with pytest.raises(NotTriangularError):
+            eigensolve_flag(realize_matrix(jplus2, Differential(), 2))
 
     @pytest.mark.parametrize(
         "h, n", [(FockPoly.b(), 0), (FockPoly.word(3, 1), 1)], ids=["b-on-P0", "b3a-on-P1"]
@@ -96,7 +100,7 @@ class TestEigensolveFlag:
         assert set(info.value.levels) == {0, 2}
 
     def test_non_triangular_rejected(self):
-        m = OperatorMatrix([[0, 0], [1, 1]], QuasiMonomial(0))
+        m = OperatorMatrix([Poly([0, 1]), Poly([0, 1])], QuasiMonomial(0))
         with pytest.raises(NotTriangularError):
             eigensolve_flag(m)
 
@@ -110,7 +114,7 @@ class TestEigensolveFlag:
         matrix = realize_matrix(build_hf(1), FiniteDifference(F(1, 2)), 10)
         report = eigensolve_flag(matrix)
         for entry in report.entries:
-            image = matrix.apply(entry.eigenpoly.coeffs)
+            image = dense_apply(matrix, entry.eigenpoly.coeffs)
             expected = [entry.eigenvalue * entry.eigenpoly.coeff(i) for i in range(11)]
             assert image == expected
 
@@ -151,7 +155,7 @@ class TestPencilSolve:
         matrix = realize_matrix(build_hf(0, q=q), QDilatation(q), 8)
         report = pencil_solve(matrix, s, q)
         for entry in report.entries:
-            image = matrix.apply(entry.eigenpoly.coeffs)
+            image = dense_apply(matrix, entry.eigenpoly.coeffs)
             scaled = [
                 entry.eigenvalue * q ** (s * i) * entry.eigenpoly.coeff(i)
                 for i in range(9)
@@ -172,6 +176,46 @@ class TestPencilSolve:
         matrix = realize_matrix(build_hf(0), Differential(), 4)
         with pytest.raises(ValueError):
             pencil_solve(matrix, 3, 1)
+
+
+small_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+nonzero_rationals = small_rationals.filter(lambda x: x != 0)
+
+
+@st.composite
+def flag_pencils(draw):
+    """A flag-preserving matrix with a full upper triangle and its pencil (s, q).
+
+    The diagonal is E_n q^(s n) for distinct E_n, so the pencil has the
+    eigenvalues E_n.
+    """
+    size = draw(st.integers(1, 8))
+    q = draw(nonzero_rationals)
+    s = draw(st.sampled_from([-2, -1, 1, 2]))
+    eigenvalues = draw(st.lists(small_rationals, min_size=size, max_size=size, unique=True))
+    columns = [
+        Poly(draw(st.lists(nonzero_rationals, min_size=j, max_size=j)) + [e * q ** (s * j)])
+        for j, e in enumerate(eigenvalues)
+    ]
+    return OperatorMatrix(columns, QuasiMonomial(0)), s, q, eigenvalues
+
+
+class TestSolverProperty:
+    @given(flag_pencils())
+    @settings(max_examples=80, deadline=None)
+    def test_every_eigenpoly_solves_the_pencil(self, pencil):
+        # M v = E W v, with W = diag(q^(s i)), checked by a dense product
+        # over every entry rather than by the solver's own loop.
+        matrix, s, q, eigenvalues = pencil
+        report = pencil_solve(matrix, s, q)
+        assert report.eigenvalues == tuple(eigenvalues)
+        for entry in report.entries:
+            v = entry.eigenpoly
+            assert v.degree == entry.level and v.leading == 1
+            image = dense_apply(matrix, v.coeffs)
+            assert image == [
+                entry.eigenvalue * q ** (s * i) * v.coeff(i) for i in range(matrix.size)
+            ]
 
 
 class TestReferenceSpectrum:
@@ -230,7 +274,7 @@ class TestIsospectralCompare:
 
     def test_monomial_basis_is_quasi_monomial_zero(self):
         matrix = realize_matrix(build_hf(1), Differential(), 6)
-        direct = eigensolve_flag(OperatorMatrix(matrix.rows, QuasiMonomial(0)))
+        direct = eigensolve_flag(OperatorMatrix(matrix.columns, QuasiMonomial(0)))
         comparison = isospectral_compare(direct, eigensolve_flag(matrix))
         assert comparison.eigenpolys_equal is True
 
