@@ -72,8 +72,9 @@ class TestPreservesFlag:
         "h, n", [(FockPoly.b(), 0), (FockPoly.word(3, 1), 1)], ids=["b-on-P0", "b3a-on-P1"]
     )
     def test_images_leaving_the_flag_are_rejected(self, h, n):
-        # b y^0 = y and b^3 a y = y^3 leave P_N; the projected matrix is
-        # zero, which is triangular, so only the recorded overflow shows it.
+        # b y^0 = y and b^3 a y = y^3 leave P_N; the square view inside
+        # P_N is zero, which is triangular, so only the untruncated
+        # columns show it.
         matrix = realize_matrix(h, Differential(), n)
         assert not preserves_flag(matrix)
         with pytest.raises(NotTriangularError):
