@@ -45,7 +45,6 @@ from .realize import (
     stencil_of,
 )
 from .spectral import (
-    ComparisonReport,
     SpectralReport,
     eigensolve_flag,
     isospectral_compare,
@@ -55,8 +54,6 @@ from .spectral import (
     reference_spectrum,
 )
 from .specfun import (
-    GaugeMismatchError,
-    NotEigenfunctionError,
     NotProportionalError,
     gauge_conjugate_check,
     hermite,

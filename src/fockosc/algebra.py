@@ -425,6 +425,16 @@ class OperatorMatrix:
         return f"OperatorMatrix({list(self.columns)!r}, {self.basis!r})"
 
 
+def preserves_flag(matrix: OperatorMatrix) -> bool:
+    """True iff every column j has degree at most j.
+
+    Columns are untruncated images, so this says the operator maps each
+    P_n into P_n, i.e. it is triangular in the degree grading; an image
+    that leaves P_N fails it by its degree.
+    """
+    return all(len(column.coeffs) <= j + 1 for j, column in enumerate(matrix.columns))
+
+
 def back_substitute(
     matrix: OperatorMatrix,
     eigenvalue: Rat,
@@ -435,13 +445,15 @@ def back_substitute(
 
     W is diagonal with entries `weights` (all 1 by default, the plain
     eigenproblem M v = E v); the pencil solver passes w_i = q^(s i).  The
-    matrix must be triangular in its basis ordering with
-    M[pivot][pivot] = E w_pivot.  Rows above the pivot are solved upward,
+    matrix must preserve the flag, else NotTriangularError is raised, and
+    M[pivot][pivot] must equal E w_pivot.  Rows above the pivot are solved upward,
     v_i = sum_(j>i) M[i][j] v_j / (E w_i - M[i][i]); a vanishing divisor
     raises DegenerateSpectrumError.  The sums are accumulated column by
     column, and only nonzero entries cost rational arithmetic: a level of
     a matrix with upper bandwidth b takes O(b * pivot) of it.
     """
+    if not preserves_flag(matrix):
+        raise NotTriangularError("matrix does not preserve the flag")
     eigenvalue = Fraction(eigenvalue)
     if not (0 <= pivot < matrix.size):
         raise ValueError("pivot outside the matrix")

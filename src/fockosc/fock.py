@@ -212,7 +212,6 @@ class SL2Generators(NamedTuple):
     jplus: FockPoly
     jzero: FockPoly
     jminus: FockPoly
-    n: Fraction
 
 
 def sl2_generators(n: Rat, q: Rat = 1) -> SL2Generators:
@@ -221,12 +220,11 @@ def sl2_generators(n: Rat, q: Rat = 1) -> SL2Generators:
     jplus = FockPoly({(2, 1): 1, (1, 0): -n}, q)
     jzero = FockPoly({(1, 1): 1, (0, 0): -n / 2}, q)
     jminus = FockPoly.a(q)
-    return SL2Generators(jplus, jzero, jminus, n)
+    return SL2Generators(jplus, jzero, jminus)
 
 
 class CasimirValue(NamedTuple):
     value: Fraction
-    n: Fraction
 
 
 def casimir_value(n: Rat) -> CasimirValue:
@@ -239,7 +237,7 @@ def casimir_value(n: Rat) -> CasimirValue:
     gens = sl2_generators(n, q=1)
     anti = gens.jplus * gens.jminus + gens.jminus * gens.jplus
     c2 = anti.scale(Fraction(1, 2)) - gens.jzero * gens.jzero
-    return CasimirValue(c2.as_scalar(), Fraction(n))
+    return CasimirValue(c2.as_scalar())
 
 
 def build_hf(p: Rat, q: Rat = 1) -> FockPoly:

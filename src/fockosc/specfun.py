@@ -41,14 +41,6 @@ class NotProportionalError(ValueError):
     """Two polynomials expected to be proportional are not."""
 
 
-class NotEigenfunctionError(ValueError):
-    """A state expected to be an eigenfunction has a nonzero residual."""
-
-
-class GaugeMismatchError(ValueError):
-    """No constant shift reconciles the weighted action with the flag action."""
-
-
 def _binomial(top: Fraction, k: int) -> Fraction:
     """Generalized binomial coefficient C(top, k) for rational top."""
     num = Fraction(1)
@@ -185,16 +177,14 @@ def kratzer_eigencheck(n: int, p: Rat, omega: Rat) -> Fraction:
     q = _even_substitute(laguerre(n, p - Fraction(1, 2)), omega)
     value = constant_ratio(kratzer_apply(q, p, omega), q)
     if value is None:
-        raise NotEigenfunctionError(
+        raise NotProportionalError(
             f"level {n} weighted state (p={rat_str(p)}, w={rat_str(omega)}) "
             "is not an eigenfunction"
         )
     return value
 
 
-def gauge_conjugate_check(
-    poly: Poly, p: Rat, omega: Rat
-) -> tuple[Fraction, LaurentPoly]:
+def gauge_conjugate_check(poly: Poly, p: Rat, omega: Rat) -> Fraction:
     """Match the weighted action of K against the flag operator.
 
     For Psi = x^p exp(-w x^2/2) P(w x^2) the claim is
@@ -202,9 +192,8 @@ def gauge_conjugate_check(
         K Psi = Psi0 * [ (E0 * P - w * (h P)) at w x^2 ]
 
     with h the differential realization of the three-point element and a
-    single constant E0 = w(2p+1).  The constant is solved for exactly;
-    the returned residual is identically zero when the match holds, and
-    GaugeMismatchError is raised when no constant works.
+    single constant E0, expected to be w(2p+1).  E0 is solved for exactly
+    and returned; NotProportionalError is raised when no constant works.
     """
     if poly.is_zero:
         raise ValueError("gauge check needs a nonzero polynomial")
@@ -217,5 +206,5 @@ def gauge_conjugate_check(
     shifted = image + _even_substitute(h_image, omega).scale(omega)
     e0 = constant_ratio(shifted, q_in)
     if e0 is None:
-        raise GaugeMismatchError("no constant reconciles the two actions")
-    return e0, shifted - q_in.scale(e0)
+        raise NotProportionalError("no constant reconciles the two actions")
+    return e0

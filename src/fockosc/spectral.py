@@ -17,14 +17,13 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .algebra import (
-    DegenerateSpectrumError,
     NotTriangularError,
     OperatorMatrix,
     Poly,
     QuasiMonomial,
     Rat,
     back_substitute,
-    rat_str,
+    preserves_flag,
 )
 from .fock import q_number
 
@@ -69,34 +68,17 @@ class SpectralReport:
         return tuple(e.eigenvalue for e in self.entries)
 
 
-def preserves_flag(matrix: OperatorMatrix) -> bool:
-    """True iff every column j has degree at most j.
-
-    Columns are untruncated images, so this says the operator maps each
-    P_n into P_n, i.e. it is triangular in the degree grading; an image
-    that leaves P_N fails it by its degree.
-    """
-    return all(len(column.coeffs) <= j + 1 for j, column in enumerate(matrix.columns))
-
-
 def _solve(matrix: OperatorMatrix, weights: list[Rat]) -> SpectralReport:
     """Eigensystem of M v = E W v for a flag-preserving M and diagonal W.
 
     Level n carries the eigenvalue M[n][n] / w_n and the monic degree-n
-    eigen-polynomial from back-substitution.
+    eigen-polynomial from back-substitution.  Its divisors w_j (E_n - E_j)
+    vanish only where a level repeats an eigenvalue, which it then reports.
     """
-    if not preserves_flag(matrix):
-        raise NotTriangularError("matrix does not preserve the flag")
-    eigenvalues = [matrix.columns[n].coeff(n) / w for n, w in enumerate(weights)]
-    seen: dict[Fraction, int] = {}
-    for n, value in enumerate(eigenvalues):
-        if value in seen:
-            raise DegenerateSpectrumError([seen[value], n], value)
-        seen[value] = n
-    entries = [
-        SpectralEntry(n, value, back_substitute(matrix, value, n, weights))
-        for n, value in enumerate(eigenvalues)
-    ]
+    entries = []
+    for n, w in enumerate(weights):
+        value = matrix.columns[n].coeff(n) / w
+        entries.append(SpectralEntry(n, value, back_substitute(matrix, value, n, weights)))
     return SpectralReport(matrix.basis, tuple(entries))
 
 
@@ -130,43 +112,9 @@ def pencil_solve(matrix: OperatorMatrix, s: int, q: Rat) -> SpectralReport:
     return _solve(matrix, [q ** (s * n) for n in range(matrix.size)])
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
-    """Per-level eigenvalue comparison of two spectral reports."""
-
-    mismatches: tuple[int, ...]  # levels whose eigenvalues differ
-    # None when the bases differ and polynomials are not comparable.
-    eigenpolys_equal: bool | None
-
-    @property
-    def eigenvalues_equal(self) -> bool:
-        return not self.mismatches
-
-    def __str__(self) -> str:
-        if not self.mismatches:
-            return "isospectral"
-        return f"spectra differ (mismatch at levels {list(self.mismatches)})"
-
-
-def isospectral_compare(a: SpectralReport, b: SpectralReport) -> ComparisonReport:
-    """Compare two reports level by level.
-
-    Eigen-polynomials are compared only when the bases coincide, since
-    coefficient vectors in different bases are not directly comparable.
-    """
+def isospectral_compare(a: SpectralReport, b: SpectralReport) -> tuple[int, ...]:
+    """The levels whose eigenvalues differ; empty when the reports are isospectral."""
     if len(a.entries) != len(b.entries):
         raise ValueError("reports cover different level counts")
-    mismatches = tuple(
-        n for n, (x, y) in enumerate(zip(a.entries, b.entries))
-        if x.eigenvalue != y.eigenvalue
-    )
-    polys_equal: bool | None = None
-    if a.basis == b.basis:
-        polys_equal = all(
-            x.eigenpoly == y.eigenpoly for x, y in zip(a.entries, b.entries)
-        )
-    return ComparisonReport(mismatches, polys_equal)
-
-
-def spectrum_string(report: SpectralReport) -> str:
-    return ", ".join(rat_str(e.eigenvalue) for e in report.entries)
+    pairs = zip(a.eigenvalues, b.eigenvalues)
+    return tuple(n for n, (x, y) in enumerate(pairs) if x != y)

@@ -26,11 +26,11 @@ from .realize import (
     stencil_of,
 )
 from .spectral import (
+    SpectralReport,
     eigensolve_flag,
     isospectral_compare,
     pencil_solve,
     reference_spectrum,
-    spectrum_string,
 )
 from .specfun import (
     gauge_conjugate_check,
@@ -228,8 +228,19 @@ def suite_casimir() -> VerifyReport:
     return VerifyReport("casimir", tuple(cases))
 
 
+def _values_string(values) -> str:
+    return ", ".join(rat_str(v) for v in values)
+
+
 def _reference_string(count: int, q: Fraction = Fraction(1), s: int = 0) -> str:
-    return ", ".join(rat_str(reference_spectrum(n, q, s)) for n in range(count))
+    return _values_string(reference_spectrum(n, q, s) for n in range(count))
+
+
+def _comparison_case(name: str, inputs: dict, a: SpectralReport, b: SpectralReport) -> Case:
+    """A case that passes when the two reports agree on every eigenvalue."""
+    mismatches = list(isospectral_compare(a, b))
+    got = f"spectra differ (mismatch at levels {mismatches})" if mismatches else "isospectral"
+    return _case(name, inputs, "all levels equal", got, not mismatches)
 
 
 def suite_spectrum() -> VerifyReport:
@@ -242,7 +253,7 @@ def suite_spectrum() -> VerifyReport:
                 f"classic-diff p={rat_str(p)}",
                 {"operator": "hf", "realization": "diff", "p": rat_str(p), "N": 20},
                 _reference_string(21),
-                spectrum_string(report),
+                _values_string(report.eigenvalues),
             )
         )
     for q in Q_SPECTRUM_GRID:
@@ -252,7 +263,7 @@ def suite_spectrum() -> VerifyReport:
                 f"deformed-qdil q={rat_str(q)}",
                 {"operator": "hf", "realization": "qdil", "q": rat_str(q), "N": 16},
                 _reference_string(17, q),
-                spectrum_string(eigensolve_flag(matrix)),
+                _values_string(eigensolve_flag(matrix).eigenvalues),
             )
         )
     return VerifyReport("spectrum", tuple(cases), (NOTE_DILATATION_SIGN,))
@@ -267,14 +278,12 @@ def suite_isospectral() -> VerifyReport:
             fd_report = eigensolve_flag(
                 realize_matrix(build_hf(p), FiniteDifference(d), 16)
             )
-            comparison = isospectral_compare(diff_report, fd_report)
             cases.append(
-                _case(
+                _comparison_case(
                     f"diff-vs-fd p={rat_str(p)} delta={rat_str(d)}",
                     {"p": rat_str(p), "delta": rat_str(d), "N": 16},
-                    "all levels equal",
-                    str(comparison),
-                    comparison.eigenvalues_equal,
+                    diff_report,
+                    fd_report,
                 )
             )
     for p in (Fraction(0), Fraction(1)):
@@ -282,14 +291,12 @@ def suite_isospectral() -> VerifyReport:
         for big_b in B_GRID:
             hg = build_hg(p, big_b)
             hg_report = eigensolve_flag(realize_matrix(hg, Differential(), 16))
-            comparison = isospectral_compare(hf_report, hg_report)
             cases.append(
-                _case(
+                _comparison_case(
                     f"hg-vs-hf p={rat_str(p)} B={rat_str(big_b)}",
                     {"p": rat_str(p), "B": rat_str(big_b), "N": 16},
-                    "all levels equal",
-                    str(comparison),
-                    comparison.eigenvalues_equal,
+                    hf_report,
+                    hg_report,
                 )
             )
             # Eigenpolynomials: monic Laguerre with superscript p+B-1/2,
@@ -430,22 +437,19 @@ def suite_kratzer() -> VerifyReport:
                 _case(
                     f"levels p={rat_str(p)} w={rat_str(omega)}",
                     {"p": rat_str(p), "w": rat_str(omega), "n_max": 6},
-                    ", ".join(rat_str(e) for e in expected),
-                    ", ".join(rat_str(m) for m in measured),
+                    _values_string(expected),
+                    _values_string(measured),
                 )
             )
             polys = [Poly.one(), Poly.monomial(1), laguerre(3, p - Fraction(1, 2))]
-            ok = True
-            for poly in polys:
-                e0, residual = gauge_conjugate_check(poly, p, omega)
-                if e0 != omega * (2 * p + 1) or not residual.is_zero:
-                    ok = False
-                    break
+            # A returned E0 matched the two actions exactly: residual 0.
+            e0 = omega * (2 * p + 1)
+            ok = all(gauge_conjugate_check(poly, p, omega) == e0 for poly in polys)
             cases.append(
                 _case(
                     f"gauge p={rat_str(p)} w={rat_str(omega)}",
                     {"p": rat_str(p), "w": rat_str(omega), "polynomials": 3},
-                    f"E0 = {rat_str(omega * (2 * p + 1))}, residual 0",
+                    f"E0 = {rat_str(e0)}, residual 0",
                     "match" if ok else "mismatch",
                     ok,
                 )
@@ -483,7 +487,7 @@ def suite_qpencil() -> VerifyReport:
                     f"{name} s={s} q={rat_str(q)}",
                     {"q": rat_str(q), "s": str(s), "N": 12},
                     _reference_string(13, q, s),
-                    spectrum_string(pencil_solve(matrix, s, q)),
+                    _values_string(pencil_solve(matrix, s, q).eigenvalues),
                 )
             )
     flat = realize_matrix(build_hf(Fraction(0)), Differential(), 8)
@@ -494,7 +498,7 @@ def suite_qpencil() -> VerifyReport:
                 f"coincide-at-q=1 s={s}",
                 {"q": "1", "s": str(s), "N": 8},
                 classic,
-                spectrum_string(pencil_solve(flat, s, Fraction(1))),
+                _values_string(pencil_solve(flat, s, Fraction(1)).eigenvalues),
             )
         )
     return VerifyReport("qpencil", tuple(cases), (NOTE_SCALE_DIRECTION,))

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from fockosc.algebra import (
     DegenerateSpectrumError,
     LaurentPoly,
+    NotTriangularError,
     OperatorMatrix,
     Poly,
     QuasiMonomial,
@@ -247,3 +248,8 @@ class TestBackSubstitute:
         with pytest.raises(ValueError):
             back_substitute(self.matrix_hf_diff_p2(), -3, 1)
 
+    def test_matrix_leaving_the_flag_rejected(self):
+        # Column 0 is 1 + 5y, so M (1, 0) = (1, 5) and (1, 0) is no eigenvector.
+        m = OperatorMatrix([Poly([1, 5]), Poly([0, 2])], QuasiMonomial(0))
+        with pytest.raises(NotTriangularError):
+            back_substitute(m, 1, 0)

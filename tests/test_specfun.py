@@ -223,24 +223,27 @@ class TestGaugeConjugation:
     def test_constant_polynomial(self):
         for p in (F(0), F(1), F(5, 2)):
             for omega in (F(1), F(2)):
-                e0, residual = gauge_conjugate_check(Poly.one(), p, omega)
-                assert e0 == omega * (2 * p + 1)
-                assert residual.is_zero
+                assert gauge_conjugate_check(Poly.one(), p, omega) == omega * (2 * p + 1)
 
     def test_linear_polynomial(self):
-        e0, residual = gauge_conjugate_check(Poly.monomial(1), 0, 1)
-        assert e0 == 1
-        assert residual.is_zero
+        assert gauge_conjugate_check(Poly.monomial(1), 0, 1) == 1
 
     @pytest.mark.parametrize("n", range(5))
     def test_laguerre_consistency_with_levels(self, n):
         # E0 - w * (-4n) must equal the measured level w(4n + 2p + 1).
         p, omega = F(1), F(2)
         poly = laguerre(n, p - F(1, 2))
-        e0, residual = gauge_conjugate_check(poly, p, omega)
-        assert residual.is_zero
+        e0 = gauge_conjugate_check(poly, p, omega)
         assert e0 + 4 * n * omega == kratzer_eigencheck(n, p, omega)
 
     def test_zero_polynomial_rejected(self):
         with pytest.raises(ValueError):
             gauge_conjugate_check(Poly(), 0, 1)
+
+    def test_wrong_flag_operator_has_no_gauge_constant(self, monkeypatch):
+        # h at p + 1 adds the constant 4 to h y, which no single E0 absorbs.
+        import fockosc.specfun
+
+        monkeypatch.setattr(fockosc.specfun, "build_hf", lambda p: build_hf(p + 1))
+        with pytest.raises(NotProportionalError):
+            gauge_conjugate_check(Poly.monomial(1), 0, 1)

@@ -98,12 +98,33 @@ class TestEigensolveFlag:
         matrix = realize_matrix(build_hf(0, q=-1), QDilatation(-1), 4)
         with pytest.raises(DegenerateSpectrumError) as info:
             eigensolve_flag(matrix)
-        assert set(info.value.levels) == {0, 2}
+        assert info.value.levels == (0, 2)
 
     def test_non_triangular_rejected(self):
         m = OperatorMatrix([Poly([0, 1]), Poly([0, 1])], QuasiMonomial(0))
         with pytest.raises(NotTriangularError):
             eigensolve_flag(m)
+
+    def test_flag_is_checked_before_degeneracy(self):
+        # Diagonal (1, 1, 1), and column 2 reaches degree 3.
+        m = OperatorMatrix([Poly([1]), Poly([0, 1]), Poly([0, 0, 1, 1])], QuasiMonomial(0))
+        with pytest.raises(NotTriangularError):
+            eigensolve_flag(m)
+
+    @pytest.mark.parametrize("s, q", [(0, F(1)), (-1, F(2)), (2, F(-1, 3))])
+    def test_first_repeat_names_its_pair(self, s, q):
+        # Eigenvalues (5, 1, 2, 1, 1, 7): level 3 is the first repeat, of
+        # level 1, although level 4 repeats the same value again.
+        eigenvalues = [5, 1, 2, 1, 1, 7]
+        columns = [
+            Poly([F(i + 1, j + 2) for i in range(j)] + [e * q ** (s * j)])
+            for j, e in enumerate(eigenvalues)
+        ]
+        matrix = OperatorMatrix(columns, QuasiMonomial(0))
+        with pytest.raises(DegenerateSpectrumError) as info:
+            eigensolve_flag(matrix) if s == 0 else pencil_solve(matrix, s, q)
+        assert info.value.levels == (1, 3)
+        assert info.value.value == 1
 
     def test_eigenpolys_are_monic_of_level_degree(self):
         report = eigensolve_flag(realize_matrix(build_hf(F(5, 2)), Differential(), 10))
@@ -253,31 +274,27 @@ class TestIsospectralCompare:
     def test_fd_matches_differential(self):
         a = eigensolve_flag(realize_matrix(build_hf(1), Differential(), 10))
         b = eigensolve_flag(realize_matrix(build_hf(1), FiniteDifference(F(1, 2)), 10))
-        comparison = isospectral_compare(a, b)
-        assert comparison.eigenvalues_equal
-        # Bases differ, so polynomials are not directly compared.
-        assert comparison.eigenpolys_equal is None
+        assert isospectral_compare(a, b) == ()
 
     def test_hg_matches_hf(self):
         a = eigensolve_flag(realize_matrix(build_hg(0, 1), Differential(), 10))
         b = eigensolve_flag(realize_matrix(build_hf(0), Differential(), 10))
-        comparison = isospectral_compare(a, b)
-        assert comparison.eigenvalues_equal
-        assert comparison.eigenpolys_equal is False  # shifted eigenfunctions
+        assert isospectral_compare(a, b) == ()
+        # Same basis, shifted eigenfunctions.
+        assert [e.eigenpoly for e in a.entries] != [e.eigenpoly for e in b.entries]
 
     def test_deformed_diverges_from_level_two(self):
         q = F(2)
         a = eigensolve_flag(realize_matrix(build_hf(0), Differential(), 6))
         b = eigensolve_flag(realize_matrix(build_hf(0, q=q), QDilatation(q), 6))
-        comparison = isospectral_compare(a, b)
-        assert not comparison.eigenvalues_equal
-        assert comparison.mismatches == (2, 3, 4, 5, 6)
+        assert isospectral_compare(a, b) == (2, 3, 4, 5, 6)
 
     def test_monomial_basis_is_quasi_monomial_zero(self):
         matrix = realize_matrix(build_hf(1), Differential(), 6)
         direct = eigensolve_flag(OperatorMatrix(matrix.columns, QuasiMonomial(0)))
-        comparison = isospectral_compare(direct, eigensolve_flag(matrix))
-        assert comparison.eigenpolys_equal is True
+        report = eigensolve_flag(matrix)
+        assert direct.basis == report.basis
+        assert direct.entries == report.entries
 
     def test_level_count_mismatch_rejected(self):
         a = eigensolve_flag(realize_matrix(build_hf(0), Differential(), 3))
