@@ -446,7 +446,10 @@ def back_substitute(
     W is diagonal with entries `weights` (all 1 by default, the plain
     eigenproblem M v = E v); the pencil solver passes w_i = q^(s i).  The
     matrix must preserve the flag, else NotTriangularError is raised, and
-    M[pivot][pivot] must equal E w_pivot.  Rows above the pivot are solved upward,
+    M[pivot][pivot] must equal E w_pivot.  The flag check reads all N + 1
+    column lengths, not only the pivot + 1 this solve uses, so a full
+    solve raises NotTriangularError before any degeneracy; it costs
+    O(N) length reads per call, nothing beside the rational arithmetic.  Rows above the pivot are solved upward,
     v_i = sum_(j>i) M[i][j] v_j / (E w_i - M[i][i]); a vanishing divisor
     raises DegenerateSpectrumError.  The sums are accumulated column by
     column, and only nonzero entries cost rational arithmetic: a level of

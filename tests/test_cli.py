@@ -117,18 +117,18 @@ class TestSpectrumCommand:
             main(["spectrum", "--realization", "diff", "--p", "zebra"])
         assert info.value.code == 2
 
-    @pytest.mark.parametrize("n", ["-1", "257"])
+    @pytest.mark.parametrize("n", ["-1", "129"])
     def test_flag_dimension_out_of_range_is_usage_error(self, monkeypatch, capsys, n):
         monkeypatch.setattr("fockosc.cli.realize_matrix", self._no_matrix)
         with pytest.raises(SystemExit) as info:
             main(["spectrum", "--realization", "diff", "--N", n])
         assert info.value.code == 2
-        assert f"argument --N: must be between 0 and 256, got {n}" in capsys.readouterr().err
+        assert f"--N must be between 0 and 128, got {n}" in capsys.readouterr().err
 
     def test_flag_dimension_cap_is_accepted(self, monkeypatch):
         monkeypatch.setattr("fockosc.cli.realize_matrix", self._no_matrix)
-        with pytest.raises(AssertionError, match="matrix built at N = 256"):
-            main(["spectrum", "--realization", "diff", "--N", "256"])
+        with pytest.raises(AssertionError, match="matrix built at N = 128"):
+            main(["spectrum", "--realization", "diff", "--N", "128"])
 
     @staticmethod
     def _no_matrix(operator, realization, n):
