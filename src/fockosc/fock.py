@@ -6,12 +6,13 @@ rational coefficients, where the generators satisfy a*b - q*b*a = 1
 attached to every element; combining elements with different q is a
 usage error and raises.
 
-The single rewrite needed for normal ordering is the closed form
+Products reduce to normal ordering a^m b^k, which the q-deformed Wick
+theorem (Katriel & Kibler, J. Phys. A 25, 1992) gives in closed form
 
-    a^m b = q^m b a^m + {m} a^(m-1),      {m} = 1 + q + ... + q^(m-1),
+    a^m b^k = sum_j [m j] [k j] [j]! q^((m-j)(k-j)) b^(k-j) a^(m-j)
 
-which follows from a b = q b a + 1 by induction on m and avoids the
-quadratic blowup of swapping one letter at a time.
+with the Gaussian binomials [m j], {n} = 1 + q + ... + q^(n-1) and
+[j]! = {1}{2}...{j}.
 """
 
 from __future__ import annotations
@@ -102,6 +103,10 @@ class FockPoly:
         """Highest power of a in any word (0 for the zero element)."""
         return max((m for (_, m) in self.terms), default=0)
 
+    def b_degree(self) -> int:
+        """Highest power of b in any word (0 for the zero element)."""
+        return max((k for (k, _) in self.terms), default=0)
+
     def as_scalar(self) -> Fraction:
         """The scalar value, if this element is a multiple of the identity."""
         rest = {w: c for w, c in self.terms.items() if w != (0, 0)}
@@ -154,47 +159,34 @@ class FockPoly:
         return normal_order_product(self, other)
 
 
-def _a_pow_through_b_pow(m: int, k: int, q: Fraction) -> dict[Word, Fraction]:
-    """Normal-ordered form of a^m b^k as a word -> coefficient map.
+def _wick_table(q: Fraction, ms: set[int], ks: set[int]) -> dict[Word, list[tuple[int, Fraction]]]:
+    """table[m, k] lists (j, coefficient of b^(k-j) a^(m-j) in a^m b^k) for m in ms, k in ks.
 
-    Recurrence on k, peeling one b with the closed-form rewrite:
-    a^m b^k = q^m b (a^m b^(k-1)) + {m} (a^(m-1) b^(k-1)).
+    [n j] follows the q-Pascal rule [n j] = [n-1 j-1] + q^j [n-1 j] and [j]!
+    a running {j}: nothing divides, so q = 0 and q = -1 ({2} = 0) are not special.
     """
-    table: dict[tuple[int, int], dict[Word, Fraction]] = {}
-
-    def go(mm: int, kk: int) -> dict[Word, Fraction]:
-        if (mm, kk) in table:
-            return table[(mm, kk)]
-        if mm == 0 or kk == 0:
-            result = {(kk, mm): Fraction(1)}
-        else:
-            result = {}
-            qm = q**mm
-            for (wb, wa), c in go(mm, kk - 1).items():
-                result[(wb + 1, wa)] = result.get((wb + 1, wa), Fraction(0)) + qm * c
-            braket = q_number(mm, q)
-            if braket != 0:
-                for (wb, wa), c in go(mm - 1, kk - 1).items():
-                    result[(wb, wa)] = result.get((wb, wa), Fraction(0)) + braket * c
-            result = {w: c for w, c in result.items() if c != 0}
-        table[(mm, kk)] = result
-        return result
-
-    return go(m, k)
+    binom, fact, bracket = [[Fraction(1)]], [Fraction(1)], Fraction(0)
+    for n in range(1, max(ms | ks, default=0) + 1):
+        prev = binom[-1] + [Fraction(0)]
+        binom.append([Fraction(1)] + [prev[j - 1] + q**j * prev[j] for j in range(1, n + 1)])
+        bracket = 1 + q * bracket
+        fact.append(fact[-1] * bracket)
+    return {(m, k): [(j, binom[m][j] * binom[k][j] * fact[j] * q ** ((m - j) * (k - j)))
+                     for j in range(min(m, k) + 1)] for m in ms for k in ks}
 
 
 def normal_order_product(x: FockPoly, y: FockPoly) -> FockPoly:
     """Normal-ordered product x*y, exact in the shared deformation parameter."""
     x._check_context(y)
-    q = x.q
+    table = _wick_table(x.q, {m for _, m in x.terms}, {k for k, _ in y.terms})
     acc: dict[Word, Fraction] = {}
     for (k1, m1), c1 in x.terms.items():
         for (k2, m2), c2 in y.terms.items():
             c = c1 * c2
-            for (kb, ka), w in _a_pow_through_b_pow(m1, k2, q).items():
-                word = (k1 + kb, ka + m2)
+            for j, w in table[m1, k2]:
+                word = (k1 + k2 - j, m1 - j + m2)
                 acc[word] = acc.get(word, Fraction(0)) + c * w
-    return FockPoly(acc, q)
+    return FockPoly(acc, x.q)
 
 
 def q_bracket(x: FockPoly, y: FockPoly, lam: Rat) -> FockPoly:

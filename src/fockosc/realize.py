@@ -163,22 +163,26 @@ def apply_op(h: FockPoly, r: Realization, f: Poly) -> Poly:
     """Apply the realized element h to f, exactly.
 
     The element's deformation parameter must match the realization: 1
-    for Differential/FiniteDifference and r.q for QDilatation.
+    for Differential/FiniteDifference and r.q for QDilatation.  Writing
+    h = sum_k b^k Q_k(a), the powers a^m f are computed once each, up to
+    the lowering degree, and the b-powers by Horner's rule from the top
+    k down, one `raise_` per step.
     """
     if h.q != r.q:
         raise AlgebraMismatchError(
             f"element has q={rat_str(h.q)} but realization carries "
             f"q={rat_str(r.q)}"
         )
+    lowered = [f]
+    for _ in range(h.a_degree()):
+        lowered.append(r.lower(lowered[-1]))
     out = Poly()
-    for (k, m), c in h.terms.items():
-        # The word b^k a^m: a acts first.
-        g = f
-        for _ in range(m):
-            g = r.lower(g)
-        for _ in range(k):
-            g = r.raise_(g)
-        out = out + g.scale(c)
+    for level in range(h.b_degree(), -1, -1):
+        if not out.is_zero:
+            out = r.raise_(out)
+        for (k, m), c in h.terms.items():
+            if k == level:
+                out = out + lowered[m].scale(c)
     return out
 
 
@@ -272,6 +276,8 @@ def stencil_of(h: FockPoly, r: Realization) -> Stencil:
     Supported for FiniteDifference (shift mode; lowering degree <= 2
     keeps the offsets inside {-2..2}) and QDilatation (scale mode,
     offsets {0..2}); the Differential realization raises ValueError.
+    As in `apply_op`, the terms of each a^m are composed once and the
+    b terms are composed in by Horner's rule from the top b-power down.
     """
     mode, param, a_terms, b_terms = r.stencil_generators()
     if h.q != r.q:
@@ -279,15 +285,16 @@ def stencil_of(h: FockPoly, r: Realization) -> Stencil:
     if h.a_degree() > 2:
         raise UnsupportedDegreeError("stencils are derived for lowering degree <= 2")
 
-    identity = {0: LaurentPoly({0: 1})}
+    lowered: list[Terms] = [{0: LaurentPoly({0: 1})}]
+    for _ in range(h.a_degree()):
+        lowered.append(_compose_terms(lowered[-1], a_terms, mode, param))
     acc: Terms = {}
-    for (k, m), coeff in h.terms.items():
-        word = identity
-        for _ in range(m):
-            word = _compose_terms(word, a_terms, mode, param)
-        for _ in range(k):
-            word = _compose_terms(b_terms, word, mode, param)
-        for j, c in word.items():
-            acc[j] = acc.get(j, LaurentPoly()) + c.scale(coeff)
+    for level in range(h.b_degree(), -1, -1):
+        if acc:
+            acc = _compose_terms(b_terms, acc, mode, param)
+        for (k, m), coeff in h.terms.items():
+            if k == level:
+                for j, c in lowered[m].items():
+                    acc[j] = acc.get(j, LaurentPoly()) + c.scale(coeff)
     terms = tuple(sorted((j, c) for j, c in acc.items() if not c.is_zero))
     return Stencil(mode=mode, param=param, terms=terms)

@@ -18,9 +18,12 @@ from fockosc.fock import (
     q_number,
     sl2_generators,
 )
-from oracles import act_on_poly, oracle_product
+from oracles import act_on_poly, oracle_product, swap_normal_order
 
 Q_SAMPLES = [F(1), F(2), F(1, 3)]
+# q = -1 makes {2}, and so every [j]! with j >= 2, vanish; q = 0 kills every
+# positive power of q.  Both are where a ratio of q-numbers would divide by 0.
+WICK_Q_SAMPLES = Q_SAMPLES + [F(-1), F(0), F(-6, 7)]
 
 
 def small_fock(q, words):
@@ -56,6 +59,13 @@ class TestNormalOrderProduct:
         x = small_fock(q, {(1, 2): F(3), (0, 1): F(-1, 2)})
         y = small_fock(q, {(2, 0): F(1), (1, 1): F(2, 3)})
         assert (x * y).terms == oracle_product(x, y)
+
+    @pytest.mark.parametrize("q", WICK_Q_SAMPLES, ids=str)
+    def test_closed_form_matches_swaps_for_every_low_word(self, q):
+        for m in range(7):
+            for k in range(7):
+                product = FockPoly.word(0, m, q=q) * FockPoly.word(k, 0, q=q)
+                assert product.terms == swap_normal_order({"a" * m + "b" * k: F(1)}, q), (m, k)
 
     def test_context_mixing_raises(self):
         with pytest.raises(AlgebraMismatchError):

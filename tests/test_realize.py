@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -402,6 +403,74 @@ def lowering_elements(draw, q):
     if draw(st.booleans()):
         terms = {(k, m): c for (k, m), c in terms.items() if k <= m}
     return FockPoly(terms, q)
+
+
+Y = sp.Symbol("y")
+
+
+def sympy_rational(c: F) -> sp.Rational:
+    return sp.Rational(c.numerator, c.denominator)
+
+
+def sympy_lower(e: sp.Expr, r) -> sp.Expr:
+    """a by its formula: (f(y+d) - f(y))/d under fd, (f(qy) - f(y))/(y(q-1)) under qdil."""
+    if isinstance(r, FiniteDifference):
+        d = sympy_rational(r.delta)
+        return sp.expand((e.subs(Y, Y + d) - e) / d)
+    q = sympy_rational(r.q)
+    return sp.expand(sp.cancel((e.subs(Y, q * Y) - e) / (Y * (q - 1))))
+
+
+def sympy_raise(e: sp.Expr, r) -> sp.Expr:
+    """b by its formula: y f(y-d) under fd, y f under qdil."""
+    if isinstance(r, FiniteDifference):
+        return sp.expand(Y * e.subs(Y, Y - sympy_rational(r.delta)))
+    return sp.expand(Y * e)
+
+
+def sympy_generator_action(h: FockPoly, r, f: Poly) -> Poly:
+    """h applied to f word by word through the generator formulas, substituted in sympy."""
+    total = sp.Integer(0)
+    for (k, m), c in h.terms.items():
+        g = sum((sympy_rational(a) * Y**j for j, a in enumerate(f.coeffs)), sp.Integer(0))
+        for _ in range(m):
+            g = sympy_lower(g, r)
+        for _ in range(k):
+            g = sympy_raise(g, r)
+        total += sympy_rational(c) * g
+    coeffs = sp.Poly(sp.expand(total), Y).all_coeffs()[::-1]
+    return Poly([F(int(a.p), int(a.q)) for a in coeffs])
+
+
+class TestApplyOpSympyOracle:
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_generator_formulas(self, data):
+        r = data.draw(realizations)
+        h = data.draw(lowering_elements(r.q))
+        f = data.draw(polys)
+        expected = sympy_generator_action(h, r, f)
+        assert apply_op(h, r, f) == expected
+
+    @pytest.mark.parametrize("r", [FiniteDifference(F(-2, 3)), QDilatation(F(5, 2))], ids=repr)
+    def test_zero_pure_raising_and_identity(self, r):
+        f = Poly([F(1, 2), -3, 0, 2])
+        zero, identity = FockPoly({}, r.q), FockPoly.identity(r.q)
+        pure_b = FockPoly({(3, 0): F(-2), (1, 0): F(1, 3)}, r.q)
+        assert apply_op(zero, r, f).is_zero
+        assert apply_op(identity, r, f) == f
+        assert apply_op(pure_b, r, f) == sympy_generator_action(pure_b, r, f)
+        assert stencil_of(zero, r).terms == ()
+        assert stencil_of(identity, r).terms == ((0, LaurentPoly({0: 1})),)
+        pure_stencil = stencil_of(pure_b, r)
+        assert pure_stencil.apply(f) == apply_op(pure_b, r, f)
+        if isinstance(r, FiniteDifference):
+            d = r.delta
+            # -2 y(y-d)(y-2d) E^-3 + (1/3) y E^-1
+            cubic = LaurentPoly({3: -2, 2: 6 * d, 1: -4 * d**2})
+            assert pure_stencil.terms == ((-3, cubic), (-1, LaurentPoly({1: F(1, 3)})))
+        else:
+            assert pure_stencil.terms == ((0, LaurentPoly({3: -2, 1: F(1, 3)})),)
 
 
 class TestStencilMatrixProperty:

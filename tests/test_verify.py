@@ -1,5 +1,8 @@
 import pytest
 
+from fockosc import verify
+from fockosc.fock import build_hf
+from fockosc.realize import Differential, realize_matrix
 from fockosc.verify import SUITES, run_suite
 
 
@@ -39,6 +42,16 @@ def test_isospectral_suite_records_shift_conventions():
     assert report.passed
     ids = {note.note_id for note in report.notes}
     assert {"four-point-constant", "shifted-laguerre", "dilatation-stencil-signs"} <= ids
+
+
+def test_negative_control_needs_two_solved_spectra(monkeypatch):
+    """With one report standing in for both solves, the divergence case must fail."""
+    report = verify.eigensolve_flag(realize_matrix(build_hf(0), Differential(), 4))
+    monkeypatch.setattr(verify, "eigensolve_flag", lambda matrix: report)
+    cases = {case.case: case for case in run_suite("isospectral").cases}
+    control = cases["classic-vs-deformed q=2 diverges"]
+    assert not control.passed
+    assert control.got == "unexpected pattern"
 
 
 def test_kratzer_suite_records_spacing_note():
