@@ -21,8 +21,8 @@ from fockosc.fock import (
 from oracles import act_on_poly, oracle_product, swap_normal_order
 
 Q_SAMPLES = [F(1), F(2), F(1, 3)]
-# q = -1 makes {2}, and so every [j]! with j >= 2, vanish; q = 0 kills every
-# positive power of q.  Both are where a ratio of q-numbers would divide by 0.
+# At q = -1, {2} and so every [j]! with j >= 2 vanish, where a ratio of
+# q-numbers would divide by 0; at q = 0 only the q^0 terms survive.
 WICK_Q_SAMPLES = Q_SAMPLES + [F(-1), F(0), F(-6, 7)]
 
 
