@@ -6,10 +6,10 @@ arbitrary precision.  Nothing in this package ever rounds.
 
 A `Poly` is a dense coefficient vector over the rationals, lowest power
 first.  A `LaurentPoly` additionally admits negative powers and is stored
-sparsely.  Polynomials are expressed in a quasi-monomial basis 1, y, y(y-d),
-y(y-d)(y-2d), ... whose elements vanish on the grid 0, d, 2d, ...; step
-d = 0 is the monomial basis 1, y, y^2, ...  `basis_transplant` moves
-coefficient vectors between any two of them.
+as y^low times a Poly.  Polynomials are expressed in a quasi-monomial
+basis 1, y, y(y-d), y(y-d)(y-2d), ... whose elements vanish on the grid
+0, d, 2d, ...; step d = 0 is the monomial basis 1, y, y^2, ...
+`basis_transplant` moves coefficient vectors between any two of them.
 """
 
 from __future__ import annotations
@@ -193,99 +193,94 @@ class Poly:
 
 
 class LaurentPoly:
-    """Sparse polynomial with integer (possibly negative) powers.
+    """Polynomial with integer (possibly negative) powers, stored as y^low * poly.
 
-    Stored as a power -> coefficient map with no explicit zeros.
+    `poly` is a `Poly` with a nonzero constant term (the zero Laurent
+    polynomial has low 0 and the zero Poly), so each value has one
+    representation, and every operation is the matching `Poly` operation
+    plus a change of `low`.  `terms` maps each power to its nonzero
+    coefficient, in increasing power order.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("low", "poly")
 
-    def __init__(self, terms: Mapping[int, Rat] | Iterable[tuple[int, Rat]] = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[int, Fraction] = {}
-        for power, c in items:
-            c = Fraction(c)
-            if c == 0:
-                continue
-            acc[power] = acc.get(power, Fraction(0)) + c
-            if acc[power] == 0:
-                del acc[power]
-        object.__setattr__(self, "terms", dict(sorted(acc.items())))
+    def __new__(cls, terms: Mapping[int, Rat] = {}):
+        low, high = min(terms, default=0), max(terms, default=-1)
+        return cls._of(low, Poly([terms.get(p, 0) for p in range(low, high + 1)]))
+
+    @staticmethod
+    def _of(low: int, poly: Poly) -> "LaurentPoly":
+        """y^low * poly, with the zero low-order coefficients of poly moved into low."""
+        zeros = next((i for i, c in enumerate(poly.coeffs) if c), 0)
+        out = object.__new__(LaurentPoly)
+        object.__setattr__(out, "low", low + zeros if poly.coeffs else 0)
+        object.__setattr__(out, "poly", Poly(poly.coeffs[zeros:]) if zeros else poly)
+        return out
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("LaurentPoly is immutable")
 
     @staticmethod
     def from_poly(p: Poly) -> "LaurentPoly":
-        return LaurentPoly({i: c for i, c in enumerate(p.coeffs)})
+        return LaurentPoly._of(0, p)
+
+    @property
+    def terms(self) -> dict[int, Fraction]:
+        return {self.low + i: c for i, c in enumerate(self.poly.coeffs) if c}
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return self.poly.is_zero
 
     def coeff(self, power: int) -> Fraction:
-        return self.terms.get(power, Fraction(0))
+        return self.poly.coeff(power - self.low)
 
-    @property
-    def min_power(self) -> int | None:
-        return min(self.terms) if self.terms else None
-
-    @property
-    def max_power(self) -> int | None:
-        return max(self.terms) if self.terms else None
+    def _padded(self, low: int) -> Poly:
+        """The Poly P with self = y^low * P, for low <= self.low."""
+        return Poly((Fraction(0),) * (self.low - low) + self.poly.coeffs)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, LaurentPoly) and self.terms == other.terms
+        return isinstance(other, LaurentPoly) and (self.low, self.poly) == (other.low, other.poly)
 
     def __hash__(self) -> int:
-        return hash(tuple(self.terms.items()))
+        return hash((self.low, self.poly))
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out = dict(self.terms)
-        for power, c in other.terms.items():
-            out[power] = out.get(power, Fraction(0)) + c
-        return LaurentPoly(out)
+        low = min(self.low, other.low)
+        return LaurentPoly._of(low, self._padded(low) + other._padded(low))
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({p: -c for p, c in self.terms.items()})
+        return LaurentPoly._of(self.low, -self.poly)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out: dict[int, Fraction] = {}
-        for p1, c1 in self.terms.items():
-            for p2, c2 in other.terms.items():
-                out[p1 + p2] = out.get(p1 + p2, Fraction(0)) + c1 * c2
-        return LaurentPoly(out)
+        return LaurentPoly._of(self.low + other.low, self.poly * other.poly)
 
     def scale(self, k: Rat) -> "LaurentPoly":
-        k = Fraction(k)
-        return LaurentPoly({p: k * c for p, c in self.terms.items()})
+        return LaurentPoly._of(self.low, self.poly.scale(k))
 
     def scale_arg(self, factor: Rat) -> "LaurentPoly":
         """Return f(factor * y); works for negative powers too."""
         factor = Fraction(factor)
-        return LaurentPoly({p: c * factor**p for p, c in self.terms.items()})
+        return LaurentPoly._of(self.low, self.poly.scale_arg(factor).scale(factor**self.low))
 
     def derivative(self) -> "LaurentPoly":
-        return LaurentPoly({p - 1: p * c for p, c in self.terms.items() if p != 0})
+        # (y^l P)' = l y^(l-1) P + y^l P'
+        return LaurentPoly._of(self.low - 1, self.poly.scale(self.low)) + LaurentPoly._of(
+            self.low, self.poly.derivative()
+        )
 
     def shift_arg(self, offset: Rat) -> "LaurentPoly":
-        """Return f(y + offset).  Defined only when no negative powers occur."""
-        if self.min_power is not None and self.min_power < 0:
-            raise ValueError("cannot shift the argument of a pole term")
+        """Return f(y + offset); raises, as `to_poly` does, if any negative power remains."""
         return LaurentPoly.from_poly(self.to_poly().shift_arg(offset))
 
     def to_poly(self) -> Poly:
         """Convert to a dense Poly; raises if any negative power remains."""
-        if self.min_power is not None and self.min_power < 0:
+        if self.low < 0:
             raise ValueError("Laurent polynomial has poles")
-        size = (self.max_power + 1) if self.terms else 0
-        out = [Fraction(0)] * size
-        for p, c in self.terms.items():
-            out[p] = c
-        return Poly(out)
+        return self._padded(0)
 
     def __repr__(self) -> str:
         if self.is_zero:
@@ -449,7 +444,8 @@ def back_substitute(
     M[pivot][pivot] must equal E w_pivot.  The flag check reads all N + 1
     column lengths, not only the pivot + 1 this solve uses, so a full
     solve raises NotTriangularError before any degeneracy; it costs
-    O(N) length reads per call, nothing beside the rational arithmetic.  Rows above the pivot are solved upward,
+    O(N) length reads per call, nothing beside the rational arithmetic.
+    Rows above the pivot are solved upward,
     v_i = sum_(j>i) M[i][j] v_j / (E w_i - M[i][i]); a vanishing divisor
     raises DegenerateSpectrumError.  The sums are accumulated column by
     column, and only nonzero entries cost rational arithmetic: a level of

@@ -101,6 +101,18 @@ def _verify_json(report: VerifyReport) -> dict:
     }
 
 
+def _check_out(parser: argparse.ArgumentParser, out_path: str | None) -> None:
+    """Exit 2 if --out cannot be opened; run after the other usage checks, before any work.
+
+    Opening to append leaves an existing file as it is until the report is written.
+    """
+    if out_path:
+        try:
+            open(out_path, "a", encoding="utf-8").close()
+        except OSError as exc:
+            parser.error(f"cannot write --out {out_path}: {exc.strerror}")
+
+
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
         with open(out_path, "w", encoding="utf-8") as handle:
@@ -153,6 +165,7 @@ def cmd_spectrum(parser: argparse.ArgumentParser, args) -> int:
     realization = _build_realization(parser, args)
     if args.rhs == "scaled" and realization.basis.delta != 0:
         parser.error("scaled right-hand sides need the monomial basis (diff or qdil)")
+    _check_out(parser, args.out)
     operator = _build_operator(args, realization)
     matrix = realize_matrix(operator, realization, args.N)
 
@@ -211,6 +224,7 @@ def cmd_spectrum(parser: argparse.ArgumentParser, args) -> int:
 
 def cmd_stencil(parser: argparse.ArgumentParser, args) -> int:
     realization = _build_realization(parser, args)
+    _check_out(parser, args.out)
     operator = _build_operator(args, realization)
     stencil = stencil_of(operator, realization)
     if args.format == "json":
@@ -252,6 +266,7 @@ def _verify_csv_rows(report: VerifyReport) -> list[list[str]]:
 
 
 def cmd_verify(parser: argparse.ArgumentParser, args) -> int:
+    _check_out(parser, args.out)
     if args.suite == "all":
         reports = run_all()
     else:

@@ -89,9 +89,6 @@ class Differential(Realization):
     def stencil_generators(self):
         raise ValueError("the differential realization has no stencil")
 
-    def __repr__(self) -> str:
-        return "Differential()"
-
 
 @dataclass(frozen=True)
 class FiniteDifference(Realization):
@@ -248,22 +245,22 @@ class Stencil:
         """Evaluate the stencil on a polynomial; pole terms must cancel."""
         acc = LaurentPoly()
         for j, c in self.terms:
-            if self.mode == "shift":
-                moved = f.shift_arg(j * self.param)
-            else:
-                moved = f.scale_arg(self.param**j)
-            acc = acc + c * LaurentPoly.from_poly(moved)
+            acc = acc + c * LaurentPoly.from_poly(_move(f, j, self.mode, self.param))
         return acc.to_poly()
 
 
+def _move(f: Poly | LaurentPoly, j: int, mode: str, param: Fraction) -> Poly | LaurentPoly:
+    """f(y + j*param) in shift mode, f(param^j * y) in scale mode."""
+    return f.shift_arg(j * param) if mode == "shift" else f.scale_arg(param**j)
+
+
 def _compose_terms(x: Terms, y: Terms, mode: str, param: Fraction) -> Terms:
-    # (c(y) T^i)(d(y) T^j) = c(y) * d(moved y) * T^(i+j), where T moves the
-    # argument by i steps: y + i*param for shifts, param^i * y for scalings.
+    # (c(y) T^i)(d(y) T^j) = c(y) * d(T^i y) * T^(i+j), where T^i moves the
+    # argument by i steps.
     out: Terms = {}
     for i, c in x.items():
         for j, d in y.items():
-            moved = d.scale_arg(param**i) if mode == "scale" else d.shift_arg(i * param)
-            term = c * moved
+            term = c * _move(d, i, mode, param)
             if not term.is_zero:
                 key = i + j
                 out[key] = out.get(key, LaurentPoly()) + term

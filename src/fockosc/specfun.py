@@ -89,21 +89,9 @@ def constant_ratio(a: LaurentPoly, b: LaurentPoly) -> Fraction | None:
     """The constant c with a = c * b, or None if no such constant exists."""
     if b.is_zero:
         return None
-    if a.is_zero:
-        return Fraction(0)
-    candidate: Fraction | None = None
-    for power in set(a.terms) | set(b.terms):
-        ca, cb = a.coeff(power), b.coeff(power)
-        if cb == 0:
-            if ca != 0:
-                return None
-            continue
-        ratio = ca / cb
-        if candidate is None:
-            candidate = ratio
-        elif candidate != ratio:
-            return None
-    return candidate
+    # Only the ratio at b's lowest power can work.
+    c = a.coeff(b.low) / b.coeff(b.low)
+    return c if a == b.scale(c) else None
 
 
 def _even_substitute(p: Poly, omega: Fraction) -> LaurentPoly:

@@ -2,6 +2,7 @@ import sys
 from fractions import Fraction as F
 
 import pytest
+import sympy as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -119,6 +120,59 @@ class TestLaurentPoly:
     def test_derivative(self):
         p = LaurentPoly({-1: 1, 0: 5, 2: 3})
         assert p.derivative() == LaurentPoly({-2: -1, 1: 6})
+
+
+# Power -> coefficient maps with powers in [-4, 6], some coefficients zero.
+laurent_maps = st.dictionaries(
+    st.integers(-4, 6), st.one_of(st.just(F(0)), rationals), max_size=8
+)
+y = sp.Symbol("y")
+
+
+def sym(x: F) -> sp.Rational:
+    return sp.Rational(x.numerator, x.denominator)
+
+
+def sym_laurent(terms: dict[int, F]) -> sp.Expr:
+    return sp.Add(*(sym(c) * y**k for k, c in terms.items()))
+
+
+def same_as(got: dict[int, F], want: sp.Expr) -> bool:
+    return sp.expand(sym_laurent(got) - want) == 0
+
+
+class TestLaurentPolyOracle:
+    """LaurentPoly operations against the same operations done in sympy."""
+
+    @given(laurent_maps, laurent_maps, rationals, rationals.filter(bool), rationals)
+    @settings(max_examples=60, deadline=None)
+    def test_operations_match_sympy(self, a_map, b_map, k, factor, offset):
+        a, b = LaurentPoly(a_map), LaurentPoly(b_map)
+        sa, sb = sym_laurent(a_map), sym_laurent(b_map)
+        assert same_as((a + b).terms, sa + sb)
+        assert same_as((a - b).terms, sa - sb)
+        assert same_as((a * b).terms, sa * sb)
+        assert same_as(a.scale(k).terms, sym(k) * sa)
+        assert same_as(a.scale_arg(factor).terms, sa.subs(y, sym(factor) * y))
+        assert same_as(a.derivative().terms, sp.diff(sa, y))
+        if any(c != 0 and power < 0 for power, c in a_map.items()):
+            with pytest.raises(ValueError):
+                a.shift_arg(offset)
+            with pytest.raises(ValueError):
+                a.to_poly()
+        else:
+            assert same_as(a.shift_arg(offset).terms, sa.subs(y, y + sym(offset)))
+            assert same_as(dict(enumerate(a.to_poly().coeffs)), sa)
+
+    @given(laurent_maps, st.sets(st.integers(-4, 6)))
+    def test_zero_entries_change_nothing(self, terms, zero_powers):
+        nonzero = {power: c for power, c in terms.items() if c != 0}
+        padded = LaurentPoly({**{power: 0 for power in zero_powers}, **terms})
+        assert padded == LaurentPoly(nonzero)
+        assert hash(padded) == hash(LaurentPoly(nonzero))
+        assert padded.terms == nonzero
+        assert list(padded.terms) == sorted(nonzero)
+        assert padded.is_zero == (not nonzero)
 
 
 class TestQuasiMonomial:

@@ -156,6 +156,24 @@ class TestSpectrumCommand:
         assert main(args + [option, value, "--out", str(separate)]) == 0
         assert separate.read_bytes() == attached.read_bytes()
 
+    @pytest.mark.parametrize(
+        "args, where",
+        [
+            (["verify", "casimir"], lambda tmp: tmp / "missing" / "r.json"),
+            (["spectrum", "--realization", "diff", "--N", "2"], lambda tmp: tmp),
+        ],
+        ids=["missing-directory", "is-a-directory"],
+    )
+    def test_unwritable_out_is_usage_error(self, monkeypatch, capsys, tmp_path, args, where):
+        # The path is checked before anything is computed.
+        for name in ("realize_matrix", "run_suite"):
+            monkeypatch.setattr(f"fockosc.cli.{name}", lambda *_, n=name: pytest.fail(f"{n} ran"))
+        out = str(where(tmp_path))
+        with pytest.raises(SystemExit) as info:
+            main(args + ["--out", out])
+        assert info.value.code == 2
+        assert f"fockosc: error: cannot write --out {out}: " in capsys.readouterr().err
+
     def test_stdout_default(self, capsys):
         code = main(["spectrum", "--realization", "diff", "--N", "2"])
         assert code == 0
@@ -197,6 +215,34 @@ class TestStencilCommand:
         assert data["stencil"]["mode"] == "scale"
         assert [t["offset"] for t in data["stencil"]["terms"]] == [0, 1, 2]
 
+    @pytest.mark.parametrize(
+        "args, fmt, digest",
+        [
+            (["--op", "hf", "--realization", "fd", "--delta", "1/3"], "json",
+             "6d7c94efa8e8ab73c55e7e49346d398b1dc1b7ab0e4b492adac868fdb33fa222"),
+            (["--op", "hf", "--realization", "fd", "--delta", "1/3"], "csv",
+             "c9f5e26bde085be4f1c69338f170f03d17c7de220da305169d2c7d3483e89b82"),
+            (["--op", "hg", "--B", "-2/3", "--realization", "fd", "--delta", "1/3"], "json",
+             "eea63852dbc65a1ab896be9dc5b7ad180fdebcb96d32aa7cda129ccf94390c40"),
+            (["--op", "hg", "--B", "-2/3", "--realization", "fd", "--delta", "1/3"], "csv",
+             "b3f999b39be4547010fcaaba996c00a4b2f20d33fa99e80ecc5baf0b03508f31"),
+            (["--op", "hf", "--realization", "qdil", "--q", "7/6"], "json",
+             "c0d3531fc5ab7d26a618e9770780137fe77a082a5136d3f71e16dcb35ca60138"),
+            (["--op", "hf", "--realization", "qdil", "--q", "7/6"], "csv",
+             "e66ccaf62105c99103c29c95c62046525db61efa7af283d1c3971ea549c06088"),
+            (["--op", "hg", "--B", "-2/3", "--realization", "qdil", "--q", "7/6"], "json",
+             "f339d14776924c3447712417e3f69a3b5334767bf8a83f6ee3a409a7b81ec0e1"),
+            (["--op", "hg", "--B", "-2/3", "--realization", "qdil", "--q", "7/6"], "csv",
+             "0feb1d1a258f7a18b87ca69cd1a6eb9fe9b34181d69f15ef2239c658249a36e3"),
+        ],
+        ids=["hf-fd-json", "hf-fd-csv", "hg-fd-json", "hg-fd-csv",
+             "hf-qdil-json", "hf-qdil-csv", "hg-qdil-json", "hg-qdil-csv"],
+    )
+    def test_report_pinned(self, tmp_path, args, fmt, digest):
+        out = tmp_path / f"out.{fmt}"
+        assert main(["stencil", "--p", "5/2", *args, "--format", fmt, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     def test_differential_rejected(self):
         with pytest.raises(SystemExit) as info:
             main(["stencil", "--realization", "diff"])
@@ -227,6 +273,12 @@ class TestVerifyCommand:
             note["id"] for suite in data["suites"] for note in suite["notes"]
         }
         assert {"dilatation-sign", "four-point-constant", "scale-direction"} <= note_ids
+
+    def test_all_csv_pinned(self, tmp_path):
+        out = tmp_path / "out.csv"
+        assert main(["verify", "all", "--format", "csv", "--out", str(out)]) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == "2b6e30e30136d8c0557ef8018fa2714427029bf37b7a6ed39e925ea54d390aeb"
 
     def test_transplant_suite(self, tmp_path):
         code, data = run_json(["verify", "transplant"], tmp_path)
