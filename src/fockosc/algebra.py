@@ -56,7 +56,8 @@ class Poly:
 
     Immutable.  The coefficient tuple never has a trailing zero; the zero
     polynomial has an empty tuple and degree None (an explicit sentinel,
-    so no arithmetic can be done on it by accident).
+    so no arithmetic can be done on it by accident).  `+`, `-`, `scale` and
+    `derivative` spend rational arithmetic only on nonzero coefficients.
     """
 
     __slots__ = ("coeffs",)
@@ -112,19 +113,21 @@ class Poly:
         return hash(self.coeffs)
 
     def __add__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
+        out = list(self.coeffs) + list(other.coeffs[len(self.coeffs) :])
+        for i, c in enumerate(other.coeffs[: len(self.coeffs)]):
+            if c:
+                out[i] += c
         return Poly(out)
 
     def __neg__(self) -> "Poly":
         return Poly([-c for c in self.coeffs])
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+        out = list(self.coeffs) + [-c if c else c for c in other.coeffs[len(self.coeffs) :]]
+        for i, c in enumerate(other.coeffs[: len(self.coeffs)]):
+            if c:
+                out[i] -= c
+        return Poly(out)
 
     def __mul__(self, other: "Poly") -> "Poly":
         if self.is_zero or other.is_zero:
@@ -139,7 +142,7 @@ class Poly:
 
     def scale(self, k: Rat) -> "Poly":
         k = Fraction(k)
-        return Poly([k * c for c in self.coeffs])
+        return Poly([k * c if c else c for c in self.coeffs] if k else ())
 
     def __call__(self, point: Rat) -> Fraction:
         """Evaluate by Horner's rule, exactly."""
@@ -150,7 +153,7 @@ class Poly:
         return acc
 
     def derivative(self) -> "Poly":
-        return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
+        return Poly([i * c if c else c for i, c in enumerate(self.coeffs[1:], 1)])
 
     def shift_arg(self, offset: Rat) -> "Poly":
         """Return f(y + offset), expanded exactly, in O(n^2) integer operations.
@@ -350,28 +353,30 @@ def basis_transplant(
     The input is read in `from_basis`, the same abstract element is
     re-expanded in `to_basis`, and the resulting coefficient vector is
     returned as a Poly.  The round trip from -> to -> from is the identity.
-    Either side with step 0 is the monomial basis and costs nothing.
+    Either side with step 0 is the monomial basis and costs nothing.  Each
+    direction works in place on one list and spends a rational product only
+    where a coefficient and a basis-element coefficient are both nonzero.
     """
-    vec = coeffs if isinstance(coeffs, Poly) else Poly(coeffs)
+    out = list(coeffs.coeffs if isinstance(coeffs, Poly) else Poly(coeffs).coeffs)
     if from_basis.delta != 0:
-        expanded = Poly()
-        for n, c in enumerate(vec.coeffs):
-            if c != 0:
-                expanded = expanded + basis_element(from_basis, n).scale(c)
-        vec = expanded
-    if to_basis.delta == 0:
-        return vec
-    # Each basis element is monic of its degree, so the change of basis is
-    # unitriangular and peeling the leading term top-down is exact and total.
-    out = [Fraction(0)] * len(vec.coeffs)
-    rest = vec
-    while not rest.is_zero:
-        n = rest.degree
-        c = rest.leading
-        out[n] = c
-        rest = rest - basis_element(to_basis, n).scale(c)
-        if not rest.is_zero and rest.degree >= n:
-            raise AssertionError("basis change failed to reduce the degree")
+        vec, out = out, [Fraction(0)] * len(out)
+        for n, c in enumerate(vec):
+            if c:
+                for i, e in enumerate(basis_element(from_basis, n).coeffs):
+                    if e:
+                        out[i] += c * e
+    if to_basis.delta != 0:
+        # Each basis element is monic of its degree, so the change of basis is
+        # unitriangular: peeling top-down leaves coefficient n of the new basis at n.
+        for n in range(len(out) - 1, 0, -1):
+            c = out[n]
+            if c:
+                element = basis_element(to_basis, n).coeffs
+                if len(element) != n + 1 or element[n] != 1:
+                    raise ValueError(f"basis element {n} is not monic of degree {n}")
+                for i, e in enumerate(element[:n]):
+                    if e:
+                        out[i] -= c * e
     return Poly(out)
 
 
@@ -389,11 +394,12 @@ class OperatorMatrix:
     (N+1)x(N+1) view of the part inside P_N.
     """
 
-    __slots__ = ("columns", "basis")
+    __slots__ = ("columns", "basis", "_above")
 
     def __init__(self, columns: Iterable[Poly], basis: QuasiMonomial):
         object.__setattr__(self, "columns", tuple(columns))
         object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "_above", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("OperatorMatrix is immutable")
@@ -408,6 +414,14 @@ class OperatorMatrix:
         return tuple(
             tuple(column.coeff(i) for column in self.columns) for i in range(self.size)
         )
+
+    def _rows_above(self) -> list[list[tuple[int, Fraction]]]:
+        """Row i's nonzero entries (j, M[i][j]) with j > i, listed on the first call."""
+        if self._above is None:
+            rows = [[(j, e) for j, e in enumerate(row[i + 1 :], i + 1) if e]
+                    for i, row in enumerate(self.rows)]
+            object.__setattr__(self, "_above", rows)
+        return self._above
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -440,16 +454,14 @@ def back_substitute(
 
     W is diagonal with entries `weights` (all 1 by default, the plain
     eigenproblem M v = E v); the pencil solver passes w_i = q^(s i).  The
-    matrix must preserve the flag, else NotTriangularError is raised, and
-    M[pivot][pivot] must equal E w_pivot.  The flag check reads all N + 1
-    column lengths, not only the pivot + 1 this solve uses, so a full
-    solve raises NotTriangularError before any degeneracy; it costs
-    O(N) length reads per call, nothing beside the rational arithmetic.
-    Rows above the pivot are solved upward,
-    v_i = sum_(j>i) M[i][j] v_j / (E w_i - M[i][i]); a vanishing divisor
-    raises DegenerateSpectrumError.  The sums are accumulated column by
-    column, and only nonzero entries cost rational arithmetic: a level of
-    a matrix with upper bandwidth b takes O(b * pivot) of it.
+    matrix must preserve the flag, else NotTriangularError is raised (all
+    N + 1 column lengths are read, so a full solve raises it before any
+    degeneracy), and M[pivot][pivot] must equal E w_pivot.  Rows above the
+    pivot are solved upward, v_i = sum_(j>i) (M[i][j] / (E w_i - M[i][i])) v_j,
+    and a vanishing divisor raises DegenerateSpectrumError.  The nonzero
+    entries above the diagonal are listed once per matrix, and only pairs
+    of a nonzero entry and a nonzero v_j cost rational arithmetic: a level
+    of a matrix with upper bandwidth b takes O(b * pivot) of it.
     """
     if not preserves_flag(matrix):
         raise NotTriangularError("matrix does not preserve the flag")
@@ -460,16 +472,14 @@ def back_substitute(
     columns = matrix.columns
     if columns[pivot].coeff(pivot) != eigenvalue * w[pivot]:
         raise ValueError("pivot diagonal entry does not match the eigenvalue")
-    v = [Fraction(0)] * (pivot + 1)
+    rows = matrix._rows_above()
+    v = [Fraction(0)] * matrix.size
     v[pivot] = Fraction(1)
-    rhs = [Fraction(0)] * pivot
-    for j in range(pivot, -1, -1):
-        if j < pivot:
-            denom = eigenvalue * w[j] - columns[j].coeff(j)
-            if denom == 0:
-                raise DegenerateSpectrumError([j, pivot], eigenvalue)
-            v[j] = rhs[j] / denom
-        for i, entry in enumerate(columns[j].coeffs[:j]):
-            if entry:
-                rhs[i] += entry * v[j]
+    for i in range(pivot - 1, -1, -1):
+        denom = eigenvalue * w[i] - columns[i].coeff(i)
+        if denom == 0:
+            raise DegenerateSpectrumError([i, pivot], eigenvalue)
+        terms = [entry / denom * v[j] for j, entry in rows[i] if v[j]]
+        if terms:
+            v[i] = sum(terms[1:], terms[0])
     return Poly(v)

@@ -106,8 +106,7 @@ class FiniteDifference(Realization):
         return QuasiMonomial(self.delta)
 
     def lower(self, f: Poly) -> Poly:
-        inv = 1 / self.delta
-        return Poly([(a - b) * inv for a, b in zip(f.shift_arg(self.delta).coeffs, f.coeffs)])
+        return (f.shift_arg(self.delta) - f).scale(1 / self.delta)
 
     def raise_(self, f: Poly) -> Poly:
         return super().raise_(f.shift_arg(-self.delta))
@@ -133,16 +132,15 @@ class QDilatation(Realization):
         object.__setattr__(self, "q", Fraction(self.q))
         if self.q in (0, 1):
             raise ValueError("dilatation parameter must differ from 0 and 1")
+        object.__setattr__(self, "_brackets", [Fraction(0)])  # {0}, {1}, ...; {k+1} = q {k} + 1
 
     def lower(self, f: Poly) -> Poly:
-        # D_q y^k = {k} y^(k-1), with {k} = {k-1} + q^(k-1) kept running.
-        out = []
-        bracket, power = Fraction(0), Fraction(1)
-        for c in f.coeffs[1:]:
-            bracket += power
-            power *= self.q
-            out.append(bracket * c)
-        return Poly(out)
+        # D_q y^k = {k} y^(k-1).  {k} comes from this realization's table, kept
+        # apart from the reference's {n}; only nonzero coefficients cost a product.
+        table = self._brackets
+        while len(table) < len(f.coeffs):
+            table.append(table[-1] * self.q + 1)
+        return Poly([table[k] * c if c else c for k, c in enumerate(f.coeffs[1:], 1)])
 
     def to_json(self) -> dict:
         return {"kind": "qdil", "q": rat_str(self.q)}

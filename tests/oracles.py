@@ -7,6 +7,7 @@ shares no code path with the implementation it checks:
 * the action of an element on the vacuum representation P(b)|0>;
 * matrix-vector products row by row over the dense view of a matrix;
 * argument shifts by expanding every power (y + a)^j;
+* quasi-monomial coefficients by Newton's forward differences;
 * Laguerre polynomials from the three-term recurrence;
 * Hermite polynomials from the explicit factorial formula.
 """
@@ -91,6 +92,21 @@ def shift_by_powers(f: Poly, offset: Fraction) -> Poly:
         if c != 0:
             out = out + power.scale(c)
         power = power * shifted
+    return out
+
+
+def newton_coefficients(f: Poly, d: Fraction) -> list[Fraction]:
+    """Coefficients of f in the basis 1, y, y(y-d), y(y-d)(y-2d), ...
+
+    Newton's forward-difference formula: coefficient n is
+    Delta_d^n f(0) / (n! d^n), read off the values f(0), f(d), ..., f(n d)
+    alone, each a plain sum of c_j x^j; no basis element is expanded.
+    """
+    values = [sum(c * (k * d) ** j for j, c in enumerate(f.coeffs)) for k in range(len(f.coeffs))]
+    out = []
+    for n in range(len(values)):
+        out.append(Fraction(values[0]) / (factorial(n) * d**n))
+        values = [b - a for a, b in zip(values, values[1:])]
     return out
 
 

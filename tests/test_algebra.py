@@ -18,7 +18,7 @@ from fockosc.algebra import (
     basis_transplant,
     rat_str,
 )
-from oracles import dense_apply, shift_by_powers
+from oracles import dense_apply, newton_coefficients, shift_by_powers
 
 rationals = st.fractions(
     min_value=-100, max_value=100, max_denominator=50
@@ -27,6 +27,9 @@ rationals = st.fractions(
 coeff_lists = st.integers(0, 20).flatmap(
     lambda n: st.lists(rationals, min_size=n + 1, max_size=n + 1)
 )
+# Coefficients that are zero about half the time, and three times in four.
+half_zero = st.one_of(st.just(F(0)), rationals)
+mostly_zero = st.tuples(st.integers(0, 3), rationals).map(lambda t: t[1] if t[0] == 0 else F(0))
 
 
 class TestRational:
@@ -175,6 +178,31 @@ class TestLaurentPolyOracle:
         assert padded.is_zero == (not nonzero)
 
 
+class TestPolyZeroHeavy:
+    """Poly operations on mostly-zero coefficient lists against sympy."""
+
+    @staticmethod
+    def sym_poly(p: Poly) -> sp.Expr:
+        return sym_laurent(dict(enumerate(p.coeffs)))
+
+    @given(
+        st.lists(mostly_zero, max_size=16),
+        st.lists(mostly_zero, max_size=16),
+        st.one_of(st.just(F(0)), st.just(F(1)), rationals),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_operations_match_sympy(self, a_coeffs, b_coeffs, k):
+        a, b = Poly(a_coeffs), Poly(b_coeffs)
+        sa, sb = self.sym_poly(a), self.sym_poly(b)
+        assert same_as(dict(enumerate((a + b).coeffs)), sa + sb)
+        assert same_as(dict(enumerate((a - b).coeffs)), sa - sb)
+        assert same_as(dict(enumerate(a.scale(k).coeffs)), sym(k) * sa)
+        assert same_as(dict(enumerate(a.derivative().coeffs)), sp.diff(sa, y))
+        assert a.scale(0) == Poly() and a - a == Poly()
+        for result in (a + b, a - b, a.scale(k), a.derivative()):
+            assert not result.coeffs or result.coeffs[-1] != 0
+
+
 class TestQuasiMonomial:
     def test_empty_product(self):
         assert basis_element(QuasiMonomial(1), 0) == Poly.one()
@@ -269,6 +297,23 @@ class TestBasisTransplant:
         forward = basis_transplant(coeffs, QuasiMonomial(d1), QuasiMonomial(d2))
         back = basis_transplant(forward, QuasiMonomial(d2), QuasiMonomial(d1))
         assert back == Poly(coeffs)
+
+    @given(
+        st.lists(half_zero, max_size=13),
+        st.sampled_from([sign * d for sign in (1, -1) for d in (F(1), F(1, 2), F(1, 3), F(7, 5))]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_newton_forward_differences(self, coeffs, delta):
+        # The oracle reads only values of f on the grid 0, d, 2d, ...
+        f = Poly(coeffs)
+        expected = Poly(newton_coefficients(f, delta))
+        assert basis_transplant(f, QuasiMonomial(0), QuasiMonomial(delta)) == expected
+        assert basis_transplant(expected, QuasiMonomial(delta), QuasiMonomial(0)) == f
+
+    def test_non_monic_basis_element_rejected(self, monkeypatch):
+        monkeypatch.setattr("fockosc.algebra.basis_element", lambda basis, n: Poly.monomial(n, 2))
+        with pytest.raises(ValueError, match="basis element 1 is not monic of degree 1"):
+            basis_transplant([0, 1], QuasiMonomial(0), QuasiMonomial(F(1)))
 
 
 class TestBackSubstitute:

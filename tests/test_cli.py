@@ -14,6 +14,76 @@ def run_json(args, tmp_path, name="out.json"):
     return code, json.loads(out.read_text(encoding="utf-8"))
 
 
+# `spectrum` reports pinned byte for byte at p = 5/2 and N = 16: both
+# operators (hg with B = -2/3) under diff, fd(1/3) and qdil(7/6), plain, and
+# for the monomial basis also scaled with s = -1 and s = 2.
+SPECTRUM_OPS = {"hf": ["--op", "hf"], "hg": ["--op", "hg", "--B", "-2/3"]}
+SPECTRUM_REALIZATIONS = {
+    "diff": ["--realization", "diff"],
+    "fd": ["--realization", "fd", "--delta", "1/3"],
+    "qdil": ["--realization", "qdil", "--q", "7/6"],
+}
+SPECTRUM_RHS = {"plain": [], "s-1": ["--rhs", "scaled", "--s", "-1"], "s2": ["--rhs", "scaled", "--s", "2"]}
+SPECTRUM_PINS = {
+    ("hf", "diff", "plain", "json"):
+        "df63892ad1ee9b3a33a374887e3ab1f0dce655e74d9f488a1ec78abbf10e162f",
+    ("hf", "diff", "plain", "csv"):
+        "bad0adfdc86ca1c9a3a268bbf8306c0619ddf445f6e24bb916eb945e8347b1b0",
+    ("hf", "diff", "s-1", "json"):
+        "e45603477d5c610da755ecb6025a9be770dd50f198c6a796161602e9a3baf6d3",
+    ("hf", "diff", "s-1", "csv"):
+        "bad0adfdc86ca1c9a3a268bbf8306c0619ddf445f6e24bb916eb945e8347b1b0",
+    ("hf", "diff", "s2", "json"):
+        "78da29355e2a67e3d772e88659feefa8ca161a37b37b5d2dccfe122cc073b6e5",
+    ("hf", "diff", "s2", "csv"):
+        "bad0adfdc86ca1c9a3a268bbf8306c0619ddf445f6e24bb916eb945e8347b1b0",
+    ("hf", "fd", "plain", "json"):
+        "859eaa058789ef0d451a163d9ce8364aadafe65f566bc90c487feeccaeac0b26",
+    ("hf", "fd", "plain", "csv"):
+        "bad0adfdc86ca1c9a3a268bbf8306c0619ddf445f6e24bb916eb945e8347b1b0",
+    ("hf", "qdil", "plain", "json"):
+        "d3e4a1db9802ba1802fef27222c034e69e5395178ae267def27a3e64d85909e6",
+    ("hf", "qdil", "plain", "csv"):
+        "dbb184b5f60325991157c67b84cf1f323d3dac291af1e40383fdf0492dac3708",
+    ("hf", "qdil", "s-1", "json"):
+        "ffd34202e155db78e2b1c932b4c9ffbab6d5fd4be6ec0542cd09a0cf3c98a813",
+    ("hf", "qdil", "s-1", "csv"):
+        "20e3f7115cf8e7d7c9d4ad78e34c383c2e555745ee04914772ae7a0893c7b4f6",
+    ("hf", "qdil", "s2", "json"):
+        "8b397a43b1216102de3c2af0ebef5f47427dded844a28dbaf94a238f63a551d5",
+    ("hf", "qdil", "s2", "csv"):
+        "44bd2c2e3ef607d24db36bc370d2c7f2f2a9f72ab6722f27e11d05f246e95a50",
+    ("hg", "diff", "plain", "json"):
+        "80031df8395ad440ff3bf0e932ff993d0adcdcda97cde6be2a4270297d86e168",
+    ("hg", "diff", "plain", "csv"):
+        "216c72a9f3d28754e8ddf30396706c1f1f225a8961490dff24a2264e36829a39",
+    ("hg", "diff", "s-1", "json"):
+        "a08bfaf1ff159fcfea5b41e27f2a54eb0018b694f8f4c93388f4b7b4f40c937c",
+    ("hg", "diff", "s-1", "csv"):
+        "216c72a9f3d28754e8ddf30396706c1f1f225a8961490dff24a2264e36829a39",
+    ("hg", "diff", "s2", "json"):
+        "bee7c771792975ab28f93b885ac3d8c24ed62caa23a4f23085a85e21b956dde7",
+    ("hg", "diff", "s2", "csv"):
+        "216c72a9f3d28754e8ddf30396706c1f1f225a8961490dff24a2264e36829a39",
+    ("hg", "fd", "plain", "json"):
+        "39423c1b15daad7e0982964e22937f98735d897575178bc616931bd6ebec9ed8",
+    ("hg", "fd", "plain", "csv"):
+        "216c72a9f3d28754e8ddf30396706c1f1f225a8961490dff24a2264e36829a39",
+    ("hg", "qdil", "plain", "json"):
+        "3dbd682ad4250b1049d57d0adedd1ef3aa54c529a67e4a75825e882c3e9b0553",
+    ("hg", "qdil", "plain", "csv"):
+        "1eaea2294b80b5fc31f449c31455753bc57f7e64ef9951d2d5392b0d5c2b56a9",
+    ("hg", "qdil", "s-1", "json"):
+        "1e79b080b113046b2441e227d3788bf5a02769dcf6c6d3c6c22c494c2d6d2be8",
+    ("hg", "qdil", "s-1", "csv"):
+        "ea756e0f25055f7c1b9f09d69073b5127491247b18853fd0e76429c5c8580b09",
+    ("hg", "qdil", "s2", "json"):
+        "e84011208f99d0c7f36d3fbcedb4adc5b1e71f059afea9e45cee36d2d1d890ee",
+    ("hg", "qdil", "s2", "csv"):
+        "53e8c3a6847bf551291bc7216fe215f5ddbe897e34b2cb6a84ee785dd65781ea",
+}
+
+
 class TestSpectrumCommand:
     def test_classic_small(self, tmp_path):
         code, data = run_json(
@@ -173,6 +243,14 @@ class TestSpectrumCommand:
             main(args + ["--out", out])
         assert info.value.code == 2
         assert f"fockosc: error: cannot write --out {out}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", list(SPECTRUM_PINS), ids="-".join)
+    def test_report_pinned(self, tmp_path, key):
+        op, realization, rhs, fmt = key
+        out = tmp_path / f"out.{fmt}"
+        args = [*SPECTRUM_OPS[op], "--p", "5/2", *SPECTRUM_REALIZATIONS[realization], "--N", "16"]
+        assert main(["spectrum", *args, *SPECTRUM_RHS[rhs], "--format", fmt, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == SPECTRUM_PINS[key]
 
     def test_stdout_default(self, capsys):
         code = main(["spectrum", "--realization", "diff", "--N", "2"])

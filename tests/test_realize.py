@@ -473,6 +473,35 @@ class TestApplyOpSympyOracle:
             assert pure_stencil.terms == ((0, LaurentPoly({3: -2, 1: F(1, 3)})),)
 
 
+# Polynomials whose coefficients are zero three times in four.
+mostly_zero_polys = st.lists(
+    st.tuples(st.integers(0, 3), small_rationals).map(lambda t: t[1] if t[0] == 0 else F(0)),
+    max_size=16,
+).map(Poly)
+
+
+def sympy_poly(f: Poly) -> sp.Expr:
+    return sum((sympy_rational(a) * Y**j for j, a in enumerate(f.coeffs)), sp.Integer(0))
+
+
+def poly_of_sympy(e: sp.Expr) -> Poly:
+    return Poly([F(int(a.p), int(a.q)) for a in sp.Poly(sp.expand(e), Y).all_coeffs()[::-1]])
+
+
+class TestZeroHeavyLowering:
+    @given(st.lists(mostly_zero_polys, min_size=2, max_size=2),
+           st.sampled_from([F(-1), F(2), F(1, 3), F(-6, 7)]))
+    @settings(max_examples=60, deadline=None)
+    def test_lower_matches_sympy(self, fs, q):
+        # One QDilatation lowers both polynomials, so its {k} table is read
+        # again and grown; at q = -1, {2} = 0.
+        r = QDilatation(q)
+        for f in fs:
+            e = sympy_poly(f)
+            assert Differential().lower(f) == poly_of_sympy(sp.diff(e, Y))
+            assert r.lower(f) == poly_of_sympy(sympy_lower(e, r))
+
+
 class TestStencilMatrixProperty:
     @given(st.data())
     @settings(max_examples=60, deadline=None)

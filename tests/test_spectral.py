@@ -205,27 +205,44 @@ nonzero_rationals = small_rationals.filter(lambda x: x != 0)
 
 
 @st.composite
-def flag_pencils(draw):
-    """A flag-preserving matrix with a full upper triangle and its pencil (s, q).
+def flag_pencils(draw, entries=nonzero_rationals):
+    """A flag-preserving matrix and its pencil (s, q).
 
-    The diagonal is E_n q^(s n) for distinct E_n, so the pencil has the
-    eigenvalues E_n.
+    The upper triangle is drawn from `entries`; the default fills all of
+    it.  The diagonal is E_n q^(s n) for distinct E_n, so the pencil has
+    the eigenvalues E_n.
     """
     size = draw(st.integers(1, 8))
     q = draw(nonzero_rationals)
     s = draw(st.sampled_from([-2, -1, 1, 2]))
     eigenvalues = draw(st.lists(small_rationals, min_size=size, max_size=size, unique=True))
     columns = [
-        Poly(draw(st.lists(nonzero_rationals, min_size=j, max_size=j)) + [e * q ** (s * j)])
+        Poly(draw(st.lists(entries, min_size=j, max_size=j)) + [e * q ** (s * j)])
         for j, e in enumerate(eigenvalues)
     ]
     return OperatorMatrix(columns, QuasiMonomial(0)), s, q, eigenvalues
+
+
+# Upper-triangle entries that are zero three times in four, so rows with no
+# entry, single entries and vanishing v_j all occur.
+zero_heavy_entries = st.tuples(st.integers(0, 3), nonzero_rationals).map(
+    lambda t: t[1] if t[0] == 0 else F(0)
+)
 
 
 class TestSolverProperty:
     @given(flag_pencils())
     @settings(max_examples=80, deadline=None)
     def test_every_eigenpoly_solves_the_pencil(self, pencil):
+        self.check_pencil(pencil)
+
+    @given(flag_pencils(zero_heavy_entries))
+    @settings(max_examples=80, deadline=None)
+    def test_zero_heavy_triangle_solves_the_pencil(self, pencil):
+        self.check_pencil(pencil)
+
+    @staticmethod
+    def check_pencil(pencil):
         # M v = E W v, with W = diag(q^(s i)), checked by a dense product
         # over every entry rather than by the solver's own loop.
         matrix, s, q, eigenvalues = pencil
