@@ -36,8 +36,6 @@ from .realize import (
     Differential,
     FiniteDifference,
     QDilatation,
-    Realization,
-    Stencil,
     UnsupportedDegreeError,
     apply_op,
     heisenberg_residual,
@@ -45,7 +43,6 @@ from .realize import (
     stencil_of,
 )
 from .spectral import (
-    SpectralReport,
     eigensolve_flag,
     isospectral_compare,
     pencil_solve,

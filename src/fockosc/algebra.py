@@ -416,10 +416,13 @@ class OperatorMatrix:
         )
 
     def _rows_above(self) -> list[list[tuple[int, Fraction]]]:
-        """Row i's nonzero entries (j, M[i][j]) with j > i, listed on the first call."""
+        """Row i's nonzero entries (j, M[i][j]), j > i ascending, read from the columns once."""
         if self._above is None:
-            rows = [[(j, e) for j, e in enumerate(row[i + 1 :], i + 1) if e]
-                    for i, row in enumerate(self.rows)]
+            rows = [[] for _ in self.columns]
+            for j, column in enumerate(self.columns):
+                for i, e in enumerate(column.coeffs[:j]):
+                    if e:
+                        rows[i].append((j, e))
             object.__setattr__(self, "_above", rows)
         return self._above
 

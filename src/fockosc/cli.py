@@ -16,7 +16,6 @@ import json
 import re
 import sys
 from fractions import Fraction
-from itertools import accumulate
 
 from .algebra import DegenerateSpectrumError, LaurentPoly, rat_str
 from .fock import FockPoly, build_hf, build_hg
@@ -34,6 +33,7 @@ from .spectral import (
     eigensolve_flag,
     pencil_solve,
     reference_label,
+    reference_spectrum,
 )
 from .verify import SUITES, VerifyReport, run_all, run_suite
 
@@ -188,9 +188,7 @@ def cmd_spectrum(parser: argparse.ArgumentParser, args) -> int:
             )
         return 1
 
-    # -4 {n} q^(-sn) for n = 0..N in one pass, with {n} = q {n-1} + 1 kept running.
-    brackets = accumulate(range(args.N), lambda b, _: b * q + 1, initial=Fraction(0))
-    reference = [-4 * b * q ** (-s * n) for n, b in enumerate(brackets)]
+    reference = reference_spectrum(args.N + 1, q, s)
     match = list(report.eigenvalues) == reference
 
     if args.format == "json":

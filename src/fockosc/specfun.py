@@ -1,8 +1,8 @@
 """Classical polynomial families and the weighted-state eigenchecks.
 
 Hermite polynomials use the physicists' convention; associated Laguerre
-polynomials come from the explicit coefficient formula with a
-generalized (rational-argument) binomial, so half-integer superscripts
+polynomials come from the running ratio of consecutive coefficients of
+the explicit formula, in exact rationals, so half-integer superscripts
 are exact.  The "modified" Laguerre family transplants the Laguerre
 coefficients onto quasi-monomials.
 
@@ -41,26 +41,20 @@ class NotProportionalError(ValueError):
     """Two polynomials expected to be proportional are not."""
 
 
-def _binomial(top: Fraction, k: int) -> Fraction:
-    """Generalized binomial coefficient C(top, k) for rational top."""
-    num = Fraction(1)
-    for i in range(k):
-        num *= top - i
-    return num / factorial(k)
-
-
 def laguerre(n: int, alpha: Rat) -> Poly:
     """Associated Laguerre polynomial L_n^(alpha) from the explicit formula.
 
-    Coefficient of y^l is (-1)^l * C(n + alpha, n - l) / l!.
+    Coefficient c_l of y^l is (-1)^l * C(n + alpha, n - l) / l!, stepped down
+    from c_n = (-1)^n / n! by the 1F1 term ratio c_(l-1) = -c_l * l * (alpha + l)
+    / (n - l + 1).  The divisor is never 0, and alpha = -k zeroes c_(k-1) and below.
     """
     if n < 0:
         raise ValueError("Laguerre index must be non-negative")
     alpha = Fraction(alpha)
-    coeffs = [
-        (-1) ** l * _binomial(n + alpha, n - l) / factorial(l) for l in range(n + 1)
-    ]
-    return Poly(coeffs)
+    coeffs = [Fraction((-1) ** n, factorial(n))]
+    for l in range(n, 0, -1):
+        coeffs.append(-coeffs[-1] * l * (alpha + l) / (n - l + 1))
+    return Poly(reversed(coeffs))
 
 
 def hermite(k: int) -> Poly:

@@ -28,14 +28,19 @@ from .algebra import (
 from .fock import q_number
 
 
-def reference_spectrum(n: int, q: Rat = 1, s: int = 0) -> Fraction:
-    """Reference eigenvalue -4 {n} q^(-s n) at level n.
+def reference_spectrum(count: int, q: Rat = 1, s: int = 0) -> list[Fraction]:
+    """Reference eigenvalues -4 {n} q^(-s n) for n < count, in one pass with {n} running.
 
     s = 0 is the plain problem H f = E f and s != 0 the scaled right-hand
     side H f = E f(q^s .); at q = 1 every family is -4n.
     """
     q = Fraction(q)
-    return -4 * q_number(n, q) * q ** (-s * n)
+    step = q**-s
+    values, bracket, weight = [], Fraction(0), Fraction(1)
+    for _ in range(count):
+        values.append(-4 * bracket * weight)
+        bracket, weight = bracket * q + 1, weight * step
+    return values
 
 
 def reference_label(q: Rat, s: int) -> str:

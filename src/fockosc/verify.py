@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import Poly, QuasiMonomial, basis_transplant, rat_str
+from .algebra import OperatorMatrix, Poly, QuasiMonomial, basis_transplant, rat_str
 from .fock import FockPoly, build_hf, build_hg, casimir_value, commutator, sl2_generators
 from .realize import (
     Differential,
@@ -148,13 +148,11 @@ def suite_heisenberg() -> VerifyReport:
     realizations: list[Realization] = [Differential()]
     realizations += [FiniteDifference(d) for d in DELTA_GRID]
     realizations += [QDilatation(q) for q in Q_BRACKET_GRID]
+    rng = random.Random(RANDOM_SEED)
+    polys = [_random_poly(rng) for _ in range(RESIDUAL_COUNT)]
     cases = []
     for r in realizations:
-        rng = random.Random(RANDOM_SEED)
-        zero = 0
-        for _ in range(RESIDUAL_COUNT):
-            if heisenberg_residual(r, _random_poly(rng)).is_zero:
-                zero += 1
+        zero = sum(heisenberg_residual(r, f).is_zero for f in polys)
         cases.append(
             _case(
                 f"bracket-{r.label}",
@@ -233,7 +231,7 @@ def _values_string(values) -> str:
 
 
 def _reference_string(count: int, q: Fraction = Fraction(1), s: int = 0) -> str:
-    return _values_string(reference_spectrum(n, q, s) for n in range(count))
+    return _values_string(reference_spectrum(count, q, s))
 
 
 def _comparison_case(name: str, inputs: dict, a: SpectralReport, b: SpectralReport) -> Case:
@@ -269,27 +267,36 @@ def suite_spectrum() -> VerifyReport:
     return VerifyReport("spectrum", tuple(cases), (NOTE_DILATATION_SIGN,))
 
 
-def suite_isospectral() -> VerifyReport:
-    """Eigenvalue equality across realizations and the four-point structure."""
-    cases = []
-    diff_reports = {}
+def _hf_grid() -> dict[tuple[Fraction, Fraction], tuple[OperatorMatrix, SpectralReport]]:
+    """Each hf matrix at N = 16 with its solve: diff keyed (p, 0), fd keyed (p, d).
+
+    Every matrix is realized on its own, so suites sharing the grid still
+    compare independent computations.
+    """
+    grid = {}
     for p in P_GRID:
-        diff_report = eigensolve_flag(realize_matrix(build_hf(p), Differential(), 16))
-        diff_reports[p] = diff_report
+        for d, r in [(0, Differential())] + [(d, FiniteDifference(d)) for d in DELTA_GRID]:
+            matrix = realize_matrix(build_hf(p), r, 16)
+            grid[p, d] = (matrix, eigensolve_flag(matrix))
+    return grid
+
+
+def suite_isospectral(grid: dict | None = None) -> VerifyReport:
+    """Eigenvalue equality across realizations and the four-point structure."""
+    grid = _hf_grid() if grid is None else grid
+    cases = []
+    for p in P_GRID:
         for d in DELTA_GRID:
-            fd_report = eigensolve_flag(
-                realize_matrix(build_hf(p), FiniteDifference(d), 16)
-            )
             cases.append(
                 _comparison_case(
                     f"diff-vs-fd p={rat_str(p)} delta={rat_str(d)}",
                     {"p": rat_str(p), "delta": rat_str(d), "N": 16},
-                    diff_report,
-                    fd_report,
+                    grid[p, 0][1],
+                    grid[p, d][1],
                 )
             )
     for p in (Fraction(0), Fraction(1)):
-        hf_report = diff_reports[p]
+        hf_report = grid[p, 0][1]
         for big_b in B_GRID:
             hg = build_hg(p, big_b)
             hg_report = eigensolve_flag(realize_matrix(hg, Differential(), 16))
@@ -373,13 +380,15 @@ def suite_isospectral() -> VerifyReport:
     )
 
 
-def suite_transplant() -> VerifyReport:
+def suite_transplant(grid: dict | None = None) -> VerifyReport:
     """Coefficient transplants: matrices match and eigenfunctions carry over."""
+    grid = _hf_grid() if grid is None else grid
     cases = []
     for p in P_GRID:
-        diff_matrix = realize_matrix(build_hf(p), Differential(), 16)
+        diff_matrix = grid[p, 0][0]
+        alpha = p - Fraction(1, 2)
         for d in DELTA_GRID:
-            fd_matrix = realize_matrix(build_hf(p), FiniteDifference(d), 16)
+            fd_matrix, fd_report = grid[p, d]
             same = fd_matrix.columns == diff_matrix.columns
             cases.append(
                 _case(
@@ -390,14 +399,11 @@ def suite_transplant() -> VerifyReport:
                     same,
                 )
             )
-            fd_report = eigensolve_flag(fd_matrix)
-            alpha = p - Fraction(1, 2)
-            ok = True
-            for n, entry in enumerate(fd_report.entries):
-                expanded = basis_transplant(entry.eigenpoly, QuasiMonomial(d), QuasiMonomial(0))
-                if expanded != modified_laguerre(n, alpha, d).monic():
-                    ok = False
-                    break
+            family = [modified_laguerre(n, alpha, d) for n in range(len(fd_report.entries))]
+            ok = all(
+                basis_transplant(entry.eigenpoly, QuasiMonomial(d), QuasiMonomial(0)) == f.monic()
+                for entry, f in zip(fd_report.entries, family)
+            )
             cases.append(
                 _case(
                     f"modified-laguerre p={rat_str(p)} delta={rat_str(d)}",
@@ -408,12 +414,7 @@ def suite_transplant() -> VerifyReport:
                 )
             )
             stencil = stencil_of(build_hf(p), FiniteDifference(d))
-            ok = True
-            for n in range(11):
-                candidate = modified_laguerre(n, alpha, d)
-                if stencil.apply(candidate) != candidate.scale(-4 * n):
-                    ok = False
-                    break
+            ok = all(stencil.apply(f) == f.scale(-4 * n) for n, f in enumerate(family[:11]))
             cases.append(
                 _case(
                     f"stencil-eigenfunction p={rat_str(p)} delta={rat_str(d)}",
@@ -524,4 +525,6 @@ def run_suite(name: str) -> VerifyReport:
 
 
 def run_all() -> list[VerifyReport]:
-    return [SUITES[name]() for name in SUITES]
+    """Every suite in order; the hf grid that two of them share is built once per call."""
+    grid = _hf_grid()
+    return [SUITES[n](grid) if n in ("isospectral", "transplant") else SUITES[n]() for n in SUITES]

@@ -20,7 +20,7 @@ from fockosc.specfun import (
 )
 from oracles import hermite_explicit, laguerre_recurrence
 
-ALPHAS = [F(-1, 2), F(1, 2), F(2), F(7, 3)]
+ALPHAS = [F(-1, 2), F(1, 2), F(2), F(7, 3), F(-1), F(-3)]
 
 
 class TestLaguerre:

@@ -259,16 +259,16 @@ class TestSolverProperty:
 
 class TestReferenceSpectrum:
     def test_classic(self):
-        assert reference_spectrum(5) == -20
+        assert reference_spectrum(6) == [0, -4, -8, -12, -16, -20]
 
     def test_deformed(self):
-        assert reference_spectrum(2, F(1, 3)) == F(-16, 3)
+        assert reference_spectrum(3, F(1, 3))[2] == F(-16, 3)
 
     def test_scaled_once(self):
-        assert reference_spectrum(2, 2, -1) == -48
+        assert reference_spectrum(3, 2, -1)[2] == -48
 
     def test_scaled_twice(self):
-        assert reference_spectrum(1, 3, -2) == -36
+        assert reference_spectrum(2, 3, -2)[1] == -36
 
     @pytest.mark.parametrize(
         "q, s, label",

@@ -1,8 +1,9 @@
 import pytest
 
 from fockosc import verify
+from fockosc.algebra import OperatorMatrix, Poly
 from fockosc.fock import build_hf
-from fockosc.realize import Differential, realize_matrix
+from fockosc.realize import Differential, FiniteDifference, realize_matrix
 from fockosc.verify import SUITES, run_suite
 
 
@@ -58,3 +59,48 @@ def test_kratzer_suite_records_spacing_note():
     report = run_suite("kratzer")
     assert report.passed
     assert any(note.note_id == "inverse-square-spacing" for note in report.notes)
+
+
+def test_run_all_matches_each_suite_alone():
+    """The grid run_all shares gives the same cases as each suite building its own."""
+    assert verify.run_all() == [run_suite(name) for name in SUITES]
+
+
+def test_run_all_realizes_each_fd_matrix_once(monkeypatch):
+    """Once per call: the second run_all realizes its own grid again."""
+    seen = []
+    original = verify.realize_matrix
+
+    def counted(h, r, n):
+        seen.append(r)
+        return original(h, r, n)
+
+    monkeypatch.setattr(verify, "realize_matrix", counted)
+    verify.run_all()
+    assert sum(isinstance(r, FiniteDifference) for r in seen) == 9
+    seen.clear()
+    verify.run_all()
+    assert sum(isinstance(r, FiniteDifference) for r in seen) == 9
+
+
+def test_matrix_transplant_compares_separate_matrices(monkeypatch):
+    """A wrong entry above the diagonal of every fd matrix fails every transplant case."""
+    original = verify.realize_matrix
+
+    def perturbed(h, r, n):
+        matrix = original(h, r, n)
+        if not isinstance(r, FiniteDifference):
+            return matrix
+        columns = list(matrix.columns)
+        columns[2] = columns[2] + Poly([1])
+        return OperatorMatrix(columns, matrix.basis)
+
+    monkeypatch.setattr(verify, "realize_matrix", perturbed)
+    cases = [
+        case
+        for report in verify.run_all()
+        for case in report.cases
+        if case.case.startswith("matrix-transplant")
+    ]
+    assert len(cases) == 9
+    assert not any(case.passed for case in cases)
