@@ -345,9 +345,7 @@ def basis_element(basis: QuasiMonomial, n: int) -> Poly:
     return _quasi_monomial(basis.delta, n)
 
 
-def basis_transplant(
-    coeffs: Sequence[Rat] | Poly, from_basis: QuasiMonomial, to_basis: QuasiMonomial
-) -> Poly:
+def basis_transplant(coeffs: Poly, from_basis: QuasiMonomial, to_basis: QuasiMonomial) -> Poly:
     """Reinterpret a coefficient vector from one basis in another.
 
     The input is read in `from_basis`, the same abstract element is
@@ -357,7 +355,7 @@ def basis_transplant(
     direction works in place on one list and spends a rational product only
     where a coefficient and a basis-element coefficient are both nonzero.
     """
-    out = list(coeffs.coeffs if isinstance(coeffs, Poly) else Poly(coeffs).coeffs)
+    out = list(coeffs.coeffs)
     if from_basis.delta != 0:
         vec, out = out, [Fraction(0)] * len(out)
         for n, c in enumerate(vec):

@@ -41,13 +41,37 @@ from .verify import SUITES, VerifyReport, run_all, run_suite
 # Largest accepted --N.  A qdil report grows like N^4; README
 # "Conventions and limitations" gives its measured cost at this cap.
 MAX_N = 128
+# Largest numerator or denominator, in absolute value, of a rational option.
+MAX_HEIGHT = 2**64 - 1
+# A qdil coefficient has about N^2 log2 H(q) bits, H(q) = max(|num|, den), so
+# --N and --q are bounded together, exactly: H(q)^(N^2) <= 7^(MAX_N^2).
+QDIL_BUDGET = 7 ** (MAX_N * MAX_N)
+LIMITS = (
+    "Rational options take a numerator and denominator of at most 2^64 - 1 "
+    "in absolute value, and a decimal exponent of at most 4 digits."
+)
+QDIL_LIMIT = (
+    f"A qdil spectrum needs N^2 log2 H(q) <= {MAX_N}^2 log2 7 (about 45996), "
+    f"where H(q) = max(|numerator|, denominator)."
+)
+# Fraction builds 10**exponent before the height can be read.
+_LONG_EXPONENT = re.compile(r"e[-+]?0*[1-9]\d{4}", re.IGNORECASE)
+
+
+def _height(value: Fraction) -> int:
+    return max(abs(value.numerator), value.denominator)
 
 
 def _rational(text: str) -> Fraction:
+    if _LONG_EXPONENT.search(text.replace("_", "")):
+        raise argparse.ArgumentTypeError(f"{text!r} has a longer exponent than allowed. {LIMITS}")
     try:
-        return Fraction(text)
+        value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
+    if _height(value) > MAX_HEIGHT:
+        raise argparse.ArgumentTypeError(f"{text!r} is over the height cap. {LIMITS}")
+    return value
 
 
 def _fock_json(element: FockPoly) -> list[dict]:
@@ -316,7 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=["json", "csv"], default="json")
         p.add_argument("--out", default=None, help="output path (default stdout)")
 
-    spectrum = sub.add_parser("spectrum", help="eigenvalues and eigenpolynomials")
+    spectrum = sub.add_parser("spectrum", help="eigenvalues and eigenpolynomials",
+                              epilog=f"{LIMITS} {QDIL_LIMIT}")
     add_common(spectrum, list(REALIZATIONS))
     spectrum.add_argument("--N", type=int, default=12,
                           help=f"flag dimension, 0 to {MAX_N} (default 12)")
@@ -325,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     spectrum.add_argument("--s", type=int, choices=[-2, -1, 1, 2], default=-1,
                           help="scale power for --rhs scaled")
 
-    stencil = sub.add_parser("stencil", help="explicit multi-point coefficients")
+    stencil = sub.add_parser("stencil", help="explicit multi-point coefficients", epilog=LIMITS)
     add_common(stencil, ["fd", "qdil"])
 
     verify = sub.add_parser("verify", help="run a named verification suite")
@@ -366,6 +391,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "spectrum":
         if not 0 <= args.N <= MAX_N:
             parser.error(f"--N must be between 0 and {MAX_N}, got {args.N}")
+        if args.realization == "qdil" and _height(args.q) ** (args.N**2) > QDIL_BUDGET:
+            parser.error(f"--q {rat_str(args.q)} at --N {args.N} is over the budget. {QDIL_LIMIT}")
         return cmd_spectrum(parser, args)
     if args.command == "stencil":
         return cmd_stencil(parser, args)

@@ -206,12 +206,12 @@ class SL2Generators(NamedTuple):
     jminus: FockPoly
 
 
-def sl2_generators(n: Rat, q: Rat = 1) -> SL2Generators:
-    """Raising/Cartan/lowering triple for the representation label n."""
+def sl2_generators(n: Rat) -> SL2Generators:
+    """Raising/Cartan/lowering triple for the representation label n, undeformed (q = 1)."""
     n = Fraction(n)
-    jplus = FockPoly({(2, 1): 1, (1, 0): -n}, q)
-    jzero = FockPoly({(1, 1): 1, (0, 0): -n / 2}, q)
-    jminus = FockPoly.a(q)
+    jplus = FockPoly({(2, 1): 1, (1, 0): -n})
+    jzero = FockPoly({(1, 1): 1, (0, 0): -n / 2})
+    jminus = FockPoly.a()
     return SL2Generators(jplus, jzero, jminus)
 
 
@@ -226,7 +226,7 @@ def casimir_value(n: Rat) -> CasimirValue:
     non-identity word must cancel, otherwise the ordering engine is
     broken and NotScalarError is raised.  The value is -(n/2)(n/2 + 1).
     """
-    gens = sl2_generators(n, q=1)
+    gens = sl2_generators(n)
     anti = gens.jplus * gens.jminus + gens.jminus * gens.jplus
     c2 = anti.scale(Fraction(1, 2)) - gens.jzero * gens.jzero
     return CasimirValue(c2.as_scalar())

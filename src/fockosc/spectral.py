@@ -23,9 +23,9 @@ from .algebra import (
     QuasiMonomial,
     Rat,
     back_substitute,
-    preserves_flag,
 )
-from .fock import q_number
+# Unused here: perfbench's spectral.reference span traces q_number in this module.
+from .fock import q_number  # noqa: F401
 
 
 def reference_spectrum(count: int, q: Rat = 1, s: int = 0) -> list[Fraction]:

@@ -11,7 +11,7 @@ from fractions import Fraction as F
 
 from fockosc.algebra import Poly, QuasiMonomial, basis_transplant
 from fockosc.cli import main
-from fockosc.fock import build_hf, build_hg, casimir_value, commutator, sl2_generators
+from fockosc.fock import build_hf, build_hg, casimir_value, commutator, q_number, sl2_generators
 from fockosc.realize import (
     Differential,
     FiniteDifference,
@@ -20,7 +20,7 @@ from fockosc.realize import (
     realize_matrix,
     stencil_of,
 )
-from fockosc.spectral import eigensolve_flag, pencil_solve, q_number
+from fockosc.spectral import eigensolve_flag, pencil_solve
 from fockosc.specfun import (
     gauge_conjugate_check,
     kratzer_eigencheck,

@@ -204,6 +204,69 @@ class TestSpectrumCommand:
     def _no_matrix(operator, realization, n):
         raise AssertionError(f"matrix built at N = {n}")
 
+    @pytest.mark.parametrize(
+        "args, option",
+        [
+            (["spectrum", "--realization", "diff", "--p", "1e5000", "--N", "2"], "--p"),
+            (["stencil", "--realization", "qdil", "--q", "1e5000"], "--q"),
+            (["stencil", "--realization", "fd", "--delta", "1e5000"], "--delta"),
+            (["spectrum", "--realization", "fd", "--delta", "1e-5000", "--N", "1"], "--delta"),
+            (["spectrum", "--realization", "qdil", "--q", "1e60", "--N", "128"], "--q"),
+            (["spectrum", "--realization", "diff", "--op", "hg", "--B", "-18446744073709551616"], "--B"),
+            (["spectrum", "--realization", "diff", "--p", "1/18446744073709551616"], "--p"),
+            (["spectrum", "--realization", "diff", "--p", "0e1_0000_0000"], "--p"),
+        ],
+        ids=["p", "q", "delta", "delta-small", "q-N128", "B-negative", "denominator", "exponent"],
+    )
+    def test_oversized_rational_is_usage_error(self, monkeypatch, capsys, args, option):
+        monkeypatch.setattr("fockosc.cli.realize_matrix", self._no_matrix)
+        monkeypatch.setattr("fockosc.cli.stencil_of", lambda *_: pytest.fail("stencil built"))
+        with pytest.raises(SystemExit) as info:
+            main(args)
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: argument {option}: " in err
+        assert "numerator and denominator of at most 2^64 - 1" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "option, value",
+        [
+            ("--p", "18446744073709551615"),
+            ("--B", "-18446744073709551615"),
+            ("--delta", "1/18446744073709551615"),
+            ("--q", "-18446744073709551615/18446744073709551614"),
+            ("--p", "1e19"),
+        ],
+    )
+    def test_height_cap_is_accepted(self, monkeypatch, option, value):
+        monkeypatch.setattr("fockosc.cli.realize_matrix", self._no_matrix)
+        realization = "qdil" if option == "--q" else "fd"
+        with pytest.raises(AssertionError, match="matrix built at N = 1$"):
+            main(["spectrum", "--realization", realization, "--op", "hg", option, value, "--N", "1"])
+
+    @pytest.mark.parametrize(
+        "q, n",
+        [("7/6", 128), ("-6/7", 128), ("18446744073709551615", 26), ("18446744073709551615", 0)],
+    )
+    def test_qdil_budget_is_accepted(self, monkeypatch, q, n):
+        monkeypatch.setattr("fockosc.cli.realize_matrix", self._no_matrix)
+        with pytest.raises(AssertionError, match=f"matrix built at N = {n}$"):
+            main(["spectrum", "--realization", "qdil", "--q", q, "--N", str(n)])
+
+    @pytest.mark.parametrize(
+        "q, n",
+        [("1000/999", 128), ("-7/8", 128), ("18446744073709551615", 27), ("4294967295", 128)],
+    )
+    def test_qdil_over_budget_is_usage_error(self, monkeypatch, capsys, q, n):
+        monkeypatch.setattr("fockosc.cli.realize_matrix", self._no_matrix)
+        with pytest.raises(SystemExit) as info:
+            main(["spectrum", "--realization", "qdil", "--q", q, "--N", str(n)])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: --q {q} at --N {n} is over the budget." in err
+        assert "N^2 log2 H(q) <= 128^2 log2 7" in err
+
     def test_invalid_q_is_usage_error(self):
         with pytest.raises(SystemExit) as info:
             main(["spectrum", "--realization", "qdil", "--q", "1"])

@@ -189,3 +189,16 @@ class TestActOnPoly:
             assert image.is_zero or image.degree <= 2
         overflow = act_on_poly(jplus2, Poly.monomial(4))
         assert overflow.degree == 5
+
+
+def test_package_top_level_exports_only_poly_and_fockpoly():
+    import types
+
+    import fockosc
+
+    names = {
+        name for name in dir(fockosc)
+        if not name.startswith("_") and not isinstance(getattr(fockosc, name), types.ModuleType)
+    }
+    assert names == {"Poly", "FockPoly"}
+    assert fockosc.FockPoly is FockPoly and fockosc.Poly is Poly

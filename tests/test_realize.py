@@ -13,6 +13,7 @@ from fockosc.algebra import (
     QuasiMonomial,
     basis_element,
     basis_transplant,
+    preserves_flag,
 )
 from fockosc.fock import AlgebraMismatchError, FockPoly, build_hf, build_hg, q_number
 from fockosc.realize import (
@@ -25,7 +26,6 @@ from fockosc.realize import (
     realize_matrix,
     stencil_of,
 )
-from fockosc.spectral import preserves_flag
 from oracles import act_on_poly
 
 DELTAS = [F(1), F(1, 2), F(-1, 3)]

@@ -10,15 +10,14 @@ from fockosc.algebra import (
     OperatorMatrix,
     Poly,
     QuasiMonomial,
+    preserves_flag,
 )
-from fockosc.fock import FockPoly, build_hf, build_hg
+from fockosc.fock import FockPoly, build_hf, build_hg, q_number
 from fockosc.realize import Differential, FiniteDifference, QDilatation, realize_matrix
 from fockosc.spectral import (
     eigensolve_flag,
     isospectral_compare,
     pencil_solve,
-    preserves_flag,
-    q_number,
     reference_label,
     reference_spectrum,
 )
