@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Collection, Iterable, Mapping, Sequence, Union
 
 Rat = Union[int, Fraction]
 
@@ -56,8 +56,11 @@ class Poly:
 
     Immutable.  The coefficient tuple never has a trailing zero; the zero
     polynomial has an empty tuple and degree None (an explicit sentinel,
-    so no arithmetic can be done on it by accident).  `+`, `-`, `scale` and
-    `derivative` spend rational arithmetic only on nonzero coefficients.
+    so no arithmetic can be done on it by accident).  `+`, `-`, `scale`,
+    `scale_arg` and `derivative` spend rational arithmetic only on nonzero
+    coefficients.  `*` puts each operand over the lcm D of its denominators,
+    convolves the nonzero integer numerators and reduces once per output
+    coefficient, by `Fraction(x, D_a * D_b)`.
     """
 
     __slots__ = ("coeffs",)
@@ -132,15 +135,20 @@ class Poly:
     def __mul__(self, other: "Poly") -> "Poly":
         if self.is_zero or other.is_zero:
             return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Poly(out)
+        da, xs = _over_lcm(self.coeffs)
+        db, ys = _over_lcm(other.coeffs)
+        out = [0] * (len(xs) + len(ys) - 1)
+        ys = [(j, b) for j, b in enumerate(ys) if b]
+        for i, a in enumerate(xs):
+            if a:
+                for j, b in ys:
+                    out[i + j] += a * b
+        d = da * db
+        return Poly([Fraction(x, d) for x in out])
 
     def scale(self, k: Rat) -> "Poly":
+        if k == 1:
+            return self
         k = Fraction(k)
         return Poly([k * c if c else c for c in self.coeffs] if k else ())
 
@@ -168,18 +176,22 @@ class Poly:
             return self
         r, s = offset.numerator, offset.denominator
         n = len(self.coeffs) - 1
-        denom = lcm(*(c.denominator for c in self.coeffs))
-        g = [c.numerator * (denom // c.denominator) * s ** (n - j)
-             for j, c in enumerate(self.coeffs)]
+        denom, nums = _over_lcm(self.coeffs)
+        g = [x * s ** (n - j) for j, x in enumerate(nums)]
         for i in range(n):
             for k in range(n - 1, i - 1, -1):
                 g[k] += r * g[k + 1]
         return Poly([Fraction(x, denom * s ** (n - k)) for k, x in enumerate(g)])
 
     def scale_arg(self, factor: Rat) -> "Poly":
-        """Return f(factor * y)."""
-        factor = Fraction(factor)
-        return Poly([c * factor**i for i, c in enumerate(self.coeffs)])
+        """Return f(factor * y), one running power of factor per coefficient."""
+        if factor == 1:
+            return self
+        factor, power, out = Fraction(factor), Fraction(1), []
+        for c in self.coeffs:
+            out.append(c * power if c else c)
+            power *= factor
+        return Poly(out)
 
     def __repr__(self) -> str:
         if self.is_zero:
@@ -188,6 +200,12 @@ class Poly:
             f"{rat_str(c)}*y^{i}" for i, c in enumerate(self.coeffs) if c != 0
         ]
         return "Poly(" + " + ".join(terms) + ")"
+
+
+def _over_lcm(coeffs: Collection[Fraction]) -> tuple[int, list[int]]:
+    """(D, [c * D for c in coeffs]) with D the lcm of the denominators."""
+    d = lcm(*(c.denominator for c in coeffs))
+    return d, [c.numerator * (d // c.denominator) for c in coeffs]
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, NamedTuple
 
-from .algebra import Rat, rat_str
+from .algebra import Rat, _over_lcm, rat_str
 
 Word = tuple[int, int]  # (power of b, power of a)
 
@@ -55,19 +55,15 @@ class FockPoly:
     __slots__ = ("q", "terms")
 
     def __init__(self, terms: Mapping[Word, Rat], q: Rat = 1):
-        q = Fraction(q)
-        acc: dict[Word, Fraction] = {}
+        kept: dict[Word, Fraction] = {}
         for (k, m), c in terms.items():
             if k < 0 or m < 0:
                 raise ValueError("word powers must be non-negative")
-            c = Fraction(c)
-            if c == 0:
-                continue
-            acc[(k, m)] = acc.get((k, m), Fraction(0)) + c
-            if acc[(k, m)] == 0:
-                del acc[(k, m)]
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "terms", dict(sorted(acc.items())))
+            c = c if type(c) is Fraction else Fraction(c)
+            if c:
+                kept[(k, m)] = c
+        object.__setattr__(self, "q", Fraction(q))
+        object.__setattr__(self, "terms", dict(sorted(kept.items())))
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("FockPoly is immutable")
@@ -149,9 +145,15 @@ class FockPoly:
         return FockPoly({w: -c for w, c in self.terms.items()}, self.q)
 
     def __sub__(self, other: "FockPoly") -> "FockPoly":
-        return self + (-other)
+        self._check_context(other)
+        acc = dict(self.terms)
+        for w, c in other.terms.items():
+            acc[w] = acc.get(w, Fraction(0)) - c
+        return FockPoly(acc, self.q)
 
     def scale(self, k: Rat) -> "FockPoly":
+        if k == 1:
+            return self
         k = Fraction(k)
         return FockPoly({w: k * c for w, c in self.terms.items()}, self.q)
 
@@ -159,34 +161,54 @@ class FockPoly:
         return normal_order_product(self, other)
 
 
-def _wick_table(q: Fraction, ms: set[int], ks: set[int]) -> dict[Word, list[tuple[int, Fraction]]]:
-    """table[m, k] lists (j, coefficient of b^(k-j) a^(m-j) in a^m b^k) for m in ms, k in ks.
+def _wick_table(q: Fraction, ms: set[int], ks: set[int]) -> tuple[int, dict[Word, list[tuple[int, int]]]]:
+    """(S, table): table[m, k] lists (j, S times the coefficient of b^(k-j) a^(m-j) in
+    a^m b^k) for m in ms, k in ks, leaving out the zero coefficients.
 
-    [n j] follows the q-Pascal rule [n j] = [n-1 j-1] + q^j [n-1 j] and [j]!
-    a running {j}: nothing divides, so q = 0 and q = -1 ({2} = 0) are not special.
+    All in integers: with q = r/s, B[n][j] = s^(j(n-j)) [n j] follows the q-Pascal
+    rule B[n][j] = s^(n-j) B[n-1][j-1] + r^j B[n-1][j], T[j] = s^(j-1) {j} the rule
+    T[j] = s^(j-1) + r T[j-1], and F[j] = T[1]...T[j] = s^(j(j-1)/2) [j]!.  So the
+    coefficient [m j][k j][j]! q^((m-j)(k-j)) is B[m][j] B[k][j] F[j] r^((m-j)(k-j))
+    s^(j(j+1)/2) over s^(mk), and every entry is an integer over S = s^(max m * max k).
+    Nothing divides, so q = 0 and q = -1 ({2} = 0) are not special.
     """
-    binom, fact, bracket = [[Fraction(1)]], [Fraction(1)], Fraction(0)
+    r, s = q.numerator, q.denominator
+    binom, fact, bracket = [[1]], [1], 0
     for n in range(1, max(ms | ks, default=0) + 1):
-        prev = binom[-1] + [Fraction(0)]
-        binom.append([Fraction(1)] + [prev[j - 1] + q**j * prev[j] for j in range(1, n + 1)])
-        bracket = 1 + q * bracket
+        prev = binom[-1] + [0]
+        binom.append([1] + [s ** (n - j) * prev[j - 1] + r**j * prev[j] for j in range(1, n + 1)])
+        bracket = s ** (n - 1) + r * bracket
         fact.append(fact[-1] * bracket)
-    return {(m, k): [(j, binom[m][j] * binom[k][j] * fact[j] * q ** ((m - j) * (k - j)))
-                     for j in range(min(m, k) + 1)] for m in ms for k in ks}
+    top = max(ms, default=0) * max(ks, default=0)
+    table = {}
+    for m in ms:
+        for k in ks:
+            entries = ((j, binom[m][j] * binom[k][j] * fact[j] * r ** ((m - j) * (k - j))
+                        * s ** (top - m * k + j * (j + 1) // 2)) for j in range(min(m, k) + 1))
+            table[m, k] = [(j, w) for j, w in entries if w]
+    return s**top, table
 
 
 def normal_order_product(x: FockPoly, y: FockPoly) -> FockPoly:
-    """Normal-ordered product x*y, exact in the shared deformation parameter."""
+    """Normal-ordered product x*y, exact in the shared deformation parameter.
+
+    The coefficients of x and of y go over the lcm of their denominators and
+    the Wick table over a power of q's denominator, so the terms of each
+    output word add up as one integer, reduced once by one `Fraction`.
+    """
     x._check_context(y)
-    table = _wick_table(x.q, {m for _, m in x.terms}, {k for k, _ in y.terms})
-    acc: dict[Word, Fraction] = {}
-    for (k1, m1), c1 in x.terms.items():
-        for (k2, m2), c2 in y.terms.items():
+    dt, table = _wick_table(x.q, {m for _, m in x.terms}, {k for k, _ in y.terms})
+    dx, xs = _over_lcm(x.terms.values())
+    dy, ys = _over_lcm(y.terms.values())
+    acc: dict[Word, int] = {}
+    for (k1, m1), c1 in zip(x.terms, xs):
+        for (k2, m2), c2 in zip(y.terms, ys):
             c = c1 * c2
             for j, w in table[m1, k2]:
                 word = (k1 + k2 - j, m1 - j + m2)
-                acc[word] = acc.get(word, Fraction(0)) + c * w
-    return FockPoly(acc, x.q)
+                acc[word] = acc.get(word, 0) + c * w
+    d = dx * dy * dt
+    return FockPoly({word: Fraction(c, d) for word, c in acc.items()}, x.q)
 
 
 def q_bracket(x: FockPoly, y: FockPoly, lam: Rat) -> FockPoly:

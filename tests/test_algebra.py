@@ -18,6 +18,7 @@ from fockosc.algebra import (
     basis_transplant,
     rat_str,
 )
+from fockosc.cli import MAX_HEIGHT
 from oracles import dense_apply, newton_coefficients, shift_by_powers
 
 rationals = st.fractions(
@@ -190,6 +191,12 @@ class TestPolyZeroHeavy:
         st.lists(mostly_zero, max_size=16),
         st.one_of(st.just(F(0)), st.just(F(1)), rationals),
     )
+    # Numerators and denominators near the height cap of the CLI's rational options.
+    @example(
+        [F(MAX_HEIGHT, MAX_HEIGHT - 2), F(0), F(-1, MAX_HEIGHT), F(0), F(MAX_HEIGHT - 4, 3)],
+        [F(1, MAX_HEIGHT - 1), F(-MAX_HEIGHT, MAX_HEIGHT - 6), F(0), F(0), F(2, MAX_HEIGHT)],
+        F(MAX_HEIGHT - 1, MAX_HEIGHT),
+    )
     @settings(max_examples=80, deadline=None)
     def test_operations_match_sympy(self, a_coeffs, b_coeffs, k):
         a, b = Poly(a_coeffs), Poly(b_coeffs)
@@ -198,8 +205,9 @@ class TestPolyZeroHeavy:
         assert same_as(dict(enumerate((a - b).coeffs)), sa - sb)
         assert same_as(dict(enumerate(a.scale(k).coeffs)), sym(k) * sa)
         assert same_as(dict(enumerate(a.derivative().coeffs)), sp.diff(sa, y))
+        assert same_as(dict(enumerate((a * b).coeffs)), sa * sb)
         assert a.scale(0) == Poly() and a - a == Poly()
-        for result in (a + b, a - b, a.scale(k), a.derivative()):
+        for result in (a + b, a - b, a.scale(k), a.derivative(), a * b):
             assert not result.coeffs or result.coeffs[-1] != 0
 
 

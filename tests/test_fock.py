@@ -1,7 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fockosc.algebra import Poly
@@ -24,6 +24,8 @@ Q_SAMPLES = [F(1), F(2), F(1, 3)]
 # At q = -1, {2} and so every [j]! with j >= 2 vanish, where a ratio of
 # q-numbers would divide by 0; at q = 0 only the q^0 terms survive.
 WICK_Q_SAMPLES = Q_SAMPLES + [F(-1), F(0), F(-6, 7)]
+# Numerator and denominator at the height cap of cli.MAX_HEIGHT.
+LARGE_Q = F(2**64 - 1, 2**64 - 3)
 
 
 def small_fock(q, words):
@@ -77,8 +79,10 @@ class TestNormalOrderProduct:
         x, y, z = (FockPoly(t, q) for t in (t1, t2, t3))
         assert (x * y) * z == x * (y * z)
 
-    @given(fock_terms, fock_terms, st.sampled_from(Q_SAMPLES))
-    @settings(max_examples=40, deadline=None)
+    @given(fock_terms, fock_terms, st.sampled_from(WICK_Q_SAMPLES + [LARGE_Q]))
+    @example({}, {(1, 1): F(2)}, F(1))
+    @example({(2, 3): F(-1, 3)}, {}, LARGE_Q)
+    @settings(max_examples=80, deadline=None)
     def test_product_matches_oracle(self, t1, t2, q):
         x, y = FockPoly(t1, q), FockPoly(t2, q)
         assert (x * y).terms == oracle_product(x, y)
