@@ -9,14 +9,14 @@ first.  A `LaurentPoly` additionally admits negative powers and is stored
 as y^low times a Poly.  Polynomials are expressed in a quasi-monomial
 basis 1, y, y(y-d), y(y-d)(y-2d), ... whose elements vanish on the grid
 0, d, 2d, ...; step d = 0 is the monomial basis 1, y, y^2, ...
-`basis_transplant` moves coefficient vectors between any two of them.
+`basis_transplant` moves coefficient vectors between any two of them, and
+`Poly.shift_arg` runs on the same uncached integer Newton-basis kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import lcm
 from typing import Collection, Iterable, Mapping, Sequence, Union
 
@@ -60,7 +60,7 @@ class Poly:
     `scale_arg` and `derivative` spend rational arithmetic only on nonzero
     coefficients.  `*` puts each operand over the lcm D of its denominators,
     convolves the nonzero integer numerators and reduces once per output
-    coefficient, by `Fraction(x, D_a * D_b)`.
+    coefficient, by `Fraction(x, D_a * D_b)`; `shift_arg` does so in `_newton`.
     """
 
     __slots__ = ("coeffs",)
@@ -166,22 +166,14 @@ class Poly:
     def shift_arg(self, offset: Rat) -> "Poly":
         """Return f(y + offset), expanded exactly, in O(n^2) integer operations.
 
-        Classical Taylor shift by repeated synthetic division.  With
-        f = sum a_j y^j / D over a common denominator D and offset r/s,
-        f(y + r/s) = g(s y + r) / (D s^n) for the integer polynomial
-        g(z) = sum a_j s^(n-j) z^j, so only g is shifted, by the integer r.
+        Classical Taylor shift: f(y + r/s) has the coefficients of f in the
+        Newton basis (y - r/s)^k, found by `_newton` with step 1/s and node r.
         """
         offset = Fraction(offset)
-        if offset == 0 or not self.coeffs:
+        if offset == 0:
             return self
-        r, s = offset.numerator, offset.denominator
-        n = len(self.coeffs) - 1
-        denom, nums = _over_lcm(self.coeffs)
-        g = [x * s ** (n - j) for j, x in enumerate(nums)]
-        for i in range(n):
-            for k in range(n - 1, i - 1, -1):
-                g[k] += r * g[k + 1]
-        return Poly([Fraction(x, denom * s ** (n - k)) for k, x in enumerate(g)])
+        nodes = [offset.numerator] * (len(self.coeffs) - 1)
+        return _newton(self.coeffs, 1, offset.denominator, nodes)
 
     def scale_arg(self, factor: Rat) -> "Poly":
         """Return f(factor * y), one running power of factor per coefficient."""
@@ -206,6 +198,26 @@ def _over_lcm(coeffs: Collection[Fraction]) -> tuple[int, list[int]]:
     """(D, [c * D for c in coeffs]) with D the lcm of the denominators."""
     d = lcm(*(c.denominator for c in coeffs))
     return d, [c.numerator * (d // c.denominator) for c in coeffs]
+
+
+def _newton(coeffs: Sequence[Fraction], r: int, s: int, nodes: Sequence[int], expand=False) -> Poly:
+    """Monomial coefficients to those in the basis prod_(i<k) (y - (r/s) nodes[i]), or back.
+
+    With f over the common denominator D, f(r t / s) = G(t) / (D s^n) for the
+    integer G(t) = sum D a_k r^k s^(n-k) t^k.  Synthetic division by t - nodes[0],
+    t - nodes[1], ... leaves G's Newton coefficients; `expand` undoes it, running
+    the same steps backwards (nested multiplication, nodes in reverse).  Each
+    output coefficient is reduced once.
+    """
+    n = len(coeffs) - 1
+    weights = [r**k * s ** (n - k) for k in range(n + 1)]
+    denom, g = _over_lcm(coeffs)
+    g = [x * w for x, w in zip(g, weights)]
+    for i in reversed(range(n)) if expand else range(n):
+        node = -nodes[i] if expand else nodes[i]
+        for k in range(i, n) if expand else range(n - 1, i - 1, -1):
+            g[k] += node * g[k + 1]
+    return Poly([Fraction(x, denom * w) for x, w in zip(g, weights)])
 
 
 # ---------------------------------------------------------------------------
@@ -333,34 +345,14 @@ class QuasiMonomial:
         return f"QuasiMonomial({rat_str(self.delta)})"
 
 
-_STRIDE = 32
-
-
-@lru_cache(maxsize=256)
-def _quasi_monomial(delta: Fraction, n: int) -> Poly:
-    if n == 0:
-        return Poly.one()
-    return _quasi_monomial(delta, n - 1) * Poly([-(n - 1) * delta, 1])
-
-
 def basis_element(basis: QuasiMonomial, n: int) -> Poly:
     """The n-th basis element y(y-d)(y-2d)...(y-(n-1)d), expanded in monomials.
 
     The empty product (n = 0) is 1; the result is always monic of degree
-    exactly n and vanishes at the grid points 0, d, ..., (n-1)d.  Element n
-    is element n-1 times (y - (n-1)d), an O(n) product, and elements are
-    kept in a bounded cache, so the elements 0..n of one step cost O(n^2)
-    rational operations in all.
+    exactly n and vanishes at the grid points 0, d, ..., (n-1)d.  It is y^n
+    read in the basis and changed to monomials; n < 0 is a ValueError.
     """
-    if n < 0:
-        raise ValueError("basis element degree must be non-negative")
-    if basis.delta == 0:
-        return Poly.monomial(n)
-    # Fill the cache upward in strides so a cold call recurses at most
-    # _STRIDE levels deep, whatever n is.
-    for k in range(n % _STRIDE, n, _STRIDE):
-        _quasi_monomial(basis.delta, k)
-    return _quasi_monomial(basis.delta, n)
+    return basis_transplant(Poly.monomial(n), basis, QuasiMonomial(0))
 
 
 def basis_transplant(coeffs: Poly, from_basis: QuasiMonomial, to_basis: QuasiMonomial) -> Poly:
@@ -369,31 +361,15 @@ def basis_transplant(coeffs: Poly, from_basis: QuasiMonomial, to_basis: QuasiMon
     The input is read in `from_basis`, the same abstract element is
     re-expanded in `to_basis`, and the resulting coefficient vector is
     returned as a Poly.  The round trip from -> to -> from is the identity.
-    Either side with step 0 is the monomial basis and costs nothing.  Each
-    direction works in place on one list and spends a rational product only
-    where a coefficient and a basis-element coefficient are both nonzero.
+    Either side with step 0 is the monomial basis and costs nothing; any
+    other is the Newton basis at the nodes 0, d, 2d, ..., one `_newton` pass.
     """
-    out = list(coeffs.coeffs)
-    if from_basis.delta != 0:
-        vec, out = out, [Fraction(0)] * len(out)
-        for n, c in enumerate(vec):
-            if c:
-                for i, e in enumerate(basis_element(from_basis, n).coeffs):
-                    if e:
-                        out[i] += c * e
-    if to_basis.delta != 0:
-        # Each basis element is monic of its degree, so the change of basis is
-        # unitriangular: peeling top-down leaves coefficient n of the new basis at n.
-        for n in range(len(out) - 1, 0, -1):
-            c = out[n]
-            if c:
-                element = basis_element(to_basis, n).coeffs
-                if len(element) != n + 1 or element[n] != 1:
-                    raise ValueError(f"basis element {n} is not monic of degree {n}")
-                for i, e in enumerate(element[:n]):
-                    if e:
-                        out[i] -= c * e
-    return Poly(out)
+    out = coeffs
+    for basis, expand in ((from_basis, True), (to_basis, False)):
+        d = basis.delta
+        if d != 0:
+            out = _newton(out.coeffs, d.numerator, d.denominator, range(len(out.coeffs) - 1), expand)
+    return out
 
 
 # ---------------------------------------------------------------------------

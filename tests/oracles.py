@@ -9,6 +9,8 @@ shares no code path with the implementation it checks:
 * argument shifts by expanding every power (y + a)^j;
 * quasi-monomial coefficients by Newton's forward differences;
 * Laguerre polynomials from the three-term recurrence;
+* q-deformed hf eigenpolynomials from their two-term recurrence, with
+  {n} = (q^n - 1)/(q - 1) and the matrix entries written out by hand;
 * Hermite polynomials from the explicit factorial formula.
 """
 
@@ -121,6 +123,27 @@ def laguerre_recurrence(n: int, alpha: Fraction) -> Poly:
         )
         prev, cur = cur, nxt
     return cur
+
+
+def qdil_hf_eigenpair(n: int, p: Fraction, q: Fraction, s: int = 0) -> tuple[Fraction, Poly]:
+    """Level n of hf = 4ba^2 - 4ba + 4(p + 1/2)a under the q-dilatation, in closed form.
+
+    D_q y^j = {j} y^(j-1) makes the monomial matrix bidiagonal, with
+    M[j][j] = -4{j} and M[j-1][j] = 4{j}({j-1} + p + 1/2).  The problem
+    H f = E f(q^s .) (s = 0 is the plain one) has E = -4{n} q^(-s n) at
+    level n, and its monic eigenvector follows the two-term recurrence
+    v_i = 4{i+1}({i} + p + 1/2) v_(i+1) / (4{i} - 4{n} q^(s(i-n))), v_n = 1.
+    A repeated eigenvalue makes a divisor vanish: ZeroDivisionError.
+    """
+
+    def bracket(j: int) -> Fraction:
+        return (q**j - 1) / (q - 1)
+
+    v = [Fraction(0)] * n + [Fraction(1)]
+    for i in range(n - 1, -1, -1):
+        divisor = 4 * bracket(i) - 4 * bracket(n) * q ** (s * (i - n))
+        v[i] = 4 * bracket(i + 1) * (bracket(i) + p + Fraction(1, 2)) * v[i + 1] / divisor
+    return -4 * bracket(n) * q ** (-s * n), Poly(v)
 
 
 def hermite_explicit(k: int) -> Poly:

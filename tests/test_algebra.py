@@ -31,6 +31,9 @@ coeff_lists = st.integers(0, 20).flatmap(
 # Coefficients that are zero about half the time, and three times in four.
 half_zero = st.one_of(st.just(F(0)), rationals)
 mostly_zero = st.tuples(st.integers(0, 3), rationals).map(lambda t: t[1] if t[0] == 0 else F(0))
+# Degree 20, every third coefficient zero: the substitution kernel's powers
+# r^k s^(n-k) reach 20 * 64 bits at a step or offset near cli.MAX_HEIGHT.
+degree_20 = [F(j % 3 and (-1) ** j * (2 * j + 1), j + 2) for j in range(21)]
 
 
 class TestRational:
@@ -77,6 +80,8 @@ class TestPoly:
     @example([], F(5, 3))
     @example([F(3), F(-1, 2), F(0), F(7, 4)], F(0))
     @example([F(1, 3), F(2), F(-5, 7)], F(-9, 4))
+    @example(degree_20, F(MAX_HEIGHT - 2, MAX_HEIGHT))
+    @example(degree_20, -F(MAX_HEIGHT, 7))
     @settings(max_examples=80)
     def test_shift_arg_matches_power_expansion(self, coeffs, offset):
         f = Poly(coeffs)
@@ -225,6 +230,11 @@ class TestQuasiMonomial:
     def test_delta_zero_collapses_to_monomial(self):
         assert basis_element(QuasiMonomial(0), 5) == Poly.monomial(5)
 
+    @pytest.mark.parametrize("delta", [F(0), F(-2, 3)])
+    def test_negative_degree_rejected(self, delta):
+        with pytest.raises(ValueError):
+            basis_element(QuasiMonomial(delta), -1)
+
     @pytest.mark.parametrize("delta", [F(1), F(1, 2), F(-1, 3)])
     @pytest.mark.parametrize("n", range(8))
     def test_monic_of_exact_degree(self, n, delta):
@@ -310,6 +320,8 @@ class TestBasisTransplant:
         st.lists(half_zero, max_size=13),
         st.sampled_from([sign * d for sign in (1, -1) for d in (F(1), F(1, 2), F(1, 3), F(7, 5))]),
     )
+    @example(degree_20, F(MAX_HEIGHT - 1, MAX_HEIGHT))
+    @example(degree_20, -F(MAX_HEIGHT, 3))
     @settings(max_examples=80, deadline=None)
     def test_matches_newton_forward_differences(self, coeffs, delta):
         # The oracle reads only values of f on the grid 0, d, 2d, ...
@@ -317,11 +329,6 @@ class TestBasisTransplant:
         expected = Poly(newton_coefficients(f, delta))
         assert basis_transplant(f, QuasiMonomial(0), QuasiMonomial(delta)) == expected
         assert basis_transplant(expected, QuasiMonomial(delta), QuasiMonomial(0)) == f
-
-    def test_non_monic_basis_element_rejected(self, monkeypatch):
-        monkeypatch.setattr("fockosc.algebra.basis_element", lambda basis, n: Poly.monomial(n, 2))
-        with pytest.raises(ValueError, match="basis element 1 is not monic of degree 1"):
-            basis_transplant(Poly([0, 1]), QuasiMonomial(0), QuasiMonomial(F(1)))
 
 
 class TestBackSubstitute:

@@ -1,7 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fockosc.algebra import (
@@ -21,7 +21,7 @@ from fockosc.spectral import (
     reference_label,
     reference_spectrum,
 )
-from oracles import dense_apply
+from oracles import dense_apply, qdil_hf_eigenpair
 
 
 class TestQNumber:
@@ -254,6 +254,41 @@ class TestSolverProperty:
             assert image == [
                 entry.eigenvalue * q ** (s * i) * v.coeff(i) for i in range(matrix.size)
             ]
+
+
+deformations = st.fractions(min_value=-3, max_value=3, max_denominator=7).filter(
+    lambda q: q not in (0, 1)
+)
+
+
+class TestDeformedClosedForm:
+    """hf under qdil, from element to eigenpairs, against the closed-form recurrence."""
+
+    @given(
+        deformations,
+        st.fractions(min_value=-3, max_value=3, max_denominator=4),
+        st.sampled_from([0, 1, -1, 2, -2]),
+        st.integers(0, 10),
+    )
+    @example(F(7, 6), F(0), 0, 14)
+    @example(F(-6, 7), F(5, 2), -1, 14)
+    @example(F(2), F(5, 2), 2, 14)
+    @example(F(1, 3), F(0), -2, 14)
+    @example(F(-1), F(0), 0, 3)
+    @settings(max_examples=60, deadline=None)
+    def test_eigenpairs_match_two_term_recurrence(self, q, p, s, size):
+        matrix = realize_matrix(build_hf(p, q=q), QDilatation(q), size)
+
+        def solve():
+            return eigensolve_flag(matrix) if s == 0 else pencil_solve(matrix, s, q)
+
+        try:
+            expected = [qdil_hf_eigenpair(n, p, q, s) for n in range(size + 1)]
+        except ZeroDivisionError:
+            with pytest.raises(DegenerateSpectrumError):
+                solve()
+            return
+        assert [(e.eigenvalue, e.eigenpoly) for e in solve().entries] == expected
 
 
 class TestReferenceSpectrum:
