@@ -377,24 +377,21 @@ def basis_transplant(coeffs: Poly, from_basis: QuasiMonomial, to_basis: QuasiMon
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
 class OperatorMatrix:
     """Operator on the flag space P_N, stored as the images of its basis.
 
     `columns[j]` is the image of basis element j, expressed in `basis` and
     not truncated, so an image that leaves P_N keeps its components above
-    degree N.  Entries are exact rationals.  `rows` is the derived
-    (N+1)x(N+1) view of the part inside P_N.
+    degree N.  Entries are exact rationals and the value is frozen.  `rows`
+    is the derived (N+1)x(N+1) view of the part inside P_N.
     """
 
-    __slots__ = ("columns", "basis", "_above")
+    columns: tuple[Poly, ...]
+    basis: QuasiMonomial
 
-    def __init__(self, columns: Iterable[Poly], basis: QuasiMonomial):
-        object.__setattr__(self, "columns", tuple(columns))
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "_above", None)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("OperatorMatrix is immutable")
+    def __post_init__(self):
+        object.__setattr__(self, "columns", tuple(self.columns))
 
     @property
     def size(self) -> int:
@@ -406,27 +403,6 @@ class OperatorMatrix:
         return tuple(
             tuple(column.coeff(i) for column in self.columns) for i in range(self.size)
         )
-
-    def _rows_above(self) -> list[list[tuple[int, Fraction]]]:
-        """Row i's nonzero entries (j, M[i][j]), j > i ascending, read from the columns once."""
-        if self._above is None:
-            rows = [[] for _ in self.columns]
-            for j, column in enumerate(self.columns):
-                for i, e in enumerate(column.coeffs[:j]):
-                    if e:
-                        rows[i].append((j, e))
-            object.__setattr__(self, "_above", rows)
-        return self._above
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, OperatorMatrix)
-            and self.columns == other.columns
-            and self.basis == other.basis
-        )
-
-    def __repr__(self) -> str:
-        return f"OperatorMatrix({list(self.columns)!r}, {self.basis!r})"
 
 
 def preserves_flag(matrix: OperatorMatrix) -> bool:
@@ -440,41 +416,42 @@ def preserves_flag(matrix: OperatorMatrix) -> bool:
 
 
 def back_substitute(
-    matrix: OperatorMatrix,
-    eigenvalue: Rat,
-    pivot: int,
-    weights: Sequence[Rat] | None = None,
-) -> Poly:
-    """Solve the triangular problem M v = E W v with v monic at `pivot`.
+    matrix: OperatorMatrix, weights: Sequence[Rat] | None = None
+) -> list[tuple[Fraction, Poly]]:
+    """Every level (E_n, v_n) of M v = E W v, with v_n monic of degree n.
 
     W is diagonal with entries `weights` (all 1 by default, the plain
-    eigenproblem M v = E v); the pencil solver passes w_i = q^(s i).  The
-    matrix must preserve the flag, else NotTriangularError is raised (all
-    N + 1 column lengths are read, so a full solve raises it before any
-    degeneracy), and M[pivot][pivot] must equal E w_pivot.  Rows above the
-    pivot are solved upward, v_i = sum_(j>i) (M[i][j] / (E w_i - M[i][i])) v_j,
-    and a vanishing divisor raises DegenerateSpectrumError.  The nonzero
-    entries above the diagonal are listed once per matrix, and only pairs
-    of a nonzero entry and a nonzero v_j cost rational arithmetic: a level
-    of a matrix with upper bandwidth b takes O(b * pivot) of it.
+    eigenproblem M v = E v); the pencil solver passes w_i = q^(s i).  A
+    matrix that leaves the flag raises NotTriangularError before any level
+    is solved.  Level n has E_n = M[n][n] / w_n and is solved upward,
+    v_i = sum_(j>i) (M[i][j] / (E_n w_i - M[i][i])) v_j.  The divisor
+    w_i (E_n - E_i) vanishes only where level n repeats the eigenvalue of a
+    lower level i; the first such (i, n) raises DegenerateSpectrumError.
+    The nonzero entries above the diagonal are listed once, and only a
+    nonzero entry times a nonzero v_j costs rational arithmetic, O(b N^2)
+    for a matrix of upper bandwidth b.
     """
     if not preserves_flag(matrix):
         raise NotTriangularError("matrix does not preserve the flag")
-    eigenvalue = Fraction(eigenvalue)
-    if not (0 <= pivot < matrix.size):
-        raise ValueError("pivot outside the matrix")
-    w = weights or [1] * matrix.size
     columns = matrix.columns
-    if columns[pivot].coeff(pivot) != eigenvalue * w[pivot]:
-        raise ValueError("pivot diagonal entry does not match the eigenvalue")
-    rows = matrix._rows_above()
-    v = [Fraction(0)] * matrix.size
-    v[pivot] = Fraction(1)
-    for i in range(pivot - 1, -1, -1):
-        denom = eigenvalue * w[i] - columns[i].coeff(i)
-        if denom == 0:
-            raise DegenerateSpectrumError([i, pivot], eigenvalue)
-        terms = [entry / denom * v[j] for j, entry in rows[i] if v[j]]
-        if terms:
-            v[i] = sum(terms[1:], terms[0])
-    return Poly(v)
+    w = weights or [1] * len(columns)
+    diagonal = [column.coeff(i) for i, column in enumerate(columns)]
+    above = [[] for _ in columns]
+    for j, column in enumerate(columns):
+        for i, e in enumerate(column.coeffs[:j]):
+            if e:
+                above[i].append((j, e))
+    levels = []
+    for n, pivot in enumerate(diagonal):
+        eigenvalue = pivot / w[n]
+        v = [Fraction(0)] * len(columns)
+        v[n] = Fraction(1)
+        for i in range(n - 1, -1, -1):
+            denom = eigenvalue * w[i] - diagonal[i]
+            if denom == 0:
+                raise DegenerateSpectrumError((i, n), eigenvalue)
+            terms = [entry / denom * v[j] for j, entry in above[i] if v[j]]
+            if terms:
+                v[i] = sum(terms[1:], terms[0])
+        levels.append((eigenvalue, Poly(v)))
+    return levels

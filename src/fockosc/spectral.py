@@ -73,37 +73,29 @@ class SpectralReport:
         return tuple(e.eigenvalue for e in self.entries)
 
 
-def _solve(matrix: OperatorMatrix, weights: list[Rat]) -> SpectralReport:
-    """Eigensystem of M v = E W v for a flag-preserving M and diagonal W.
-
-    Level n carries the eigenvalue M[n][n] / w_n and the monic degree-n
-    eigen-polynomial from back-substitution.  Its divisors w_j (E_n - E_j)
-    vanish only where a level repeats an eigenvalue, which it then reports.
-    """
-    entries = []
-    for n, w in enumerate(weights):
-        value = matrix.columns[n].coeff(n) / w
-        entries.append(SpectralEntry(n, value, back_substitute(matrix, value, n, weights)))
-    return SpectralReport(matrix.basis, tuple(entries))
+def _solve(matrix: OperatorMatrix, weights: list[Rat] | None = None) -> SpectralReport:
+    """The levels of one back_substitute call, as a report in the matrix's basis."""
+    levels = back_substitute(matrix, weights)
+    return SpectralReport(matrix.basis, tuple(SpectralEntry(n, *level) for n, level in enumerate(levels)))
 
 
 def eigensolve_flag(matrix: OperatorMatrix) -> SpectralReport:
     """Full exact eigensystem of a flag-preserving matrix.
 
-    Eigenvalues are the diagonal entries; the level-n eigen-polynomial is
-    the unique monic degree-n solution, found by back-substitution.
-    Raises NotTriangularError if the matrix is not flag-preserving and
+    Eigenvalues are the diagonal entries; every level's monic eigen-polynomial
+    comes from one back_substitute call with unit weights, which raises
+    NotTriangularError if the matrix is not flag-preserving and
     DegenerateSpectrumError if two diagonal entries collide.
     """
-    return _solve(matrix, [1] * matrix.size)
+    return _solve(matrix)
 
 
 def pencil_solve(matrix: OperatorMatrix, s: int, q: Rat) -> SpectralReport:
     """Solve H f = E * f(q^s * .) on the monomial flag.
 
     The substitution is diagonal with entries q^(s n), so level n carries
-    the eigenvalue H[n][n] / q^(s n); eigenvectors come from
-    back_substitute with the row weights w_i = q^(s i).
+    the eigenvalue H[n][n] / q^(s n); one back_substitute call with the row
+    weights w_i = q^(s i) solves every level.
     Both signs of s are accepted so either dilation direction can be
     matched against a reference family.
     """

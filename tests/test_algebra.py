@@ -339,31 +339,29 @@ class TestBackSubstitute:
         )
 
     def test_level_one_eigenvector(self):
-        v = back_substitute(self.matrix_hf_diff_p2(), -4, 1)
-        assert v == Poly([F(-1, 2), 1])
+        levels = back_substitute(self.matrix_hf_diff_p2())
+        assert levels[1] == (F(-4), Poly([F(-1, 2), 1]))
 
     def test_identity_pivot_zero(self):
         ident = OperatorMatrix([Poly([1]), Poly([0, 2])], QuasiMonomial(0))
-        assert back_substitute(ident, 1, 0) == Poly.one()
+        assert back_substitute(ident)[0] == (F(1), Poly.one())
 
     def test_degenerate_diagonal_raises(self):
         m = OperatorMatrix([Poly(), Poly([1])], QuasiMonomial(0))
-        with pytest.raises(DegenerateSpectrumError):
-            back_substitute(m, 0, 1)
+        with pytest.raises(DegenerateSpectrumError) as raised:
+            back_substitute(m)
+        assert (raised.value.levels, raised.value.value) == ((0, 1), 0)
 
     def test_remultiplication_exact(self):
         m = self.matrix_hf_diff_p2()
-        for pivot, value in enumerate([F(0), F(-4), F(-8)]):
-            v = back_substitute(m, value, pivot)
+        levels = back_substitute(m)
+        assert [value for value, _ in levels] == [F(0), F(-4), F(-8)]
+        for value, v in levels:
             image = dense_apply(m, v.coeffs)
             assert image == [value * c for c in list(v.coeffs) + [F(0)] * (3 - len(v.coeffs))]
-
-    def test_pivot_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            back_substitute(self.matrix_hf_diff_p2(), -3, 1)
 
     def test_matrix_leaving_the_flag_rejected(self):
         # Column 0 is 1 + 5y, so M (1, 0) = (1, 5) and (1, 0) is no eigenvector.
         m = OperatorMatrix([Poly([1, 5]), Poly([0, 2])], QuasiMonomial(0))
         with pytest.raises(NotTriangularError):
-            back_substitute(m, 1, 0)
+            back_substitute(m)
