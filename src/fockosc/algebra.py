@@ -29,21 +29,11 @@ class DegenerateSpectrumError(ValueError):
     def __init__(self, levels: Sequence[int], value: Fraction):
         self.levels = tuple(levels)
         self.value = value
-        super().__init__(
-            f"eigenvalue {rat_str(value)} occurs at levels {self.levels}"
-        )
+        super().__init__(f"eigenvalue {value} occurs at levels {self.levels}")
 
 
 class NotTriangularError(ValueError):
     """A matrix expected to be triangular in its basis ordering is not."""
-
-
-def rat_str(x: Rat) -> str:
-    """Canonical string form "num/den", with "/den" omitted for integers."""
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
 
 
 # ---------------------------------------------------------------------------
@@ -188,9 +178,7 @@ class Poly:
     def __repr__(self) -> str:
         if self.is_zero:
             return "Poly(0)"
-        terms = [
-            f"{rat_str(c)}*y^{i}" for i, c in enumerate(self.coeffs) if c != 0
-        ]
+        terms = [f"{c}*y^{i}" for i, c in enumerate(self.coeffs) if c != 0]
         return "Poly(" + " + ".join(terms) + ")"
 
 
@@ -318,7 +306,7 @@ class LaurentPoly:
     def __repr__(self) -> str:
         if self.is_zero:
             return "LaurentPoly(0)"
-        terms = [f"{rat_str(c)}*y^{p}" for p, c in self.terms.items()]
+        terms = [f"{c}*y^{p}" for p, c in self.terms.items()]
         return "LaurentPoly(" + " + ".join(terms) + ")"
 
 
@@ -339,10 +327,7 @@ class QuasiMonomial:
     def to_json(self) -> dict:
         if self.delta == 0:
             return {"kind": "monomial"}
-        return {"kind": "quasimonomial", "delta": rat_str(self.delta)}
-
-    def __repr__(self) -> str:
-        return f"QuasiMonomial({rat_str(self.delta)})"
+        return {"kind": "quasimonomial", "delta": str(self.delta)}
 
 
 def basis_element(basis: QuasiMonomial, n: int) -> Poly:

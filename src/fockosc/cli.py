@@ -17,7 +17,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .algebra import DegenerateSpectrumError, LaurentPoly, rat_str
+from .algebra import DegenerateSpectrumError, LaurentPoly
 from .fock import FockPoly, build_hf, build_hg
 from .realize import (
     Differential,
@@ -76,21 +76,21 @@ def _rational(text: str) -> Fraction:
 
 def _fock_json(element: FockPoly) -> list[dict]:
     return [
-        {"b": k, "a": m, "coeff": rat_str(c)}
+        {"b": k, "a": m, "coeff": str(c)}
         for (k, m), c in sorted(element.terms.items())
     ]
 
 
 def _laurent_json(p: LaurentPoly) -> dict[str, str]:
-    return {str(power): rat_str(c) for power, c in p.terms.items()}
+    return {str(power): str(c) for power, c in p.terms.items()}
 
 
 def _levels_json(report: SpectralReport) -> list[dict]:
     return [
         {
             "n": entry.level,
-            "E": rat_str(entry.eigenvalue),
-            "coeffs": [rat_str(c) for c in entry.eigenpoly.coeffs],
+            "E": str(entry.eigenvalue),
+            "coeffs": [str(c) for c in entry.eigenpoly.coeffs],
         }
         for entry in report.entries
     ]
@@ -99,7 +99,7 @@ def _levels_json(report: SpectralReport) -> list[dict]:
 def _stencil_json(stencil: Stencil) -> dict:
     return {
         "mode": stencil.mode,
-        "param": rat_str(stencil.param),
+        "param": str(stencil.param),
         "points": len(stencil.terms),
         "terms": [
             {"offset": j, "coeff": _laurent_json(c)} for j, c in stencil.terms
@@ -178,11 +178,12 @@ def _build_operator(args, realization: Realization) -> FockPoly:
     return build_hg(args.p, args.B, q=realization.q)
 
 
-def _operator_json(args, operator: FockPoly) -> dict:
-    payload = {"name": args.op, "p": rat_str(args.p), "words": _fock_json(operator)}
+def _report_head(args, operator: FockPoly, realization: Realization) -> dict:
+    """The command, operator and realization keys of every spectrum and stencil JSON report."""
+    described = {"name": args.op, "p": str(args.p), "words": _fock_json(operator)}
     if args.op == "hg":
-        payload["B"] = rat_str(args.B)
-    return payload
+        described["B"] = str(args.B)
+    return {"command": args.command, "operator": described, "realization": realization.to_json()}
 
 
 def cmd_spectrum(parser: argparse.ArgumentParser, args) -> int:
@@ -201,15 +202,8 @@ def cmd_spectrum(parser: argparse.ArgumentParser, args) -> int:
         if args.format == "csv":
             _emit_csv(["error", "detail"], [["degenerate-spectrum", str(exc)]], args.out)
         else:
-            _emit_json(
-                {
-                    "command": "spectrum",
-                    "error": {"kind": "degenerate-spectrum", "detail": str(exc)},
-                    "operator": _operator_json(args, operator),
-                    "realization": realization.to_json(),
-                },
-                args.out,
-            )
+            error = {"kind": "degenerate-spectrum", "detail": str(exc)}
+            _emit_json({**_report_head(args, operator, realization), "error": error}, args.out)
         return 1
 
     reference = reference_spectrum(args.N + 1, q, s)
@@ -217,16 +211,14 @@ def cmd_spectrum(parser: argparse.ArgumentParser, args) -> int:
 
     if args.format == "json":
         payload = {
-            "command": "spectrum",
-            "operator": _operator_json(args, operator),
-            "realization": realization.to_json(),
+            **_report_head(args, operator, realization),
             "N": args.N,
             "rhs": {"kind": args.rhs} if s == 0 else {"kind": "scaled", "s": s},
             "basis": report.basis.to_json(),
             "levels": _levels_json(report),
             "reference": {
                 "kind": reference_label(q, s),
-                "values": [rat_str(v) for v in reference],
+                "values": [str(v) for v in reference],
                 "match": match,
             },
         }
@@ -235,9 +227,9 @@ def cmd_spectrum(parser: argparse.ArgumentParser, args) -> int:
         rows = [
             [
                 str(entry.level),
-                rat_str(entry.eigenvalue),
-                " ".join(rat_str(c) for c in entry.eigenpoly.coeffs),
-                rat_str(reference[entry.level]),
+                str(entry.eigenvalue),
+                " ".join(str(c) for c in entry.eigenpoly.coeffs),
+                str(reference[entry.level]),
                 str(entry.eigenvalue == reference[entry.level]).lower(),
             ]
             for entry in report.entries
@@ -252,16 +244,11 @@ def cmd_stencil(parser: argparse.ArgumentParser, args) -> int:
     operator = _build_operator(args, realization)
     stencil = stencil_of(operator, realization)
     if args.format == "json":
-        payload = {
-            "command": "stencil",
-            "operator": _operator_json(args, operator),
-            "realization": realization.to_json(),
-            "stencil": _stencil_json(stencil),
-        }
+        payload = {**_report_head(args, operator, realization), "stencil": _stencil_json(stencil)}
         _emit_json(payload, args.out)
     else:
         rows = [
-            [str(j), " ".join(f"{power}:{rat_str(c)}" for power, c in coeff.terms.items())]
+            [str(j), " ".join(f"{power}:{c}" for power, c in coeff.terms.items())]
             for j, coeff in stencil.terms
         ]
         _emit_csv(["offset", "coeff"], rows, args.out)
@@ -392,7 +379,7 @@ def main(argv: list[str] | None = None) -> int:
         if not 0 <= args.N <= MAX_N:
             parser.error(f"--N must be between 0 and {MAX_N}, got {args.N}")
         if args.realization == "qdil" and _height(args.q) ** (args.N**2) > QDIL_BUDGET:
-            parser.error(f"--q {rat_str(args.q)} at --N {args.N} is over the budget. {QDIL_LIMIT}")
+            parser.error(f"--q {args.q} at --N {args.N} is over the budget. {QDIL_LIMIT}")
         return cmd_spectrum(parser, args)
     if args.command == "stencil":
         return cmd_stencil(parser, args)

@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, NamedTuple
 
-from .algebra import Rat, _over_lcm, rat_str
+from .algebra import Rat, _over_lcm
 
 Word = tuple[int, int]  # (power of b, power of a)
 
@@ -123,16 +123,14 @@ class FockPoly:
         parts = []
         for (k, m), c in self.terms.items():
             word = "".join(filter(None, [f"b^{k}" if k else "", f"a^{m}" if m else ""]))
-            parts.append(f"{rat_str(c)}*{word or '1'}")
-        return "FockPoly(" + " + ".join(parts) + f"; q={rat_str(self.q)})"
+            parts.append(f"{c}*{word or '1'}")
+        return "FockPoly(" + " + ".join(parts) + f"; q={self.q})"
 
     # -- arithmetic ---------------------------------------------------------
 
     def _check_context(self, other: "FockPoly") -> None:
         if self.q != other.q:
-            raise AlgebraMismatchError(
-                f"mixing deformation parameters {rat_str(self.q)} and {rat_str(other.q)}"
-            )
+            raise AlgebraMismatchError(f"mixing deformation parameters {self.q} and {other.q}")
 
     def __add__(self, other: "FockPoly") -> "FockPoly":
         self._check_context(other)

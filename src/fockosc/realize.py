@@ -40,7 +40,6 @@ from .algebra import (
     QuasiMonomial,
     basis_element,
     basis_transplant,
-    rat_str,
 )
 from .fock import AlgebraMismatchError, FockPoly
 
@@ -112,16 +111,13 @@ class FiniteDifference(Realization):
         return super().raise_(f.shift_arg(-self.delta))
 
     def to_json(self) -> dict:
-        return {"kind": "fd", "delta": rat_str(self.delta)}
+        return {"kind": "fd", "delta": str(self.delta)}
 
     def stencil_generators(self) -> tuple[str, Fraction, Terms, Terms]:
         """Shift mode: a = E/d - 1/d and b = y*E^-1, with E the unit shift."""
         inv = 1 / self.delta
         a_terms = {1: LaurentPoly({0: inv}), 0: LaurentPoly({0: -inv})}
         return "shift", self.delta, a_terms, {-1: LaurentPoly({1: 1})}
-
-    def __repr__(self) -> str:
-        return f"FiniteDifference({rat_str(self.delta)})"
 
 
 @dataclass(frozen=True)
@@ -143,15 +139,17 @@ class QDilatation(Realization):
         return Poly([table[k] * c if c else c for k, c in enumerate(f.coeffs[1:], 1)])
 
     def to_json(self) -> dict:
-        return {"kind": "qdil", "q": rat_str(self.q)}
+        return {"kind": "qdil", "q": str(self.q)}
 
     def stencil_generators(self) -> tuple[str, Fraction, Terms, Terms]:
         """Scale mode: a = (S - 1)/(y(q - 1)) and b = y, with S f(y) = f(qy)."""
         alpha = LaurentPoly({-1: 1 / (self.q - 1)})
         return "scale", self.q, {1: alpha, 0: -alpha}, {0: LaurentPoly({1: 1})}
 
-    def __repr__(self) -> str:
-        return f"QDilatation({rat_str(self.q)})"
+
+def _check_q(h: FockPoly, r: Realization) -> None:
+    if h.q != r.q:
+        raise AlgebraMismatchError(f"element has q={h.q} but realization carries q={r.q}")
 
 
 def apply_op(h: FockPoly, r: Realization, f: Poly) -> Poly:
@@ -163,11 +161,7 @@ def apply_op(h: FockPoly, r: Realization, f: Poly) -> Poly:
     the lowering degree, and the b-powers by Horner's rule from the top
     k down, one `raise_` per step.
     """
-    if h.q != r.q:
-        raise AlgebraMismatchError(
-            f"element has q={rat_str(h.q)} but realization carries "
-            f"q={rat_str(r.q)}"
-        )
+    _check_q(h, r)
     lowered = [f]
     for _ in range(h.a_degree()):
         lowered.append(r.lower(lowered[-1]))
@@ -275,8 +269,7 @@ def stencil_of(h: FockPoly, r: Realization) -> Stencil:
     b terms are composed in by Horner's rule from the top b-power down.
     """
     mode, param, a_terms, b_terms = r.stencil_generators()
-    if h.q != r.q:
-        raise AlgebraMismatchError("element and realization deformation differ")
+    _check_q(h, r)
     if h.a_degree() > 2:
         raise UnsupportedDegreeError("stencils are derived for lowering degree <= 2")
 

@@ -31,7 +31,6 @@ from .algebra import (
     QuasiMonomial,
     Rat,
     basis_transplant,
-    rat_str,
 )
 from .fock import build_hf
 from .realize import Differential, apply_op
@@ -160,7 +159,7 @@ def kratzer_eigencheck(n: int, p: Rat, omega: Rat) -> Fraction:
     value = constant_ratio(kratzer_apply(q, p, omega), q)
     if value is None:
         raise NotProportionalError(
-            f"level {n} weighted state (p={rat_str(p)}, w={rat_str(omega)}) "
+            f"level {n} weighted state (p={p}, w={omega}) "
             "is not an eigenfunction"
         )
     return value

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import OperatorMatrix, Poly, QuasiMonomial, basis_transplant, rat_str
+from .algebra import OperatorMatrix, Poly, QuasiMonomial, basis_transplant
 from .fock import FockPoly, build_hf, build_hg, casimir_value, commutator, sl2_generators
 from .realize import (
     Differential,
@@ -158,7 +158,7 @@ def suite_heisenberg() -> VerifyReport:
                 f"bracket-{r.label}",
                 {
                     "realization": r.label,
-                    "q": rat_str(r.q),
+                    "q": str(r.q),
                     "polynomials": RESIDUAL_COUNT,
                     "max_degree": RESIDUAL_MAX_DEGREE,
                 },
@@ -191,8 +191,8 @@ def suite_sl2() -> VerifyReport:
         for label, residual in relations.items():
             cases.append(
                 _case(
-                    f"{label} @ n={rat_str(n)}",
-                    {"n": rat_str(n), "relation": label},
+                    f"{label} @ n={n}",
+                    {"n": str(n), "relation": label},
                     "0",
                     "0" if residual.is_zero else repr(residual),
                 )
@@ -205,8 +205,8 @@ def suite_sl2() -> VerifyReport:
         residual = (jzero * jminus).scale(q) - jminus * jzero + jminus
         cases.append(
             _case(
-                f"q(J0.J-)-(J-.J0)=-J- @ q={rat_str(q)}",
-                {"q": rat_str(q)},
+                f"q(J0.J-)-(J-.J0)=-J- @ q={q}",
+                {"q": str(q)},
                 "0",
                 "0" if residual.is_zero else repr(residual),
             )
@@ -221,13 +221,13 @@ def suite_casimir() -> VerifyReport:
         expected = -Fraction(n, 2) * (Fraction(n, 2) + 1)
         got = casimir_value(n).value
         cases.append(
-            _case(f"casimir n={n}", {"n": str(n)}, rat_str(expected), rat_str(got))
+            _case(f"casimir n={n}", {"n": str(n)}, str(expected), str(got))
         )
     return VerifyReport("casimir", tuple(cases))
 
 
 def _values_string(values) -> str:
-    return ", ".join(rat_str(v) for v in values)
+    return ", ".join(map(str, values))
 
 
 def _reference_string(count: int, q: Fraction = Fraction(1), s: int = 0) -> str:
@@ -248,8 +248,8 @@ def suite_spectrum() -> VerifyReport:
         report = eigensolve_flag(realize_matrix(build_hf(p), Differential(), 20))
         cases.append(
             _case(
-                f"classic-diff p={rat_str(p)}",
-                {"operator": "hf", "realization": "diff", "p": rat_str(p), "N": 20},
+                f"classic-diff p={p}",
+                {"operator": "hf", "realization": "diff", "p": str(p), "N": 20},
                 _reference_string(21),
                 _values_string(report.eigenvalues),
             )
@@ -258,8 +258,8 @@ def suite_spectrum() -> VerifyReport:
         matrix = realize_matrix(build_hf(Fraction(0), q=q), QDilatation(q), 16)
         cases.append(
             _case(
-                f"deformed-qdil q={rat_str(q)}",
-                {"operator": "hf", "realization": "qdil", "q": rat_str(q), "N": 16},
+                f"deformed-qdil q={q}",
+                {"operator": "hf", "realization": "qdil", "q": str(q), "N": 16},
                 _reference_string(17, q),
                 _values_string(eigensolve_flag(matrix).eigenvalues),
             )
@@ -289,8 +289,8 @@ def suite_isospectral(grid: dict | None = None) -> VerifyReport:
         for d in DELTA_GRID:
             cases.append(
                 _comparison_case(
-                    f"diff-vs-fd p={rat_str(p)} delta={rat_str(d)}",
-                    {"p": rat_str(p), "delta": rat_str(d), "N": 16},
+                    f"diff-vs-fd p={p} delta={d}",
+                    {"p": str(p), "delta": str(d), "N": 16},
                     grid[p, 0][1],
                     grid[p, d][1],
                 )
@@ -302,8 +302,8 @@ def suite_isospectral(grid: dict | None = None) -> VerifyReport:
             hg_report = eigensolve_flag(realize_matrix(hg, Differential(), 16))
             cases.append(
                 _comparison_case(
-                    f"hg-vs-hf p={rat_str(p)} B={rat_str(big_b)}",
-                    {"p": rat_str(p), "B": rat_str(big_b), "N": 16},
+                    f"hg-vs-hf p={p} B={big_b}",
+                    {"p": str(p), "B": str(big_b), "N": 16},
                     hf_report,
                     hg_report,
                 )
@@ -317,12 +317,12 @@ def suite_isospectral(grid: dict | None = None) -> VerifyReport:
             )
             cases.append(
                 _case(
-                    f"hg-shifted-laguerre p={rat_str(p)} B={rat_str(big_b)}",
+                    f"hg-shifted-laguerre p={p} B={big_b}",
                     {
-                        "p": rat_str(p),
-                        "B": rat_str(big_b),
-                        "alpha": rat_str(alpha),
-                        "shift": rat_str(big_b),
+                        "p": str(p),
+                        "B": str(big_b),
+                        "alpha": str(alpha),
+                        "shift": str(big_b),
                     },
                     "monic Laguerre(alpha) at y+shift",
                     "match" if match else "mismatch",
@@ -332,13 +332,12 @@ def suite_isospectral(grid: dict | None = None) -> VerifyReport:
     for big_b in B_GRID:
         for d in DELTA_GRID:
             stencil = stencil_of(build_hg(Fraction(0), big_b), FiniteDifference(d))
-            expected_lead = rat_str(4 * big_b / d**2)
             cases.append(
                 _case(
-                    f"four-point B={rat_str(big_b)} delta={rat_str(d)}",
-                    {"B": rat_str(big_b), "delta": rat_str(d)},
-                    f"offsets (-1, 0, 1, 2), c2 = {expected_lead}",
-                    f"offsets {stencil.offsets}, c2 = {rat_str(stencil.coeff(2).coeff(0))}",
+                    f"four-point B={big_b} delta={d}",
+                    {"B": str(big_b), "delta": str(d)},
+                    f"offsets (-1, 0, 1, 2), c2 = {4 * big_b / d**2}",
+                    f"offsets {stencil.offsets}, c2 = {stencil.coeff(2).coeff(0)}",
                 )
             )
     three_point = stencil_of(build_hf(Fraction(0)), FiniteDifference(Fraction(1)))
@@ -392,8 +391,8 @@ def suite_transplant(grid: dict | None = None) -> VerifyReport:
             same = fd_matrix.columns == diff_matrix.columns
             cases.append(
                 _case(
-                    f"matrix-transplant p={rat_str(p)} delta={rat_str(d)}",
-                    {"p": rat_str(p), "delta": rat_str(d), "N": 16},
+                    f"matrix-transplant p={p} delta={d}",
+                    {"p": str(p), "delta": str(d), "N": 16},
                     "matrices identical entry-for-entry",
                     "identical" if same else "differ",
                     same,
@@ -406,8 +405,8 @@ def suite_transplant(grid: dict | None = None) -> VerifyReport:
             )
             cases.append(
                 _case(
-                    f"modified-laguerre p={rat_str(p)} delta={rat_str(d)}",
-                    {"p": rat_str(p), "delta": rat_str(d), "N": 16},
+                    f"modified-laguerre p={p} delta={d}",
+                    {"p": str(p), "delta": str(d), "N": 16},
                     "eigenpolynomials = monic modified Laguerre",
                     "match" if ok else "mismatch",
                     ok,
@@ -417,8 +416,8 @@ def suite_transplant(grid: dict | None = None) -> VerifyReport:
             ok = all(stencil.apply(f) == f.scale(-4 * n) for n, f in enumerate(family[:11]))
             cases.append(
                 _case(
-                    f"stencil-eigenfunction p={rat_str(p)} delta={rat_str(d)}",
-                    {"p": rat_str(p), "delta": rat_str(d), "n_max": 10},
+                    f"stencil-eigenfunction p={p} delta={d}",
+                    {"p": str(p), "delta": str(d), "n_max": 10},
                     "stencil(modified Laguerre_n) = -4n * modified Laguerre_n",
                     "holds" if ok else "fails",
                     ok,
@@ -436,8 +435,8 @@ def suite_kratzer() -> VerifyReport:
             expected = [omega * (4 * n + 2 * p + 1) for n in range(7)]
             cases.append(
                 _case(
-                    f"levels p={rat_str(p)} w={rat_str(omega)}",
-                    {"p": rat_str(p), "w": rat_str(omega), "n_max": 6},
+                    f"levels p={p} w={omega}",
+                    {"p": str(p), "w": str(omega), "n_max": 6},
                     _values_string(expected),
                     _values_string(measured),
                 )
@@ -448,9 +447,9 @@ def suite_kratzer() -> VerifyReport:
             ok = all(gauge_conjugate_check(poly, p, omega) == e0 for poly in polys)
             cases.append(
                 _case(
-                    f"gauge p={rat_str(p)} w={rat_str(omega)}",
-                    {"p": rat_str(p), "w": rat_str(omega), "polynomials": 3},
-                    f"E0 = {rat_str(e0)}, residual 0",
+                    f"gauge p={p} w={omega}",
+                    {"p": str(p), "w": str(omega), "polynomials": 3},
+                    f"E0 = {e0}, residual 0",
                     "match" if ok else "mismatch",
                     ok,
                 )
@@ -469,8 +468,8 @@ def suite_parity() -> VerifyReport:
                 _case(
                     f"parity n={n} p={p}",
                     {"n": str(n), "p": str(p), "w": "1"},
-                    rat_str(pattern),
-                    rat_str(measured),
+                    str(pattern),
+                    str(measured),
                 )
             )
     return VerifyReport("parity", tuple(cases))
@@ -485,8 +484,8 @@ def suite_qpencil() -> VerifyReport:
             name = "scaled" if s < 0 else "scaled-reciprocal"
             cases.append(
                 _case(
-                    f"{name} s={s} q={rat_str(q)}",
-                    {"q": rat_str(q), "s": str(s), "N": 12},
+                    f"{name} s={s} q={q}",
+                    {"q": str(q), "s": str(s), "N": 12},
                     _reference_string(13, q, s),
                     _values_string(pencil_solve(matrix, s, q).eigenvalues),
                 )

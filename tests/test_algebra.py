@@ -16,7 +16,6 @@ from fockosc.algebra import (
     back_substitute,
     basis_element,
     basis_transplant,
-    rat_str,
 )
 from fockosc.cli import MAX_HEIGHT
 from oracles import dense_apply, newton_coefficients, shift_by_powers
@@ -37,11 +36,6 @@ degree_20 = [F(j % 3 and (-1) ** j * (2 * j + 1), j + 2) for j in range(21)]
 
 
 class TestRational:
-    def test_parse_and_format_roundtrip(self):
-        assert rat_str(F(-4)) == "-4"
-        assert rat_str(F(15, 8)) == "15/8"
-        assert rat_str(F(-3, 6)) == "-1/2"
-
     def test_canonical_form(self):
         x = F(6, -8)
         assert x.denominator > 0

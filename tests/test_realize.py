@@ -226,10 +226,17 @@ class TestRealizeMatrix:
         assert m != OperatorMatrix([Poly()] * (n + 1), m.basis)
 
     def test_context_mismatch_rejected(self):
-        with pytest.raises(AlgebraMismatchError):
+        """realize_matrix (through apply_op) and stencil_of name both q values alike."""
+        element_q2 = "element has q=2 but realization carries q=1"
+        element_q1 = "element has q=1 but realization carries q=2"
+        with pytest.raises(AlgebraMismatchError, match=element_q2):
             realize_matrix(build_hf(0, q=2), Differential(), 3)
-        with pytest.raises(AlgebraMismatchError):
+        with pytest.raises(AlgebraMismatchError, match=element_q1):
             realize_matrix(build_hf(0), QDilatation(2), 3)
+        with pytest.raises(AlgebraMismatchError, match=element_q2):
+            stencil_of(build_hf(0, q=2), FiniteDifference(1))
+        with pytest.raises(AlgebraMismatchError, match=element_q1):
+            stencil_of(build_hf(0), QDilatation(2))
 
     @pytest.mark.parametrize("side", [1, -1])
     def test_q_limit_of_dilatation_entries(self, side):
@@ -452,7 +459,11 @@ class TestApplyOpSympyOracle:
         expected = sympy_generator_action(h, r, f)
         assert apply_op(h, r, f) == expected
 
-    @pytest.mark.parametrize("r", [FiniteDifference(F(-2, 3)), QDilatation(F(5, 2))], ids=repr)
+    @pytest.mark.parametrize(
+        "r",
+        [FiniteDifference(F(-2, 3)), QDilatation(F(5, 2))],
+        ids=["FiniteDifference(-2/3)", "QDilatation(5/2)"],
+    )
     def test_zero_pure_raising_and_identity(self, r):
         f = Poly([F(1, 2), -3, 0, 2])
         zero, identity = FockPoly({}, r.q), FockPoly.identity(r.q)

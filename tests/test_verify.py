@@ -1,9 +1,14 @@
+import json
+import re
+
 import pytest
 
 from fockosc import verify
-from fockosc.algebra import OperatorMatrix, Poly
-from fockosc.fock import build_hf
-from fockosc.realize import Differential, FiniteDifference, realize_matrix
+from fockosc.algebra import LaurentPoly, OperatorMatrix, Poly, QuasiMonomial
+from fockosc.cli import main
+from fockosc.fock import FockPoly, build_hf
+from fockosc.realize import Differential, FiniteDifference, QDilatation, Stencil, realize_matrix
+from fockosc.spectral import SpectralReport
 from fockosc.verify import SUITES, run_suite
 
 
@@ -104,3 +109,145 @@ def test_matrix_transplant_compares_separate_matrices(monkeypatch):
     ]
     assert len(cases) == 9
     assert not any(case.passed for case in cases)
+
+
+# One plausible fault per case family of `verify all`.  Each wraps the
+# original where the suite looks it up: in the verify namespace, or on the
+# realization classes for `lower` and on FockPoly for `__mul__`.
+def _plus_one(fn):
+    return lambda *args: fn(*args) + 1
+
+
+def _residual_without_one(residual):
+    """(a.b - q.b.a) f, the - f term dropped."""
+    return lambda r, f: residual(r, f) + f
+
+
+def _lower_plus_one(lower):
+    return lambda self, f: lower(self, f) + Poly.one()
+
+
+def _fd_step_sign(lower):
+    """The forward difference taken with step -delta."""
+    return lambda self, f: (f.shift_arg(-self.delta) - f).scale(1 / self.delta)
+
+
+def _qdil_without_brackets(lower):
+    """k in place of {k}: the plain derivative."""
+    return lambda self, f: f.derivative()
+
+
+def _swapped(commutator):
+    return lambda x, y: commutator(y, x)
+
+
+def _mul_plus_identity(mul):
+    return lambda x, y: mul(x, y) + FockPoly.identity(x.q)
+
+
+def _casimir_plus_one(casimir_value):
+    return lambda n: casimir_value(n)._replace(value=casimir_value(n).value + 1)
+
+
+def _constant_plus_one(build):
+    """An operator builder whose element carries an extra identity term."""
+    return lambda *args, q=1: build(*args, q=q) + FockPoly.identity(q)
+
+
+def _extra_b_term(build_hg):
+    """B a^2 once more: 5B in place of 4B."""
+    return lambda p, big_b, q=1: build_hg(p, big_b, q) + FockPoly.word(0, 2, big_b, q)
+
+
+def _source_step_sign(transplant):
+    return lambda f, source, target: transplant(f, QuasiMonomial(-source.delta), target)
+
+
+def _extra_offset(stencil_of):
+    def faulty(h, r):
+        stencil = stencil_of(h, r)
+        return Stencil(stencil.mode, stencil.param, stencil.terms + ((3, LaurentPoly({0: 1})),))
+
+    return faulty
+
+
+def _reversed_direction(pencil_solve):
+    return lambda matrix, s, q: pencil_solve(matrix, -s, q)
+
+
+def _levels_plus_one(pencil_solve):
+    def faulty(matrix, s, q):
+        report = pencil_solve(matrix, s, q)
+        entries = tuple(e._replace(eigenvalue=e.eigenvalue + 1) for e in report.entries)
+        return SpectralReport(report.basis, entries)
+
+    return faulty
+
+
+REALIZATIONS = (Differential, FiniteDifference, QDilatation)
+LOWER_PLUS_ONE = [(cls, "lower", _lower_plus_one) for cls in REALIZATIONS]
+FD_STEP_SIGN = [(FiniteDifference, "lower", _fd_step_sign)]
+QDIL_WITHOUT_BRACKETS = [(QDilatation, "lower", _qdil_without_brackets)]
+SWAPPED_COMMUTATOR = [(verify, "commutator", _swapped)]
+EXTRA_OFFSET = [(verify, "stencil_of", _extra_offset)]
+REVERSED_DIRECTION = [(verify, "pencil_solve", _reversed_direction)]
+FAULTS = {
+    # family: (suite, [(where, name, wrapper of the original)])
+    "bracket": ("heisenberg", [(verify, "heisenberg_residual", _residual_without_one)]),
+    "vacuum": ("heisenberg", LOWER_PLUS_ONE),
+    "[J0,J+]=+J+": ("sl2", SWAPPED_COMMUTATOR),
+    "[J0,J-]=-J-": ("sl2", SWAPPED_COMMUTATOR),
+    "[J+,J-]=-2J0": ("sl2", SWAPPED_COMMUTATOR),
+    "q(J0.J-)-(J-.J0)=-J-": ("sl2", [(FockPoly, "__mul__", _mul_plus_identity)]),
+    "casimir": ("casimir", [(verify, "casimir_value", _casimir_plus_one)]),
+    "classic-diff": ("spectrum", [(verify, "build_hf", _constant_plus_one)]),
+    "deformed-qdil": ("spectrum", QDIL_WITHOUT_BRACKETS),
+    "diff-vs-fd": ("isospectral", FD_STEP_SIGN),
+    "hg-vs-hf": ("isospectral", [(verify, "build_hg", _constant_plus_one)]),
+    "hg-shifted-laguerre": ("isospectral", [(verify, "build_hg", _extra_b_term)]),
+    "four-point": ("isospectral", EXTRA_OFFSET),
+    "three-point": ("isospectral", EXTRA_OFFSET),
+    "dilatation": ("isospectral", EXTRA_OFFSET),
+    "classic-vs-deformed": ("isospectral", QDIL_WITHOUT_BRACKETS),
+    "matrix-transplant": ("transplant", FD_STEP_SIGN),
+    "modified-laguerre": ("transplant", [(verify, "basis_transplant", _source_step_sign)]),
+    "stencil-eigenfunction": ("transplant", EXTRA_OFFSET),
+    "levels": ("kratzer", [(verify, "kratzer_eigencheck", _plus_one)]),
+    "gauge": ("kratzer", [(verify, "gauge_conjugate_check", _plus_one)]),
+    "parity": ("parity", [(verify, "parity_relation_ratio", _plus_one)]),
+    "scaled": ("qpencil", REVERSED_DIRECTION),
+    "scaled-reciprocal": ("qpencil", REVERSED_DIRECTION),
+    "coincide-at-q=1": ("qpencil", [(verify, "pencil_solve", _levels_plus_one)]),
+}
+
+
+def _family(case_name: str) -> str:
+    """A case name up to its first space; bracket and vacuum cases without the realization."""
+    return re.match(r"bracket|vacuum|[^ ]+", case_name).group()
+
+
+def _inject(monkeypatch, family: str) -> str:
+    suite, patches = FAULTS[family]
+    for where, name, wrap in patches:
+        monkeypatch.setattr(where, name, wrap(getattr(where, name)))
+    return suite
+
+
+def test_every_family_has_a_fault():
+    assert {_family(c.case) for report in verify.run_all() for c in report.cases} == set(FAULTS)
+
+
+@pytest.mark.parametrize("family", FAULTS)
+def test_family_fails_under_its_fault(monkeypatch, family):
+    """No verdict holds by construction: one fault fails every case of its family."""
+    suite = _inject(monkeypatch, family)
+    cases = [c for c in run_suite(suite).cases if _family(c.case) == family]
+    assert cases
+    assert [c.case for c in cases if c.passed] == []
+
+
+def test_verify_all_exits_1_under_a_fault(monkeypatch, tmp_path):
+    _inject(monkeypatch, "parity")
+    out = tmp_path / "verify.json"
+    assert main(["verify", "all", "--out", str(out)]) == 1
+    assert json.loads(out.read_text(encoding="utf-8"))["passed"] is False
