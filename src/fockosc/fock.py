@@ -143,11 +143,7 @@ class FockPoly:
         return FockPoly({w: -c for w, c in self.terms.items()}, self.q)
 
     def __sub__(self, other: "FockPoly") -> "FockPoly":
-        self._check_context(other)
-        acc = dict(self.terms)
-        for w, c in other.terms.items():
-            acc[w] = acc.get(w, Fraction(0)) - c
-        return FockPoly(acc, self.q)
+        return self + (-other)
 
     def scale(self, k: Rat) -> "FockPoly":
         if k == 1:

@@ -44,10 +44,6 @@ from .algebra import (
 from .fock import AlgebraMismatchError, FockPoly
 
 
-class UnsupportedDegreeError(ValueError):
-    """Stencil extraction is limited to lowering degree at most 2."""
-
-
 # Generator terms of a stencil: offset -> coefficient function.
 Terms = dict[int, LaurentPoly]
 
@@ -128,15 +124,17 @@ class QDilatation(Realization):
         object.__setattr__(self, "q", Fraction(self.q))
         if self.q in (0, 1):
             raise ValueError("dilatation parameter must differ from 0 and 1")
-        object.__setattr__(self, "_brackets", [Fraction(0)])  # {0}, {1}, ...; {k+1} = q {k} + 1
 
     def lower(self, f: Poly) -> Poly:
-        # D_q y^k = {k} y^(k-1).  {k} comes from this realization's table, kept
-        # apart from the reference's {n}; only nonzero coefficients cost a product.
-        table = self._brackets
-        while len(table) < len(f.coeffs):
-            table.append(table[-1] * self.q + 1)
-        return Poly([table[k] * c if c else c for k, c in enumerate(f.coeffs[1:], 1)])
+        # D_q y^k = {k} y^(k-1), apart from the reference's {n}.  With q = r/s the
+        # integers t_k = s^(k-1) {k} follow t_k = s^(k-1) + r t_(k-1); nothing is kept.
+        r, s = self.q.numerator, self.q.denominator
+        out, t, s_pow = [], 0, 1  # t_(k-1) and s^(k-1) on entry to step k
+        for c in f.coeffs[1:]:
+            t = s_pow + r * t
+            out.append(Fraction(c.numerator * t, c.denominator * s_pow) if c else c)
+            s_pow *= s
+        return Poly(out)
 
     def to_json(self) -> dict:
         return {"kind": "qdil", "q": str(self.q)}
@@ -262,16 +260,14 @@ def _compose_terms(x: Terms, y: Terms, mode: str, param: Fraction) -> Terms:
 def stencil_of(h: FockPoly, r: Realization) -> Stencil:
     """Flatten the realized element to explicit coefficient functions.
 
-    Supported for FiniteDifference (shift mode; lowering degree <= 2
-    keeps the offsets inside {-2..2}) and QDilatation (scale mode,
-    offsets {0..2}); the Differential realization raises ValueError.
+    Supported for FiniteDifference (shift mode, offsets inside
+    -(b-degree)..(a-degree)) and QDilatation (scale mode, offsets inside
+    0..(a-degree)); the Differential realization raises ValueError.
     As in `apply_op`, the terms of each a^m are composed once and the
     b terms are composed in by Horner's rule from the top b-power down.
     """
     mode, param, a_terms, b_terms = r.stencil_generators()
     _check_q(h, r)
-    if h.a_degree() > 2:
-        raise UnsupportedDegreeError("stencils are derived for lowering degree <= 2")
 
     lowered: list[Terms] = [{0: LaurentPoly({0: 1})}]
     for _ in range(h.a_degree()):

@@ -92,33 +92,25 @@ def _even_substitute(p: Poly, omega: Fraction) -> LaurentPoly:
     return LaurentPoly({2 * k: c * omega**k for k, c in enumerate(p.coeffs) if c != 0})
 
 
-def parity_relation_ratio(n: int, p: int, omega: Rat) -> Fraction:
+def parity_relation_ratio(n: int, p: int) -> Fraction:
     """Proportionality constant between H_(2n+p) and the Laguerre reduction.
 
-    H_(2n+p) has pure parity, so it factors as z^p * G(z^2); with
-    z = sqrt(w) x the two sides x^p G(w x^2) and x^p L_n^(p-1/2)(w x^2)
-    are rational polynomials in x once the sqrt(w)^p prefactor is
-    normalized away.  Both are expanded exactly and their constant ratio
-    is returned; a structural mismatch raises NotProportionalError.
+    H_(2n+p) has pure parity p, so it factors as z^p * G(z^2).  With
+    z = sqrt(w) x both sides of the relation are polynomials in
+    y = z^2 = w x^2, so w drops out: the claim is G = c * L_n^(p-1/2)
+    as polynomials in y.  The constant c is read off the leading
+    coefficients and checked on all of them; a mixed parity or a
+    non-multiple raises NotProportionalError.
     """
     if p not in (0, 1):
         raise ValueError("parity must be 0 or 1")
-    omega = Fraction(omega)
-    if omega <= 0:
-        raise ValueError("frequency must be positive")
     h = hermite(2 * n + p)
-    even_part = {}
-    for i, c in enumerate(h.coeffs):
-        if c == 0:
-            continue
-        if (i - p) % 2 != 0:
-            raise NotProportionalError("Hermite parity pattern violated")
-        even_part[(i - p) // 2] = c
-    g = Poly([even_part.get(j, Fraction(0)) for j in range(n + 1)])
-    left = _even_substitute(g, omega)
-    right = _even_substitute(laguerre(n, Fraction(p) - Fraction(1, 2)), omega)
-    ratio = constant_ratio(left, right)
-    if ratio is None or ratio == 0:
+    if any(h.coeffs[1 - p :: 2]):
+        raise NotProportionalError("Hermite parity pattern violated")
+    g = Poly(h.coeffs[p::2])
+    reduction = laguerre(n, Fraction(p) - Fraction(1, 2))
+    ratio = g.leading / reduction.leading
+    if g != reduction.scale(ratio):
         raise NotProportionalError(
             f"H_{2 * n + p} is not a multiple of the Laguerre reduction"
         )

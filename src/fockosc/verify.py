@@ -462,7 +462,7 @@ def suite_parity() -> VerifyReport:
     cases = []
     for p in (0, 1):
         for n in range(9):
-            measured = parity_relation_ratio(n, p, Fraction(1))
+            measured = parity_relation_ratio(n, p)
             pattern = Fraction((-1) ** n * 2 ** (2 * n + p) * math.factorial(n))
             cases.append(
                 _case(

@@ -183,7 +183,7 @@ def test_criterion_09_parity_relation():
     ratios = []
     for p in (0, 1):
         for n in range(9):
-            ratio = parity_relation_ratio(n, p, F(1))
+            ratio = parity_relation_ratio(n, p)
             ratios.append(f"n={n} p={p}: {ratio}")
             ok = ok and ratio != 0
     print("measured parity ratios: " + "; ".join(ratios))

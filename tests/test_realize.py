@@ -20,7 +20,6 @@ from fockosc.realize import (
     Differential,
     FiniteDifference,
     QDilatation,
-    UnsupportedDegreeError,
     apply_op,
     heisenberg_residual,
     realize_matrix,
@@ -205,6 +204,13 @@ class TestRealizeMatrix:
         m = realize_matrix(build_hf(0, q=2), QDilatation(2), 2)
         assert diagonal(m) == (F(0), F(-4), F(-12))
 
+    def test_realization_carries_no_state(self):
+        # A realization is a plain value: realizing a matrix leaves nothing on
+        # it that a later call, or another thread, could read.
+        r = QDilatation(F(7, 6))
+        realize_matrix(build_hg(F(5, 2), F(-2, 3), q=r.q), r, 64)
+        assert vars(r) == {"q": r.q}
+
     def test_fock_action_matches_realized_matrix(self):
         # Acting on b^j through the vacuum is the same linear map as the
         # dilatation realization acting on y^j.
@@ -374,11 +380,6 @@ class TestStencils:
         with pytest.raises(ValueError):
             stencil_of(build_hf(0), Differential())
 
-    def test_unsupported_lowering_degree(self):
-        h = FockPoly({(0, 3): 1})
-        with pytest.raises(UnsupportedDegreeError):
-            stencil_of(h, FiniteDifference(F(1)))
-
 
 class TestFlagInvariance:
     def test_raising_generator_subspace_invariance(self):
@@ -404,8 +405,8 @@ polys = st.lists(small_rationals, min_size=1, max_size=8).map(Poly)
 
 @st.composite
 def lowering_elements(draw, q):
-    """Elements with lowering degree <= 2; half of them keep only words b^k a^m with k <= m."""
-    keys = st.tuples(st.integers(0, 3), st.integers(0, 2))
+    """Elements with lowering degree <= 4; half of them keep only words b^k a^m with k <= m."""
+    keys = st.tuples(st.integers(0, 3), st.integers(0, 4))
     terms = draw(st.dictionaries(keys, small_rationals, max_size=4))
     if draw(st.booleans()):
         terms = {(k, m): c for (k, m), c in terms.items() if k <= m}
@@ -504,8 +505,8 @@ class TestZeroHeavyLowering:
            st.sampled_from([F(-1), F(2), F(1, 3), F(-6, 7)]))
     @settings(max_examples=60, deadline=None)
     def test_lower_matches_sympy(self, fs, q):
-        # One QDilatation lowers both polynomials, so its {k} table is read
-        # again and grown; at q = -1, {2} = 0.
+        # One QDilatation lowers both polynomials, which must leave nothing
+        # behind for the second; at q = -1, {2} = 0.
         r = QDilatation(q)
         for f in fs:
             e = sympy_poly(f)

@@ -110,28 +110,33 @@ class TestModifiedLaguerre:
 
 class TestParityRelation:
     def test_ground_case(self):
-        for omega in (F(1), F(3), F(5, 7)):
-            assert parity_relation_ratio(0, 0, omega) == 1
+        assert parity_relation_ratio(0, 0) == 1
 
     def test_first_even_case(self):
         # H_2(z) = 4z^2 - 2 against L_1^(-1/2)(z^2) = 1/2 - z^2.
-        assert parity_relation_ratio(1, 0, 1) == -4
+        assert parity_relation_ratio(1, 0) == -4
 
     @pytest.mark.parametrize("p", [0, 1])
     def test_measured_pattern(self, p):
         import math
 
         for n in range(7):
-            measured = parity_relation_ratio(n, p, 1)
+            measured = parity_relation_ratio(n, p)
             assert measured == F((-1) ** n * 2 ** (2 * n + p) * math.factorial(n))
-
-    def test_omega_independent(self):
-        for omega in (F(1), F(2), F(5, 3)):
-            assert parity_relation_ratio(3, 1, omega) == parity_relation_ratio(3, 1, 1)
 
     def test_parity_validation(self):
         with pytest.raises(ValueError):
-            parity_relation_ratio(1, 2, 1)
+            parity_relation_ratio(1, 2)
+
+    @pytest.mark.parametrize(
+        "h", [Poly([1, 1]), Poly([1, 0, 1])], ids=["mixed-parity", "not-a-multiple"]
+    )
+    def test_non_proportional_hermite_raises(self, monkeypatch, h):
+        # 1 + z has both parities; 1 + z^2 is even but G = 1 + y is not a
+        # multiple of L_1^(-1/2)(y) = 1/2 - y.
+        monkeypatch.setattr("fockosc.specfun.hermite", lambda k: h)
+        with pytest.raises(NotProportionalError):
+            parity_relation_ratio(1, 0)
 
 
 def sympy_weighted_image(p: F, omega: F, q_part: LaurentPoly) -> sp.Expr:
