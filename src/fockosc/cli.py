@@ -1,35 +1,38 @@
 """Command-line front end: spectra, stencils, and verification reports.
 
-All rationals cross this boundary as exact "num/den" strings; no decimal
-conversion happens anywhere.  JSON output is rendered with sorted keys
-and stable ordering so repeated runs are byte-identical.  Exit codes:
-0 all checks pass, 1 verification failure or spectral degeneracy,
-2 usage error.
+Each command in COMMANDS computes and returns (exit code, JSON payload)
+and writes nothing; `_write` is the one writer.  It renders the payload
+as JSON with sorted keys, or as CSV through the command's view in
+CSV_TABLES, and sends it to --out or stdout, so repeated runs are
+byte-identical.  All rationals cross this boundary as exact "num/den"
+strings; no decimal conversion happens anywhere.  Exit codes: 0 all
+checks pass, 1 verification failure or spectral degeneracy, 2 usage
+error.  A run that stops with an error leaves no new --out file.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
+import os
 import re
 import sys
 from fractions import Fraction
 
-from .algebra import DegenerateSpectrumError, LaurentPoly
+from .algebra import DegenerateSpectrumError
 from .fock import FockPoly, build_hf, build_hg
 from .realize import (
     Differential,
     FiniteDifference,
     QDilatation,
     Realization,
-    Stencil,
     realize_matrix,
     stencil_of,
 )
 from .spectral import (
-    SpectralReport,
     eigensolve_flag,
     pencil_solve,
     reference_label,
@@ -74,39 +77,6 @@ def _rational(text: str) -> Fraction:
     return value
 
 
-def _fock_json(element: FockPoly) -> list[dict]:
-    return [
-        {"b": k, "a": m, "coeff": str(c)}
-        for (k, m), c in sorted(element.terms.items())
-    ]
-
-
-def _laurent_json(p: LaurentPoly) -> dict[str, str]:
-    return {str(power): str(c) for power, c in p.terms.items()}
-
-
-def _levels_json(report: SpectralReport) -> list[dict]:
-    return [
-        {
-            "n": entry.level,
-            "E": str(entry.eigenvalue),
-            "coeffs": [str(c) for c in entry.eigenpoly.coeffs],
-        }
-        for entry in report.entries
-    ]
-
-
-def _stencil_json(stencil: Stencil) -> dict:
-    return {
-        "mode": stencil.mode,
-        "param": str(stencil.param),
-        "points": len(stencil.terms),
-        "terms": [
-            {"offset": j, "coeff": _laurent_json(c)} for j, c in stencil.terms
-        ],
-    }
-
-
 def _verify_json(report: VerifyReport) -> dict:
     return {
         "suite": report.suite,
@@ -125,36 +95,26 @@ def _verify_json(report: VerifyReport) -> dict:
     }
 
 
-def _check_out(parser: argparse.ArgumentParser, out_path: str | None) -> None:
-    """Exit 2 if --out cannot be opened; run after the other usage checks, before any work.
+@contextlib.contextmanager
+def _check_out(parser: argparse.ArgumentParser, out_path: str | None):
+    """Exit 2 if --out cannot be opened, before any work; leave no new file if the run fails.
 
-    Opening to append leaves an existing file as it is until the report is written.
+    Opening to append leaves an existing file as it is until the report is
+    written.  A file this check created is removed if the run stops with an
+    error, a usage error included.
     """
+    created = bool(out_path) and not os.path.exists(out_path)
     if out_path:
         try:
             open(out_path, "a", encoding="utf-8").close()
         except OSError as exc:
             parser.error(f"cannot write --out {out_path}: {exc.strerror}")
-
-
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _emit_json(payload: dict, out_path: str | None) -> None:
-    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", out_path)
-
-
-def _emit_csv(header: list[str], rows: list[list[str]], out_path: str | None) -> None:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    _emit(buffer.getvalue(), out_path)
+    try:
+        yield
+    except BaseException:
+        if created:
+            os.remove(out_path)
+        raise
 
 
 # --realization choice -> realization built from the parsed arguments.
@@ -180,18 +140,23 @@ def _build_operator(args, realization: Realization) -> FockPoly:
 
 def _report_head(args, operator: FockPoly, realization: Realization) -> dict:
     """The command, operator and realization keys of every spectrum and stencil JSON report."""
-    described = {"name": args.op, "p": str(args.p), "words": _fock_json(operator)}
+    words = [{"b": k, "a": m, "coeff": str(c)} for (k, m), c in sorted(operator.terms.items())]
+    described = {"name": args.op, "p": str(args.p), "words": words}
     if args.op == "hg":
         described["B"] = str(args.B)
     return {"command": args.command, "operator": described, "realization": realization.to_json()}
 
 
-def cmd_spectrum(parser: argparse.ArgumentParser, args) -> int:
+def cmd_spectrum(parser: argparse.ArgumentParser, args) -> tuple[int, dict]:
+    if not 0 <= args.N <= MAX_N:
+        parser.error(f"--N must be between 0 and {MAX_N}, got {args.N}")
+    if args.realization == "qdil" and _height(args.q) ** (args.N**2) > QDIL_BUDGET:
+        parser.error(f"--q {args.q} at --N {args.N} is over the budget. {QDIL_LIMIT}")
     realization = _build_realization(parser, args)
     if args.rhs == "scaled" and realization.basis.delta != 0:
         parser.error("scaled right-hand sides need the monomial basis (diff or qdil)")
-    _check_out(parser, args.out)
     operator = _build_operator(args, realization)
+    head = _report_head(args, operator, realization)
     matrix = realize_matrix(operator, realization, args.N)
 
     q = realization.q
@@ -199,110 +164,103 @@ def cmd_spectrum(parser: argparse.ArgumentParser, args) -> int:
     try:
         report = eigensolve_flag(matrix) if s == 0 else pencil_solve(matrix, s, q)
     except DegenerateSpectrumError as exc:
-        if args.format == "csv":
-            _emit_csv(["error", "detail"], [["degenerate-spectrum", str(exc)]], args.out)
-        else:
-            error = {"kind": "degenerate-spectrum", "detail": str(exc)}
-            _emit_json({**_report_head(args, operator, realization), "error": error}, args.out)
-        return 1
+        return 1, {**head, "error": {"kind": "degenerate-spectrum", "detail": str(exc)}}
 
     reference = reference_spectrum(args.N + 1, q, s)
     match = list(report.eigenvalues) == reference
-
-    if args.format == "json":
-        payload = {
-            **_report_head(args, operator, realization),
-            "N": args.N,
-            "rhs": {"kind": args.rhs} if s == 0 else {"kind": "scaled", "s": s},
-            "basis": report.basis.to_json(),
-            "levels": _levels_json(report),
-            "reference": {
-                "kind": reference_label(q, s),
-                "values": [str(v) for v in reference],
-                "match": match,
-            },
-        }
-        _emit_json(payload, args.out)
-    else:
-        rows = [
-            [
-                str(entry.level),
-                str(entry.eigenvalue),
-                " ".join(str(c) for c in entry.eigenpoly.coeffs),
-                str(reference[entry.level]),
-                str(entry.eigenvalue == reference[entry.level]).lower(),
-            ]
-            for entry in report.entries
-        ]
-        _emit_csv(["n", "E", "coeffs", "reference", "match"], rows, args.out)
-    return 0 if match else 1
+    return (0 if match else 1), {
+        **head,
+        "N": args.N,
+        "rhs": {"kind": args.rhs} if s == 0 else {"kind": "scaled", "s": s},
+        "basis": report.basis.to_json(),
+        "levels": [
+            {"n": e.level, "E": str(e.eigenvalue), "coeffs": [str(c) for c in e.eigenpoly.coeffs]}
+            for e in report.entries
+        ],
+        "reference": {
+            "kind": reference_label(q, s),
+            "values": [str(v) for v in reference],
+            "match": match,
+        },
+    }
 
 
-def cmd_stencil(parser: argparse.ArgumentParser, args) -> int:
+def cmd_stencil(parser: argparse.ArgumentParser, args) -> tuple[int, dict]:
     realization = _build_realization(parser, args)
-    _check_out(parser, args.out)
     operator = _build_operator(args, realization)
     stencil = stencil_of(operator, realization)
-    if args.format == "json":
-        payload = {**_report_head(args, operator, realization), "stencil": _stencil_json(stencil)}
-        _emit_json(payload, args.out)
-    else:
-        rows = [
-            [str(j), " ".join(f"{power}:{c}" for power, c in coeff.terms.items())]
-            for j, coeff in stencil.terms
-        ]
-        _emit_csv(["offset", "coeff"], rows, args.out)
-    return 0
-
-
-def _verify_csv_rows(report: VerifyReport) -> list[list[str]]:
-    rows = [
-        [
-            "case",
-            report.suite,
-            c.case,
-            json.dumps(c.inputs, sort_keys=True),
-            c.expected,
-            c.got,
-            str(c.passed).lower(),
-            "",
-        ]
-        for c in report.cases
+    terms = [
+        {"offset": j, "coeff": {str(power): str(c) for power, c in coeff.terms.items()}}
+        for j, coeff in stencil.terms
     ]
-    rows += [
-        ["note", report.suite, n.note_id, "", "", "", "", n.text]
-        for n in report.notes
-    ]
-    return rows
+    described = {"mode": stencil.mode, "param": str(stencil.param), "points": len(terms), "terms": terms}
+    return 0, {**_report_head(args, operator, realization), "stencil": described}
 
 
-def cmd_verify(parser: argparse.ArgumentParser, args) -> int:
-    _check_out(parser, args.out)
-    if args.suite == "all":
-        reports = run_all()
-    else:
-        reports = [run_suite(args.suite)]
+def cmd_verify(parser: argparse.ArgumentParser, args) -> tuple[int, dict]:
+    if args.suite != "all":
+        report = run_suite(args.suite)
+        return (0 if report.passed else 1), {"command": "verify", **_verify_json(report)}
+    reports = run_all()
     passed = all(r.passed for r in reports)
+    suites = [_verify_json(r) for r in reports]
+    return (0 if passed else 1), {"command": "verify", "suite": "all", "passed": passed, "suites": suites}
 
+
+COMMANDS = {"spectrum": cmd_spectrum, "stencil": cmd_stencil, "verify": cmd_verify}
+
+
+def _spectrum_csv(payload: dict) -> tuple[list[str], list[list[str]]]:
+    if "error" in payload:
+        return ["error", "detail"], [[payload["error"]["kind"], payload["error"]["detail"]]]
+    # Levels run 0..N like the reference values; str(Fraction) is canonical, so E == ref is exact.
+    rows = [
+        [str(level["n"]), level["E"], " ".join(level["coeffs"]), ref, str(level["E"] == ref).lower()]
+        for level, ref in zip(payload["levels"], payload["reference"]["values"])
+    ]
+    return ["n", "E", "coeffs", "reference", "match"], rows
+
+
+def _stencil_csv(payload: dict) -> tuple[list[str], list[list[str]]]:
+    rows = [
+        [str(t["offset"]), " ".join(f"{power}:{c}" for power, c in t["coeff"].items())]
+        for t in payload["stencil"]["terms"]
+    ]
+    return ["offset", "coeff"], rows
+
+
+def _verify_csv(payload: dict) -> tuple[list[str], list[list[str]]]:
+    rows = []
+    for suite in payload.get("suites", [payload]):
+        rows += [
+            ["case", suite["suite"], c["case"], json.dumps(c["inputs"], sort_keys=True),
+             c["expected"], c["got"], str(c["pass"]).lower(), ""]
+            for c in suite["cases"]
+        ]
+        rows += [["note", suite["suite"], n["id"], "", "", "", "", n["text"]] for n in suite["notes"]]
+    return ["kind", "suite", "id", "inputs", "expected", "got", "pass", "text"], rows
+
+
+# Per-command CSV view of the JSON payload, keyed like COMMANDS.
+CSV_TABLES = {"spectrum": _spectrum_csv, "stencil": _stencil_csv, "verify": _verify_csv}
+
+
+def _write(args, payload: dict) -> None:
+    """Render the payload as --format and write it to --out or stdout, the one report writer."""
     if args.format == "json":
-        if args.suite == "all":
-            payload = {
-                "command": "verify",
-                "suite": "all",
-                "passed": passed,
-                "suites": [_verify_json(r) for r in reports],
-            }
-        else:
-            payload = {"command": "verify", **_verify_json(reports[0])}
-        _emit_json(payload, args.out)
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
-        rows = [row for report in reports for row in _verify_csv_rows(report)]
-        _emit_csv(
-            ["kind", "suite", "id", "inputs", "expected", "got", "pass", "text"],
-            rows,
-            args.out,
-        )
-    return 0 if passed else 1
+        header, rows = CSV_TABLES[args.command](payload)
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        text = buffer.getvalue()
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -375,15 +333,10 @@ def _attach_negative_values(argv: list[str]) -> list[str]:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
-    if args.command == "spectrum":
-        if not 0 <= args.N <= MAX_N:
-            parser.error(f"--N must be between 0 and {MAX_N}, got {args.N}")
-        if args.realization == "qdil" and _height(args.q) ** (args.N**2) > QDIL_BUDGET:
-            parser.error(f"--q {args.q} at --N {args.N} is over the budget. {QDIL_LIMIT}")
-        return cmd_spectrum(parser, args)
-    if args.command == "stencil":
-        return cmd_stencil(parser, args)
-    return cmd_verify(parser, args)
+    with _check_out(parser, args.out):
+        code, payload = COMMANDS[args.command](parser, args)
+        _write(args, payload)
+    return code
 
 
 if __name__ == "__main__":

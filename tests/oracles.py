@@ -11,6 +11,8 @@ shares no code path with the implementation it checks:
 * Laguerre polynomials from the three-term recurrence;
 * q-deformed hf eigenpolynomials from their two-term recurrence, with
   {n} = (q^n - 1)/(q - 1) and the matrix entries written out by hand;
+* q-deformed hg pencil eigenpolynomials as big q-Laguerre polynomials,
+  expanded from their q-Pochhammer coefficients;
 * Hermite polynomials from the explicit factorial formula.
 """
 
@@ -155,3 +157,28 @@ def hermite_explicit(k: int) -> Poly:
             (-1) ** m * factorial(k) * 2**power, factorial(m) * factorial(power)
         )
     return Poly(coeffs)
+
+
+def qdil_hg_pencil_eigenpair(n: int, p: Fraction, B: Fraction, q: Fraction) -> tuple[Fraction, Poly]:
+    """Level n of hg = 4(b + B)a^2 - 4ba + 4(p + 1/2)a under the q-dilatation, H f = E f(q .).
+
+    E = -4{n} q^(-n), and the eigenpolynomial is the monic big q-Laguerre
+    polynomial P_n(x; a, b; q) at x = -y/(qB) (Koekoek, Lesky & Swarttouw
+    2010, section 14.11).  a and b enter only through e1 = a + b and
+    e2 = ab, so the coefficients c_k of P_n in the basis
+    (x; q)_k = prod_(j<k) (1 - x q^j) are computed top-down from c_n = 1:
+    c_k = c_(k+1) (1 - e1 q^(k+1) + e2 q^(2k+2)) (1 - q^(k+1)) / (q (1 - q^(k-n))).
+    Needs q not 0 or +-1 and B != 0.
+    """
+    e1 = (1 - (q - 1) * (p + Fraction(1, 2))) / (q * B * (q - 1))
+    e2 = 1 / (q * q * B * (q - 1))
+    c = [Fraction(0)] * n + [Fraction(1)]
+    for k in range(n - 1, -1, -1):
+        factor = (1 - e1 * q ** (k + 1) + e2 * q ** (2 * k + 2)) * (1 - q ** (k + 1))
+        c[k] = c[k + 1] * factor / (q * (1 - q ** (k - n)))
+    # 1 - x q^j at x = -y/(qB) is 1 + y q^(j-1)/B.
+    total, pochhammer = Poly(), Poly.one()
+    for j, ck in enumerate(c):
+        total = total + pochhammer.scale(ck)
+        pochhammer = pochhammer * Poly([1, q ** (j - 1) / B])
+    return -4 * (q**n - 1) / (q - 1) * q ** (-n), total.scale(1 / total.coeffs[-1])

@@ -315,11 +315,26 @@ class TestSpectrumCommand:
         assert main(["spectrum", *args, *SPECTRUM_RHS[rhs], "--format", fmt, "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == SPECTRUM_PINS[key]
 
-    def test_stdout_default(self, capsys):
-        code = main(["spectrum", "--realization", "diff", "--N", "2"])
-        assert code == 0
-        data = json.loads(capsys.readouterr().out)
-        assert data["command"] == "spectrum"
+    @pytest.mark.parametrize(
+        "args, existing",
+        [
+            (["spectrum", "--realization", "diff", "--N", "2"], None),
+            (["spectrum", "--realization", "fd", "--delta", "0"], None),
+            (["spectrum", "--realization", "diff", "--N", "2"], b"an earlier report\n"),
+        ],
+        ids=["crash", "usage-error", "existing-file-crash"],
+    )
+    def test_failed_run_leaves_no_new_out_file(self, monkeypatch, tmp_path, args, existing):
+        monkeypatch.setattr("fockosc.cli.realize_matrix", self._no_matrix)
+        out = tmp_path / "r.json"
+        if existing is not None:
+            out.write_bytes(existing)
+        with pytest.raises((AssertionError, SystemExit)):
+            main(args + ["--out", str(out)])
+        if existing is None:
+            assert not out.exists()
+        else:
+            assert out.read_bytes() == existing
 
 
 class TestStencilCommand:
@@ -440,6 +455,24 @@ class TestDeterminism:
         assert main(args + ["--out", str(a)]) == 0
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["spectrum", "--realization", "qdil", "--q", "7/6", "--op", "hg", "--B", "-2/3", "--N", "4"],
+            ["stencil", "--realization", "fd", "--delta", "1/3", "--op", "hg", "--B", "-2/3"],
+            ["verify", "casimir"],
+        ],
+        ids=["spectrum", "stencil", "verify"],
+    )
+    def test_stdout_default(self, capsys, tmp_path, args, fmt):
+        out = tmp_path / f"out.{fmt}"
+        assert main(args + ["--format", fmt, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert main(args + ["--format", fmt]) == 0
+        assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
 
 
 class TestCsvJsonEquivalence:

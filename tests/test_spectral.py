@@ -21,7 +21,7 @@ from fockosc.spectral import (
     reference_label,
     reference_spectrum,
 )
-from oracles import dense_apply, qdil_hf_eigenpair
+from oracles import dense_apply, qdil_hf_eigenpair, qdil_hg_pencil_eigenpair
 
 
 class TestQNumber:
@@ -262,7 +262,7 @@ deformations = st.fractions(min_value=-3, max_value=3, max_denominator=7).filter
 
 
 class TestDeformedClosedForm:
-    """hf under qdil, from element to eigenpairs, against the closed-form recurrence."""
+    """hf and hg under qdil, from element to eigenpairs, against closed forms."""
 
     @given(
         deformations,
@@ -289,6 +289,23 @@ class TestDeformedClosedForm:
                 solve()
             return
         assert [(e.eigenvalue, e.eigenpoly) for e in solve().entries] == expected
+
+    @given(
+        deformations.filter(lambda q: q != -1),
+        st.fractions(min_value=-3, max_value=3, max_denominator=7).filter(lambda B: B != 0),
+        st.fractions(min_value=-3, max_value=3, max_denominator=4),
+        st.integers(0, 10),
+    )
+    @example(F(7, 6), F(-2, 3), F(5, 2), 10)
+    @example(F(-6, 7), F(3, 7), F(0), 10)
+    @example(F(1, 3), F(2), F(-1, 3), 10)
+    @example(F(-3), F(-2, 3), F(5, 2), 10)
+    @settings(max_examples=60, deadline=None)
+    def test_hg_pencil_eigenpairs_are_big_q_laguerre(self, q, B, p, size):
+        """hg under qdil with H f = E f(q .): E = -4{n} q^(-n), big q-Laguerre eigenpolynomials."""
+        report = pencil_solve(realize_matrix(build_hg(p, B, q=q), QDilatation(q), size), 1, q)
+        expected = [qdil_hg_pencil_eigenpair(n, p, B, q) for n in range(size + 1)]
+        assert [(e.eigenvalue, e.eigenpoly) for e in report.entries] == expected
 
 
 class TestReferenceSpectrum:
