@@ -9,8 +9,15 @@ first.  A `LaurentPoly` additionally admits negative powers and is stored
 as y^low times a Poly.  Polynomials are expressed in a quasi-monomial
 basis 1, y, y(y-d), y(y-d)(y-2d), ... whose elements vanish on the grid
 0, d, 2d, ...; step d = 0 is the monomial basis 1, y, y^2, ...
-`basis_transplant` moves coefficient vectors between any two of them, and
-`Poly.shift_arg` runs on the same uncached integer Newton-basis kernel.
+`basis_transplant` moves coefficient vectors between any two of them.
+
+The integer kernels: `_over_lcm` puts coefficients over their common
+denominator; `Poly.__mul__` convolves those integers; `_newton_ints` is the
+integer stage of the uncached Newton-basis kernel `_newton`, which
+`basis_transplant` and `Poly.shift_arg` run and whose integers the
+finite-difference lowering in `realize` reads before and after the steps.
+Each reduces once per output coefficient.  `exact` turns a parameter into a
+Fraction and refuses a float.
 """
 
 from __future__ import annotations
@@ -21,6 +28,17 @@ from math import lcm
 from typing import Collection, Iterable, Mapping, Sequence, Union
 
 Rat = Union[int, Fraction]
+
+
+def exact(value: Rat, name: str) -> Fraction:
+    """value as a Fraction; a float raises TypeError.
+
+    A float holds the nearest binary fraction, not the decimal written, so
+    0.1 would become 3602879701896397/36028797018963968.
+    """
+    if isinstance(value, float):
+        raise TypeError(f'{name} must be exact, not the float {value!r}; pass Fraction("{value!r}")')
+    return Fraction(value)
 
 
 class DegenerateSpectrumError(ValueError):
@@ -50,7 +68,8 @@ class Poly:
     `scale_arg` and `derivative` spend rational arithmetic only on nonzero
     coefficients.  `*` puts each operand over the lcm D of its denominators,
     convolves the nonzero integer numerators and reduces once per output
-    coefficient, by `Fraction(x, D_a * D_b)`; `shift_arg` does so in `_newton`.
+    coefficient, by `Fraction(x, D_a * D_b)`; `shift_arg` does so in `_newton`,
+    whose integer stage `_newton_ints` the finite-difference lowering shares.
     """
 
     __slots__ = ("coeffs",)
@@ -191,21 +210,34 @@ def _over_lcm(coeffs: Collection[Fraction]) -> tuple[int, list[int]]:
 def _newton(coeffs: Sequence[Fraction], r: int, s: int, nodes: Sequence[int], expand=False) -> Poly:
     """Monomial coefficients to those in the basis prod_(i<k) (y - (r/s) nodes[i]), or back.
 
+    The integers come from `_newton_ints`; each output coefficient is reduced
+    once, G'_k / (D w_k).
+    """
+    denom, weights, _, g = _newton_ints(coeffs, r, s, nodes, expand)
+    return Poly([Fraction(x, denom * w) for x, w in zip(g, weights)])
+
+
+def _newton_ints(
+    coeffs: Sequence[Fraction], r: int, s: int, nodes: Sequence[int], expand=False
+) -> tuple[int, list[int], list[int], list[int]]:
+    """The integer stage of `_newton`: (D, weights w, G before the steps, G' after).
+
     With f over the common denominator D, f(r t / s) = G(t) / (D s^n) for the
-    integer G(t) = sum D a_k r^k s^(n-k) t^k.  Synthetic division by t - nodes[0],
-    t - nodes[1], ... leaves G's Newton coefficients; `expand` undoes it, running
-    the same steps backwards (nested multiplication, nodes in reverse).  Each
-    output coefficient is reduced once.
+    integer G(t) = sum D a_k w_k t^k, w_k = r^k s^(n-k).  Synthetic division by
+    t - nodes[0], t - nodes[1], ... turns G into its Newton coefficients G';
+    `expand` undoes it, running the same steps backwards (nested
+    multiplication, nodes in reverse).
     """
     n = len(coeffs) - 1
     weights = [r**k * s ** (n - k) for k in range(n + 1)]
     denom, g = _over_lcm(coeffs)
-    g = [x * w for x, w in zip(g, weights)]
+    before = [x * w for x, w in zip(g, weights)]
+    g = list(before)
     for i in reversed(range(n)) if expand else range(n):
         node = -nodes[i] if expand else nodes[i]
         for k in range(i, n) if expand else range(n - 1, i - 1, -1):
             g[k] += node * g[k + 1]
-    return Poly([Fraction(x, denom * w) for x, w in zip(g, weights)])
+    return denom, weights, before, g
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, NamedTuple
 
-from .algebra import Rat, _over_lcm
+from .algebra import Rat, _over_lcm, exact
 
 Word = tuple[int, int]  # (power of b, power of a)
 
@@ -62,7 +62,7 @@ class FockPoly:
             c = c if type(c) is Fraction else Fraction(c)
             if c:
                 kept[(k, m)] = c
-        object.__setattr__(self, "q", Fraction(q))
+        object.__setattr__(self, "q", exact(q, "q"))
         object.__setattr__(self, "terms", dict(sorted(kept.items())))
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
@@ -254,7 +254,7 @@ def build_hf(p: Rat, q: Rat = 1) -> FockPoly:
     The three-point operator of the family; p is the parity-like weight
     of the ground-state factor.
     """
-    p = Fraction(p)
+    p = exact(p, "p")
     return FockPoly({(1, 2): 4, (1, 1): -4, (0, 1): 4 * (p + Fraction(1, 2))}, q)
 
 
@@ -264,8 +264,8 @@ def build_hg(p: Rat, big_b: Rat, q: Rat = 1) -> FockPoly:
     The constant term is fixed so that build_hg(p, 0) == build_hf(p)
     exactly; see the convention notes emitted by the verification suites.
     """
-    p = Fraction(p)
-    big_b = Fraction(big_b)
+    p = exact(p, "p")
+    big_b = exact(big_b, "B")
     return FockPoly(
         {
             (1, 2): 4,

@@ -32,14 +32,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .algebra import (
     LaurentPoly,
     OperatorMatrix,
     Poly,
     QuasiMonomial,
+    _newton_ints,
+    _over_lcm,
     basis_element,
     basis_transplant,
+    exact,
 )
 from .fock import AlgebraMismatchError, FockPoly
 
@@ -91,7 +95,7 @@ class FiniteDifference(Realization):
     q = Fraction(1)
 
     def __post_init__(self):
-        object.__setattr__(self, "delta", Fraction(self.delta))
+        object.__setattr__(self, "delta", exact(self.delta, "delta"))
         if self.delta == 0:
             raise ValueError("finite-difference step must be nonzero")
 
@@ -101,7 +105,17 @@ class FiniteDifference(Realization):
         return QuasiMonomial(self.delta)
 
     def lower(self, f: Poly) -> Poly:
-        return (f.shift_arg(self.delta) - f).scale(1 / self.delta)
+        # (f(y + d) - f(y))/d with d = r/s, from the Taylor shift's integers:
+        # f(y + d)_k = G'_k / (D s^(n-k)) and f_k = G_k / (D s^(n-k)), so
+        # coefficient k of the quotient is (G'_k - G_k) / (D r s^(n-k-1)).  It
+        # stays the shift formula, not c_k -> k c_k on quasi-monomials, so the
+        # matrix-transplant check still compares two code paths.
+        n = len(f.coeffs) - 1
+        if n < 1:
+            return Poly()
+        r = self.delta.numerator
+        denom, weights, g, shifted = _newton_ints(f.coeffs, 1, self.delta.denominator, [r] * n)
+        return Poly([Fraction(b - a, denom * r * w) for a, b, w in zip(g, shifted, weights[1:])])
 
     def raise_(self, f: Poly) -> Poly:
         return super().raise_(f.shift_arg(-self.delta))
@@ -121,7 +135,7 @@ class QDilatation(Realization):
     q: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "q", Fraction(self.q))
+        object.__setattr__(self, "q", exact(self.q, "q"))
         if self.q in (0, 1):
             raise ValueError("dilatation parameter must differ from 0 and 1")
 
@@ -196,10 +210,23 @@ def realize_matrix(h: FockPoly, r: Realization, n: int) -> OperatorMatrix:
 
 
 def heisenberg_residual(r: Realization, f: Poly) -> Poly:
-    """(a.b - q.b.a - 1) applied to f, with q = r.q; zero for a valid realization."""
-    ab = r.lower(r.raise_(f))
-    ba = r.raise_(r.lower(f))
-    return ab - ba.scale(r.q) - f
+    """(a.b - q.b.a - 1) applied to f, with q = r.q; zero for a valid realization.
+
+    ab, q ba and f are put over one common denominator and combined in
+    integers, with one Fraction per coefficient of a nonzero residual.
+    """
+    parts = []
+    for k, g in ((1, r.lower(r.raise_(f))), (-r.q, r.raise_(r.lower(f))), (-1, f)):
+        k = Fraction(k)
+        d, xs = _over_lcm(g.coeffs)
+        parts.append((k.numerator, k.denominator * d, xs))
+    denom = lcm(*(d for _, d, _ in parts))
+    out = [0] * max(len(xs) for _, _, xs in parts)
+    for k, d, xs in parts:
+        k *= denom // d
+        for i, x in enumerate(xs):
+            out[i] += k * x
+    return Poly([Fraction(x, denom) for x in out] if any(out) else ())
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,9 @@ shares no code path with the implementation it checks:
 * argument shifts by expanding every power (y + a)^j;
 * quasi-monomial coefficients by Newton's forward differences;
 * Laguerre polynomials from the three-term recurrence;
-* q-deformed hf eigenpolynomials from their two-term recurrence, with
-  {n} = (q^n - 1)/(q - 1) and the matrix entries written out by hand;
+* q-deformed hg (and hf, B = 0) eigenpolynomials from their three-term
+  recurrence, with {n} = (q^n - 1)/(q - 1) and the matrix entries written
+  out by hand;
 * q-deformed hg pencil eigenpolynomials as big q-Laguerre polynomials,
   expanded from their q-Pochhammer coefficients;
 * Hermite polynomials from the explicit factorial formula.
@@ -127,25 +128,36 @@ def laguerre_recurrence(n: int, alpha: Fraction) -> Poly:
     return cur
 
 
-def qdil_hf_eigenpair(n: int, p: Fraction, q: Fraction, s: int = 0) -> tuple[Fraction, Poly]:
-    """Level n of hf = 4ba^2 - 4ba + 4(p + 1/2)a under the q-dilatation, in closed form.
+def qdil_hg_eigenpair(n: int, p: Fraction, B: Fraction, q: Fraction, s: int = 0) -> tuple[Fraction, Poly]:
+    """Level n of hg = 4(b + B)a^2 - 4ba + 4(p + 1/2)a under the q-dilatation, by recurrence.
 
-    D_q y^j = {j} y^(j-1) makes the monomial matrix bidiagonal, with
-    M[j][j] = -4{j} and M[j-1][j] = 4{j}({j-1} + p + 1/2).  The problem
-    H f = E f(q^s .) (s = 0 is the plain one) has E = -4{n} q^(-s n) at
-    level n, and its monic eigenvector follows the two-term recurrence
-    v_i = 4{i+1}({i} + p + 1/2) v_(i+1) / (4{i} - 4{n} q^(s(i-n))), v_n = 1.
-    A repeated eigenvalue makes a divisor vanish: ZeroDivisionError.
+    D_q y^j = {j} y^(j-1) makes the monomial matrix upper triangular with
+    two superdiagonals, written out by hand:
+    M[j][j] = -4{j}, M[j-1][j] = 4{j}({j-1} + p + 1/2) and M[j-2][j] = 4B{j}{j-1}.
+    The problem H f = E f(q^s .) (s = 0 is the plain one) has E = -4{n} q^(-s n)
+    at level n, and its monic eigenvector follows the three-term recurrence
+    v_i = (M[i][i+1] v_(i+1) + M[i][i+2] v_(i+2)) / (E q^(s i) - M[i][i]), v_n = 1.
+    B = 0 is hf, whose recurrence has two terms.  A repeated eigenvalue makes
+    a divisor vanish: ZeroDivisionError.
     """
 
     def bracket(j: int) -> Fraction:
         return (q**j - 1) / (q - 1)
 
-    v = [Fraction(0)] * n + [Fraction(1)]
+    def entry(i: int, j: int) -> Fraction:
+        if j == i:
+            return -4 * bracket(j)
+        if j == i + 1:
+            return 4 * bracket(j) * (bracket(j - 1) + p + Fraction(1, 2))
+        return 4 * B * bracket(j) * bracket(j - 1) if j == i + 2 else Fraction(0)
+
+    eigenvalue = -4 * bracket(n) * q ** (-s * n)
+    v = [Fraction(0)] * (n + 2)
+    v[n] = Fraction(1)
     for i in range(n - 1, -1, -1):
-        divisor = 4 * bracket(i) - 4 * bracket(n) * q ** (s * (i - n))
-        v[i] = 4 * bracket(i + 1) * (bracket(i) + p + Fraction(1, 2)) * v[i + 1] / divisor
-    return -4 * bracket(n) * q ** (-s * n), Poly(v)
+        divisor = eigenvalue * q ** (s * i) - entry(i, i)
+        v[i] = (entry(i, i + 1) * v[i + 1] + entry(i, i + 2) * v[i + 2]) / divisor
+    return eigenvalue, Poly(v)
 
 
 def hermite_explicit(k: int) -> Poly:

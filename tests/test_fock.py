@@ -161,6 +161,23 @@ class TestBuilders:
     def test_hg_linear_in_b(self):
         assert build_hg(0, F(-2, 3)).coeff(0, 2) == F(-8, 3)
 
+    @pytest.mark.parametrize(
+        "build, name, value",
+        [
+            (lambda: build_hf(0.1), "p", "0.1"),
+            (lambda: build_hf(0, q=0.5), "q", "0.5"),
+            (lambda: build_hg(0.1, 1), "p", "0.1"),
+            (lambda: build_hg(0, -0.25), "B", "-0.25"),
+            (lambda: build_hg(0, 1, q=1.1), "q", "1.1"),
+            (lambda: FockPoly({(1, 0): 1}, q=0.5), "q", "0.5"),
+            (lambda: FockPoly.identity(1.0), "q", "1.0"),
+        ],
+    )
+    def test_float_parameters_are_refused(self, build, name, value):
+        # A float holds a binary fraction: 0.1 would become 3602879701896397/2^55.
+        with pytest.raises(TypeError, match=rf'^{name} must be exact.*Fraction\("{value}"\)$'):
+            build()
+
 
 class TestActOnPoly:
     def test_ground_state_annihilated(self):

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 import sympy as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fockosc.algebra import (
@@ -20,6 +20,7 @@ from fockosc.realize import (
     Differential,
     FiniteDifference,
     QDilatation,
+    Realization,
     apply_op,
     heisenberg_residual,
     realize_matrix,
@@ -56,6 +57,15 @@ class TestRealizationParams:
     def test_qdil_rejects_degenerate_parameter(self, q):
         with pytest.raises(ValueError):
             QDilatation(q)
+
+    @pytest.mark.parametrize(
+        "make, name, value",
+        [(FiniteDifference, "delta", 0.1), (QDilatation, "q", 1.1), (QDilatation, "q", 2.0)],
+    )
+    def test_float_parameter_is_refused(self, make, name, value):
+        with pytest.raises(TypeError, match=rf'^{name} must be exact.*Fraction\("{value!r}"\)$'):
+            make(value)
+        assert make(F(repr(value))).to_json()[name] == str(F(repr(value)))
 
 
 class TestRealizationProtocol:
@@ -118,6 +128,20 @@ class TestGeneratorActions:
             assert QDilatation(q).lower(f) == expected
 
 
+class FaultyShift(FiniteDifference):
+    """b = y f(y + d): the raising shift with the wrong sign."""
+
+    def raise_(self, f):
+        return Realization.raise_(self, f.shift_arg(self.delta))
+
+
+class FaultyScale(QDilatation):
+    """a = 2 D_q: the dilatation derivative scaled by 2."""
+
+    def lower(self, f):
+        return super().lower(f).scale(2)
+
+
 class TestHeisenbergResidual:
     def test_differential_cubic(self):
         assert heisenberg_residual(Differential(), Poly.monomial(3)).is_zero
@@ -152,6 +176,20 @@ class TestHeisenbergResidual:
         r = FlippedDilatation(F(2))
         for f in random_polys(10, 8, seed=303):
             assert heisenberg_residual(r, f) == f.scale(-2)
+
+    # Nonzero residuals are exact: the integer combination equals the Poly one.
+    @pytest.mark.parametrize("make", [FaultyShift, FaultyScale])
+    @pytest.mark.parametrize("param", [F(3, 7), F(-6, 7)])
+    def test_residual_equals_poly_arithmetic(self, make, param):
+        r = make(param)
+        for f in random_polys(40, 12, seed=505) + [Poly(), Poly([F(-5, 3)])]:
+            ab = r.lower(r.raise_(f))
+            ba = r.raise_(r.lower(f))
+            expected = ab - ba.scale(r.q) - f
+            assert heisenberg_residual(r, f) == expected
+            # The wrong shift keeps the bracket on constants: y c lowers back to c.
+            constant = len(f.coeffs) <= 1
+            assert expected.is_zero == (f.is_zero or constant and isinstance(r, FaultyShift))
 
 
 class TestVacuum:
@@ -512,6 +550,18 @@ class TestZeroHeavyLowering:
             e = sympy_poly(f)
             assert Differential().lower(f) == poly_of_sympy(sp.diff(e, Y))
             assert r.lower(f) == poly_of_sympy(sympy_lower(e, r))
+
+    @given(mostly_zero_polys, st.sampled_from([F(1), F(-1, 3), F(7, 5), F(2**64 - 1, 3)]))
+    @example(Poly(), F(7, 5))
+    @example(Poly([F(-2, 3)]), F(2**64 - 1, 3))
+    @example(Poly([0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, F(5, 2)]), F(-1, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_fd_generators_match_sympy(self, f, delta):
+        # The lowering quotient is formed from the Taylor shift's integers,
+        # the raising generator from Poly.shift_arg; sympy substitutes.
+        r, e = FiniteDifference(delta), sympy_poly(f)
+        assert r.lower(f) == poly_of_sympy(sympy_lower(e, r))
+        assert r.raise_(f) == poly_of_sympy(sympy_raise(e, r))
 
 
 class TestStencilMatrixProperty:

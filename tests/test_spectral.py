@@ -21,7 +21,7 @@ from fockosc.spectral import (
     reference_label,
     reference_spectrum,
 )
-from oracles import dense_apply, qdil_hf_eigenpair, qdil_hg_pencil_eigenpair
+from oracles import dense_apply, qdil_hg_eigenpair, qdil_hg_pencil_eigenpair
 
 
 class TestQNumber:
@@ -261,6 +261,22 @@ deformations = st.fractions(min_value=-3, max_value=3, max_denominator=7).filter
 )
 
 
+def assert_matches_recurrence(matrix, level, q, s):
+    """Every level(n) equals the solver's level n, or a divisor of the recurrence
+    vanishes and the solver raises DegenerateSpectrumError."""
+
+    def solve():
+        return eigensolve_flag(matrix) if s == 0 else pencil_solve(matrix, s, q)
+
+    try:
+        expected = [level(n) for n in range(matrix.size)]
+    except ZeroDivisionError:
+        with pytest.raises(DegenerateSpectrumError):
+            solve()
+        return
+    assert [(e.eigenvalue, e.eigenpoly) for e in solve().entries] == expected
+
+
 class TestDeformedClosedForm:
     """hf and hg under qdil, from element to eigenpairs, against closed forms."""
 
@@ -278,17 +294,25 @@ class TestDeformedClosedForm:
     @settings(max_examples=60, deadline=None)
     def test_eigenpairs_match_two_term_recurrence(self, q, p, s, size):
         matrix = realize_matrix(build_hf(p, q=q), QDilatation(q), size)
+        assert_matches_recurrence(matrix, lambda n: qdil_hg_eigenpair(n, p, F(0), q, s), q, s)
 
-        def solve():
-            return eigensolve_flag(matrix) if s == 0 else pencil_solve(matrix, s, q)
-
-        try:
-            expected = [qdil_hf_eigenpair(n, p, q, s) for n in range(size + 1)]
-        except ZeroDivisionError:
-            with pytest.raises(DegenerateSpectrumError):
-                solve()
-            return
-        assert [(e.eigenvalue, e.eigenpoly) for e in solve().entries] == expected
+    @given(
+        deformations,
+        st.fractions(min_value=-3, max_value=3, max_denominator=7).filter(lambda B: B != 0),
+        st.fractions(min_value=-3, max_value=3, max_denominator=4),
+        st.sampled_from([0, -1, 2, -2]),
+        st.integers(0, 10),
+    )
+    @example(F(7, 6), F(-2, 3), F(5, 2), 0, 12)
+    @example(F(-6, 7), F(3, 7), F(0), -1, 12)
+    @example(F(2), F(-5), F(-1, 3), 2, 12)
+    @example(F(1, 3), F(2), F(5, 2), -2, 12)
+    @example(F(-1), F(1, 2), F(0), 0, 4)
+    @settings(max_examples=60, deadline=None)
+    def test_hg_eigenpairs_match_three_term_recurrence(self, q, B, p, s, size):
+        """hg under qdil at s = 0, -1 and +-2, where no standard closed form exists."""
+        matrix = realize_matrix(build_hg(p, B, q=q), QDilatation(q), size)
+        assert_matches_recurrence(matrix, lambda n: qdil_hg_eigenpair(n, p, B, q, s), q, s)
 
     @given(
         deformations.filter(lambda q: q != -1),
