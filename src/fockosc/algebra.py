@@ -14,8 +14,8 @@ basis 1, y, y(y-d), y(y-d)(y-2d), ... whose elements vanish on the grid
 The integer kernels: `_over_lcm` puts coefficients over their common
 denominator; `Poly.__mul__` convolves those integers; `_newton_ints` is the
 integer stage of the uncached Newton-basis kernel `_newton`, which
-`basis_transplant` and `Poly.shift_arg` run and whose integers the
-finite-difference lowering in `realize` reads before and after the steps.
+`basis_transplant` and `Poly.shift_arg` run, and takes integer numerators,
+so the finite-difference lowering in `realize` runs it on its own integers.
 Each reduces once per output coefficient.  `exact` turns a parameter into a
 Fraction and refuses a float.
 """
@@ -75,7 +75,7 @@ class Poly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Rat] = ()):
-        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
+        cs = [c if type(c) is Fraction else exact(c, "coefficient") for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -210,34 +210,34 @@ def _over_lcm(coeffs: Collection[Fraction]) -> tuple[int, list[int]]:
 def _newton(coeffs: Sequence[Fraction], r: int, s: int, nodes: Sequence[int], expand=False) -> Poly:
     """Monomial coefficients to those in the basis prod_(i<k) (y - (r/s) nodes[i]), or back.
 
-    The integers come from `_newton_ints`; each output coefficient is reduced
-    once, G'_k / (D w_k).
+    The coefficients are put over their common denominator D, the integers
+    come from `_newton_ints`, and each output coefficient is reduced once,
+    G'_k / (D w_k).
     """
-    denom, weights, _, g = _newton_ints(coeffs, r, s, nodes, expand)
+    denom, xs = _over_lcm(coeffs)
+    weights, g = _newton_ints(xs, r, s, nodes, expand)
     return Poly([Fraction(x, denom * w) for x, w in zip(g, weights)])
 
 
 def _newton_ints(
-    coeffs: Sequence[Fraction], r: int, s: int, nodes: Sequence[int], expand=False
-) -> tuple[int, list[int], list[int], list[int]]:
-    """The integer stage of `_newton`: (D, weights w, G before the steps, G' after).
+    xs: Sequence[int], r: int, s: int, nodes: Sequence[int], expand=False
+) -> tuple[list[int], list[int]]:
+    """The integer stage of `_newton`: (weights w, Newton coefficients G').
 
-    With f over the common denominator D, f(r t / s) = G(t) / (D s^n) for the
-    integer G(t) = sum D a_k w_k t^k, w_k = r^k s^(n-k).  Synthetic division by
+    With f = sum xs[k] y^k / D for any D, f(r t / s) = G(t) / (D s^n) for the
+    integer G(t) = sum xs[k] w_k t^k, w_k = r^k s^(n-k).  Synthetic division by
     t - nodes[0], t - nodes[1], ... turns G into its Newton coefficients G';
     `expand` undoes it, running the same steps backwards (nested
     multiplication, nodes in reverse).
     """
-    n = len(coeffs) - 1
+    n = len(xs) - 1
     weights = [r**k * s ** (n - k) for k in range(n + 1)]
-    denom, g = _over_lcm(coeffs)
-    before = [x * w for x, w in zip(g, weights)]
-    g = list(before)
+    g = [x * w for x, w in zip(xs, weights)]
     for i in reversed(range(n)) if expand else range(n):
         node = -nodes[i] if expand else nodes[i]
         for k in range(i, n) if expand else range(n - 1, i - 1, -1):
             g[k] += node * g[k + 1]
-    return denom, weights, before, g
+    return weights, g
 
 
 # ---------------------------------------------------------------------------

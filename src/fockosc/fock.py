@@ -59,7 +59,7 @@ class FockPoly:
         for (k, m), c in terms.items():
             if k < 0 or m < 0:
                 raise ValueError("word powers must be non-negative")
-            c = c if type(c) is Fraction else Fraction(c)
+            c = c if type(c) is Fraction else exact(c, f"coefficient of b^{k} a^{m}")
             if c:
                 kept[(k, m)] = c
         object.__setattr__(self, "q", exact(q, "q"))

@@ -17,11 +17,18 @@ b under FiniteDifference collapses to f(y) -> y*f(y - delta), and that
 D_q on y^n gives {n} y^(n-1), so every action below is exact.
 
 Each realization carries its own behaviour: the deformation parameter
-`q` it realizes, the generator actions `lower(f)` and `raise_(f)`, the
-matrix `basis`, its JSON description `to_json()` (and the `label`
-derived from it) and, for the two discrete ones, the generator terms
-that `stencil_of` composes.  Nothing else in the package branches on
-the realization's type.
+`q` it realizes, the generator actions as integer primitives
+`lower_ints(d, xs)` and, where b is not multiplication by y,
+`raise_ints(d, xs)`, the matrix `basis`, its JSON description
+`to_json()` (and the `label` derived from it) and, for the two discrete
+ones, the generator terms that `stencil_of` composes.  Nothing else in
+the package branches on the realization's type.
+
+A primitive acts on the pair (d, xs) meaning sum xs[k] y^k / d, with
+d != 0 and the pair not necessarily reduced, and returns such a pair.
+`lower(f)` and `raise_(f)`, `apply_op` and `heisenberg_residual` all go
+through the primitives, so a chain of generator steps passes integers
+and reduces once per output coefficient at its end.
 
 Besides matrices, operators can be flattened to explicit stencils: a
 list of coefficient functions c_j(y) with (H f)(y) = sum c_j(y) f(y + j*delta)
@@ -39,6 +46,7 @@ from .algebra import (
     OperatorMatrix,
     Poly,
     QuasiMonomial,
+    Rat,
     _newton_ints,
     _over_lcm,
     basis_element,
@@ -55,16 +63,25 @@ Terms = dict[int, LaurentPoly]
 class Realization:
     """A substitution of the generators a, b by operators on polynomials.
 
-    Subclasses provide `q`, `lower(f)`, `to_json()` and, where a stencil
-    exists, `stencil_generators()` returning (mode, param, a terms,
-    b terms).  The raising generator and the basis default to
-    multiplication by y and the monomial basis QuasiMonomial(0).
+    Subclasses provide `q`, `lower_ints(d, xs)`, optionally
+    `raise_ints(d, xs)`, `to_json()` and, where a stencil exists,
+    `stencil_generators()` returning (mode, param, a terms, b terms).
+    The primitives act on sum xs[k] y^k / d (see the module docstring);
+    `lower` and `raise_` are defined once, on top of them.  The raising
+    generator and the basis default to multiplication by y and the
+    monomial basis QuasiMonomial(0).
     """
 
     basis = QuasiMonomial(0)
 
+    def lower(self, f: Poly) -> Poly:
+        return _poly(*self.lower_ints(*_over_lcm(f.coeffs)))
+
     def raise_(self, f: Poly) -> Poly:
-        return Poly((Fraction(0),) + f.coeffs)
+        return _poly(*self.raise_ints(*_over_lcm(f.coeffs)))
+
+    def raise_ints(self, d: int, xs: list[int]) -> tuple[int, list[int]]:
+        return d, [0, *xs]
 
     @property
     def label(self) -> str:
@@ -79,8 +96,8 @@ class Realization:
 class Differential(Realization):
     q = Fraction(1)
 
-    def lower(self, f: Poly) -> Poly:
-        return f.derivative()
+    def lower_ints(self, d: int, xs: list[int]) -> tuple[int, list[int]]:
+        return d, [k * x for k, x in enumerate(xs[1:], 1)]
 
     def to_json(self) -> dict:
         return {"kind": "diff"}
@@ -104,21 +121,29 @@ class FiniteDifference(Realization):
         """Quasi-monomials, which make a flag-preserving matrix equal its differential one."""
         return QuasiMonomial(self.delta)
 
-    def lower(self, f: Poly) -> Poly:
-        # (f(y + d) - f(y))/d with d = r/s, from the Taylor shift's integers:
-        # f(y + d)_k = G'_k / (D s^(n-k)) and f_k = G_k / (D s^(n-k)), so
-        # coefficient k of the quotient is (G'_k - G_k) / (D r s^(n-k-1)).  It
-        # stays the shift formula, not c_k -> k c_k on quasi-monomials, so the
-        # matrix-transplant check still compares two code paths.
-        n = len(f.coeffs) - 1
+    def lower_ints(self, d: int, xs: list[int]) -> tuple[int, list[int]]:
+        # (f(y + delta) - f(y))/delta with delta = r/s, from the Taylor shift's
+        # integers: f(y + delta)_k = G'_k / (d s^(n-k)) and f_k = G_k / (d s^(n-k))
+        # with G_k = xs[k] s^(n-k), so coefficient k of the quotient is
+        # (G'_k - G_k) s^k / (d r s^(n-1)).  It stays the shift formula, not
+        # c_k -> k c_k on quasi-monomials, so the matrix-transplant check
+        # still compares two code paths.
+        n = len(xs) - 1
         if n < 1:
-            return Poly()
-        r = self.delta.numerator
-        denom, weights, g, shifted = _newton_ints(f.coeffs, 1, self.delta.denominator, [r] * n)
-        return Poly([Fraction(b - a, denom * r * w) for a, b, w in zip(g, shifted, weights[1:])])
+            return d, []
+        r, s = self.delta.numerator, self.delta.denominator
+        weights, shifted = _newton_ints(xs, 1, s, [r] * n)
+        out, s_pow = [], 1
+        for x, w, g in zip(xs[:n], weights, shifted):
+            out.append((g - x * w) * s_pow)
+            s_pow *= s
+        return d * r * weights[1], out
 
-    def raise_(self, f: Poly) -> Poly:
-        return super().raise_(f.shift_arg(-self.delta))
+    def raise_ints(self, d: int, xs: list[int]) -> tuple[int, list[int]]:
+        # y f(y - delta).  The shift stays on Poly.shift_arg, whose span the CI
+        # trace step requires on spectra-flat; nothing else there reaches it.
+        shifted = _poly(d, xs).shift_arg(-self.delta)
+        return super().raise_ints(*_over_lcm(shifted.coeffs))
 
     def to_json(self) -> dict:
         return {"kind": "fd", "delta": str(self.delta)}
@@ -139,16 +164,21 @@ class QDilatation(Realization):
         if self.q in (0, 1):
             raise ValueError("dilatation parameter must differ from 0 and 1")
 
-    def lower(self, f: Poly) -> Poly:
+    def lower_ints(self, d: int, xs: list[int]) -> tuple[int, list[int]]:
         # D_q y^k = {k} y^(k-1), apart from the reference's {n}.  With q = r/s the
-        # integers t_k = s^(k-1) {k} follow t_k = s^(k-1) + r t_(k-1); nothing is kept.
+        # integers t_k = s^(k-1) {k} follow t_k = s^(k-1) + r t_(k-1); over the
+        # common denominator d s^(n-1), coefficient k - 1 is xs[k] t_k s^(n-k),
+        # and u_k = t_k s^(n-k) runs as u_k = s^(n-1) + r u_(k-1) / s, exactly.
+        n = len(xs) - 1
+        if n < 1:
+            return d, []
         r, s = self.q.numerator, self.q.denominator
-        out, t, s_pow = [], 0, 1  # t_(k-1) and s^(k-1) on entry to step k
-        for c in f.coeffs[1:]:
-            t = s_pow + r * t
-            out.append(Fraction(c.numerator * t, c.denominator * s_pow) if c else c)
-            s_pow *= s
-        return Poly(out)
+        top = s ** (n - 1)
+        out, u = [], 0
+        for x in xs[1:]:
+            u = top + r * (u // s)
+            out.append(x * u)
+        return d * top, out
 
     def to_json(self) -> dict:
         return {"kind": "qdil", "q": str(self.q)}
@@ -157,6 +187,24 @@ class QDilatation(Realization):
         """Scale mode: a = (S - 1)/(y(q - 1)) and b = y, with S f(y) = f(qy)."""
         alpha = LaurentPoly({-1: 1 / (self.q - 1)})
         return "scale", self.q, {1: alpha, 0: -alpha}, {0: LaurentPoly({1: 1})}
+
+
+def _poly(d: int, xs: list[int]) -> Poly:
+    """The Poly sum xs[k] y^k / d, one reduced Fraction per coefficient."""
+    return Poly([Fraction(x, d) for x in xs])
+
+
+def _combination(parts: list[tuple[Rat, int, list[int]]]) -> tuple[int, list[int]]:
+    """sum c xs / d over the parts (c, d, xs), as one pair over the lcm of c's and d's denominators."""
+    parts = [(c.numerator, c.denominator * d, xs) for c, d, xs in parts]
+    denom = lcm(*(d for _, d, _ in parts))
+    out = [0] * max(len(xs) for _, _, xs in parts)
+    for k, d, xs in parts:
+        k *= denom // d
+        for i, x in enumerate(xs):
+            if x:
+                out[i] += k * x
+    return denom, out
 
 
 def _check_q(h: FockPoly, r: Realization) -> None:
@@ -171,20 +219,22 @@ def apply_op(h: FockPoly, r: Realization, f: Poly) -> Poly:
     for Differential/FiniteDifference and r.q for QDilatation.  Writing
     h = sum_k b^k Q_k(a), the powers a^m f are computed once each, up to
     the lowering degree, and the b-powers by Horner's rule from the top
-    k down, one `raise_` per step.
+    k down, one `raise_ints` per step.  All of it runs on the realization's
+    integer primitives; each level's terms c a^m f are added by rescaling
+    to the lcm of the denominators, and one Poly is built at the end.
     """
     _check_q(h, r)
-    lowered = [f]
+    lowered = [_over_lcm(f.coeffs)]
     for _ in range(h.a_degree()):
-        lowered.append(r.lower(lowered[-1]))
-    out = Poly()
+        lowered.append(r.lower_ints(*lowered[-1]))
+    acc = (1, [])
     for level in range(h.b_degree(), -1, -1):
-        if not out.is_zero:
-            out = r.raise_(out)
-        for (k, m), c in h.terms.items():
-            if k == level:
-                out = out + lowered[m].scale(c)
-    return out
+        if any(acc[1]):
+            acc = r.raise_ints(*acc)
+        acc = _combination(
+            [(1, *acc)] + [(c, *lowered[m]) for (k, m), c in h.terms.items() if k == level]
+        )
+    return _poly(*acc)
 
 
 def realize_matrix(h: FockPoly, r: Realization, n: int) -> OperatorMatrix:
@@ -212,21 +262,15 @@ def realize_matrix(h: FockPoly, r: Realization, n: int) -> OperatorMatrix:
 def heisenberg_residual(r: Realization, f: Poly) -> Poly:
     """(a.b - q.b.a - 1) applied to f, with q = r.q; zero for a valid realization.
 
-    ab, q ba and f are put over one common denominator and combined in
-    integers, with one Fraction per coefficient of a nonzero residual.
+    ab and ba come from the integer primitives, are put over one common
+    denominator with q and f and combined in integers, with one Fraction per
+    coefficient of a nonzero residual.
     """
-    parts = []
-    for k, g in ((1, r.lower(r.raise_(f))), (-r.q, r.raise_(r.lower(f))), (-1, f)):
-        k = Fraction(k)
-        d, xs = _over_lcm(g.coeffs)
-        parts.append((k.numerator, k.denominator * d, xs))
-    denom = lcm(*(d for _, d, _ in parts))
-    out = [0] * max(len(xs) for _, _, xs in parts)
-    for k, d, xs in parts:
-        k *= denom // d
-        for i, x in enumerate(xs):
-            out[i] += k * x
-    return Poly([Fraction(x, denom) for x in out] if any(out) else ())
+    f_ints = _over_lcm(f.coeffs)
+    ab = r.lower_ints(*r.raise_ints(*f_ints))
+    ba = r.raise_ints(*r.lower_ints(*f_ints))
+    denom, out = _combination([(1, *ab), (-r.q, *ba), (-1, *f_ints)])
+    return _poly(denom, out) if any(out) else Poly()
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from .algebra import (
     QuasiMonomial,
     Rat,
     back_substitute,
+    exact,
 )
 # Unused here: perfbench's spectral.reference span traces q_number in this module.
 from .fock import q_number  # noqa: F401
@@ -34,7 +35,7 @@ def reference_spectrum(count: int, q: Rat = 1, s: int = 0) -> list[Fraction]:
     s = 0 is the plain problem H f = E f and s != 0 the scaled right-hand
     side H f = E f(q^s .); at q = 1 every family is -4n.
     """
-    q = Fraction(q)
+    q = exact(q, "q")
     step = q**-s
     values, bracket, weight = [], Fraction(0), Fraction(1)
     for _ in range(count):
@@ -99,7 +100,7 @@ def pencil_solve(matrix: OperatorMatrix, s: int, q: Rat) -> SpectralReport:
     Both signs of s are accepted so either dilation direction can be
     matched against a reference family.
     """
-    q = Fraction(q)
+    q = exact(q, "q")
     if q == 0:
         raise ValueError("pencil parameter must be nonzero")
     if s not in (-2, -1, 1, 2):

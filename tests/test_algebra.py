@@ -59,6 +59,12 @@ class TestPoly:
     def test_trailing_zeros_stripped(self):
         assert Poly([1, 2, 0, 0]).coeffs == (F(1), F(2))
 
+    def test_float_coefficient_is_refused(self):
+        # 0.1 would become 3602879701896397/2^55; ints and strings still convert.
+        with pytest.raises(TypeError, match=r'^coefficient must be exact.*Fraction\("0\.1"\)$'):
+            Poly([1, 0.1])
+        assert Poly([1, "1/10"]).coeffs == (F(1), F(1, 10))
+
     def test_arithmetic(self):
         p = Poly([1, 1])
         assert p * p == Poly([1, 2, 1])

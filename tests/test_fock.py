@@ -178,6 +178,11 @@ class TestBuilders:
         with pytest.raises(TypeError, match=rf'^{name} must be exact.*Fraction\("{value}"\)$'):
             build()
 
+    def test_float_coefficient_is_refused(self):
+        with pytest.raises(TypeError, match=r'^coefficient of b\^1 a\^0 must be exact.*\("0\.1"\)$'):
+            FockPoly({(0, 0): 1, (1, 0): 0.1})
+        assert FockPoly({(1, 0): "1/10"}).coeff(1, 0) == F(1, 10)
+
 
 class TestActOnPoly:
     def test_ground_state_annihilated(self):

@@ -1,4 +1,5 @@
 import random
+from dataclasses import fields
 from fractions import Fraction as F
 
 import pytest
@@ -20,7 +21,6 @@ from fockosc.realize import (
     Differential,
     FiniteDifference,
     QDilatation,
-    Realization,
     apply_op,
     heisenberg_residual,
     realize_matrix,
@@ -131,15 +131,16 @@ class TestGeneratorActions:
 class FaultyShift(FiniteDifference):
     """b = y f(y + d): the raising shift with the wrong sign."""
 
-    def raise_(self, f):
-        return Realization.raise_(self, f.shift_arg(self.delta))
+    def raise_ints(self, d, xs):
+        return FiniteDifference(-self.delta).raise_ints(d, xs)
 
 
 class FaultyScale(QDilatation):
     """a = 2 D_q: the dilatation derivative scaled by 2."""
 
-    def lower(self, f):
-        return super().lower(f).scale(2)
+    def lower_ints(self, d, xs):
+        d, xs = super().lower_ints(d, xs)
+        return d, [2 * x for x in xs]
 
 
 class TestHeisenbergResidual:
@@ -170,8 +171,9 @@ class TestHeisenbergResidual:
         # The denominator y(1-q) negates a, so a.b - q.b.a = -1 and the
         # residual (a.b - q.b.a - 1) f is -2f.
         class FlippedDilatation(QDilatation):
-            def lower(self, f):
-                return -super().lower(f)
+            def lower_ints(self, d, xs):
+                d, xs = super().lower_ints(d, xs)
+                return d, [-x for x in xs]
 
         r = FlippedDilatation(F(2))
         for f in random_polys(10, 8, seed=303):
@@ -190,6 +192,54 @@ class TestHeisenbergResidual:
             # The wrong shift keeps the bracket on constants: y c lowers back to c.
             constant = len(f.coeffs) <= 1
             assert expected.is_zero == (f.is_zero or constant and isinstance(r, FaultyShift))
+
+
+def word_by_word(h: FockPoly, r, f: Poly) -> Poly:
+    """h applied to f one word b^k a^m at a time, through r.lower and r.raise_."""
+    out = Poly()
+    for (k, m), c in h.terms.items():
+        g = f
+        for _ in range(m):
+            g = r.lower(g)
+        for _ in range(k):
+            g = r.raise_(g)
+        out = out + g.scale(c)
+    return out
+
+
+class TestPrimitiveOverrides:
+    """Every path acts through lower_ints and raise_ints, so overriding one changes them all."""
+
+    @pytest.mark.parametrize("primitive", ["lower_ints", "raise_ints"])
+    @pytest.mark.parametrize(
+        "base",
+        [Differential(), FiniteDifference(F(-2, 3)), QDilatation(F(5, 2))],
+        ids=["Differential", "FiniteDifference(-2/3)", "QDilatation(5/2)"],
+    )
+    def test_override_reaches_every_path(self, base, primitive):
+        original = getattr(type(base), primitive)
+
+        def doubled(self, d, xs):
+            d, xs = original(self, d, xs)
+            return d, [2 * x for x in xs]
+
+        r = type("Doubled", (type(base),), {primitive: doubled})(
+            **{field.name: getattr(base, field.name) for field in fields(base)}
+        )
+        f = Poly([F(1, 2), -3, 0, 2])
+        generator = "lower" if primitive == "lower_ints" else "raise_"
+        assert getattr(r, generator)(f) == getattr(base, generator)(f).scale(2)
+
+        h = FockPoly({(0, 0): F(1, 3), (0, 2): -1, (1, 1): F(2, 5), (2, 0): 3}, r.q)
+        assert apply_op(h, r, f) == word_by_word(h, r, f) != apply_op(h, base, f)
+        matrix = realize_matrix(h, r, 4)
+        assert matrix != realize_matrix(h, base, 4)
+        for j, column in enumerate(matrix.columns):
+            image = word_by_word(h, r, basis_element(r.basis, j))
+            assert column == basis_transplant(image, QuasiMonomial(0), r.basis)
+        # a.b - q.b.a = 2 under either doubling, so the residual is f.
+        assert heisenberg_residual(r, f) == f
+        assert heisenberg_residual(r, f) == r.lower(r.raise_(f)) - r.raise_(r.lower(f)).scale(r.q) - f
 
 
 class TestVacuum:
@@ -439,6 +489,11 @@ realizations = st.one_of(
     small_rationals.filter(lambda q: q not in (0, 1)).map(QDilatation),
 )
 polys = st.lists(small_rationals, min_size=1, max_size=8).map(Poly)
+# Polynomials whose coefficients are zero three times in four.
+mostly_zero_polys = st.lists(
+    st.tuples(st.integers(0, 3), small_rationals).map(lambda t: t[1] if t[0] == 0 else F(0)),
+    max_size=16,
+).map(Poly)
 
 
 @st.composite
@@ -490,11 +545,19 @@ def sympy_generator_action(h: FockPoly, r, f: Poly) -> Poly:
 
 class TestApplyOpSympyOracle:
     @given(st.data())
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=80, deadline=None)
     def test_matches_generator_formulas(self, data):
-        r = data.draw(realizations)
+        # Besides the small parameters: a negative step, a step at the 2^64 - 1
+        # height cap, negative q and |q| < 1; lowering_elements reaches b^3.
+        r = data.draw(
+            st.one_of(
+                realizations,
+                st.sampled_from([F(-2, 3), F(2**64 - 1, 3)]).map(FiniteDifference),
+                st.sampled_from([F(-6, 7), F(1, 3), F(-1, 2)]).map(QDilatation),
+            )
+        )
         h = data.draw(lowering_elements(r.q))
-        f = data.draw(polys)
+        f = data.draw(st.one_of(polys, mostly_zero_polys, st.just(Poly())))
         expected = sympy_generator_action(h, r, f)
         assert apply_op(h, r, f) == expected
 
@@ -521,13 +584,6 @@ class TestApplyOpSympyOracle:
             assert pure_stencil.terms == ((-3, cubic), (-1, LaurentPoly({1: F(1, 3)})))
         else:
             assert pure_stencil.terms == ((0, LaurentPoly({3: -2, 1: F(1, 3)})),)
-
-
-# Polynomials whose coefficients are zero three times in four.
-mostly_zero_polys = st.lists(
-    st.tuples(st.integers(0, 3), small_rationals).map(lambda t: t[1] if t[0] == 0 else F(0)),
-    max_size=16,
-).map(Poly)
 
 
 def sympy_poly(f: Poly) -> sp.Expr:

@@ -148,6 +148,11 @@ class TestEigensolveFlag:
 
 
 class TestPencilSolve:
+    def test_float_q_is_refused(self):
+        matrix = realize_matrix(build_hf(0, q=F(1, 2)), QDilatation(F(1, 2)), 3)
+        with pytest.raises(TypeError, match=r'^q must be exact.*Fraction\("0\.5"\)$'):
+            pencil_solve(matrix, -1, 0.5)
+
     @pytest.mark.parametrize("q", [F(2), F(1, 2), F(3, 7)])
     def test_scaled_once(self, q):
         matrix = realize_matrix(build_hf(0, q=q), QDilatation(q), 10)
@@ -344,6 +349,10 @@ class TestReferenceSpectrum:
 
     def test_scaled_twice(self):
         assert reference_spectrum(2, 3, -2)[1] == -36
+
+    def test_float_q_is_refused(self):
+        with pytest.raises(TypeError, match=r'^q must be exact.*Fraction\("0\.5"\)$'):
+            reference_spectrum(2, 0.5, -1)
 
     @pytest.mark.parametrize(
         "q, s, label",

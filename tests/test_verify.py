@@ -4,10 +4,17 @@ import re
 import pytest
 
 from fockosc import verify
-from fockosc.algebra import LaurentPoly, OperatorMatrix, Poly, QuasiMonomial
+from fockosc.algebra import LaurentPoly, OperatorMatrix, Poly, QuasiMonomial, _over_lcm
 from fockosc.cli import main
 from fockosc.fock import FockPoly, build_hf
-from fockosc.realize import Differential, FiniteDifference, QDilatation, Stencil, realize_matrix
+from fockosc.realize import (
+    Differential,
+    FiniteDifference,
+    QDilatation,
+    Stencil,
+    _poly,
+    realize_matrix,
+)
 from fockosc.spectral import SpectralReport
 from fockosc.verify import SUITES, run_suite
 
@@ -113,7 +120,7 @@ def test_matrix_transplant_compares_separate_matrices(monkeypatch):
 
 # One plausible fault per case family of `verify all`.  Each wraps the
 # original where the suite looks it up: in the verify namespace, or on the
-# realization classes for `lower` and on FockPoly for `__mul__`.
+# realization classes for `lower_ints` and on FockPoly for `__mul__`.
 def _plus_one(fn):
     return lambda *args: fn(*args) + 1
 
@@ -121,6 +128,19 @@ def _plus_one(fn):
 def _residual_without_one(residual):
     """(a.b - q.b.a) f, the - f term dropped."""
     return lambda r, f: residual(r, f) + f
+
+
+def _on_ints(fault):
+    """A fault of the Poly action `lower`, applied to the integer primitive `lower_ints`."""
+
+    def wrap(lower_ints):
+        def lower(self, f):
+            return _poly(*lower_ints(self, *_over_lcm(f.coeffs)))
+
+        faulty = fault(lower)
+        return lambda self, d, xs: _over_lcm(faulty(self, _poly(d, xs)).coeffs)
+
+    return wrap
 
 
 def _lower_plus_one(lower):
@@ -185,9 +205,9 @@ def _levels_plus_one(pencil_solve):
 
 
 REALIZATIONS = (Differential, FiniteDifference, QDilatation)
-LOWER_PLUS_ONE = [(cls, "lower", _lower_plus_one) for cls in REALIZATIONS]
-FD_STEP_SIGN = [(FiniteDifference, "lower", _fd_step_sign)]
-QDIL_WITHOUT_BRACKETS = [(QDilatation, "lower", _qdil_without_brackets)]
+LOWER_PLUS_ONE = [(cls, "lower_ints", _on_ints(_lower_plus_one)) for cls in REALIZATIONS]
+FD_STEP_SIGN = [(FiniteDifference, "lower_ints", _on_ints(_fd_step_sign))]
+QDIL_WITHOUT_BRACKETS = [(QDilatation, "lower_ints", _on_ints(_qdil_without_brackets))]
 SWAPPED_COMMUTATOR = [(verify, "commutator", _swapped)]
 EXTRA_OFFSET = [(verify, "stencil_of", _extra_offset)]
 REVERSED_DIRECTION = [(verify, "pencil_solve", _reversed_direction)]
