@@ -12,12 +12,13 @@ basis 1, y, y(y-d), y(y-d)(y-2d), ... whose elements vanish on the grid
 `basis_transplant` moves coefficient vectors between any two of them.
 
 The integer kernels: `_over_lcm` puts coefficients over their common
-denominator; `Poly.__mul__` convolves those integers; `_newton_ints` is the
-integer stage of the uncached Newton-basis kernel `_newton`, which
+denominator; `_convolve` multiplies two integer coefficient lists, for
+`Poly.__mul__` and the stencils in `realize`; `_newton_ints` is the integer
+stage of the uncached Newton-basis kernel `_newton`, which
 `basis_transplant` and `Poly.shift_arg` run, and takes integer numerators,
-so the finite-difference lowering in `realize` runs it on its own integers.
-Each reduces once per output coefficient.  `exact` turns a parameter into a
-Fraction and refuses a float.
+so the finite-difference lowering and the stencil moves in `realize` run it
+on their own integers.  Each reduces once per output coefficient.  `exact`
+turns a parameter into a Fraction and refuses a float.
 """
 
 from __future__ import annotations
@@ -64,12 +65,13 @@ class Poly:
 
     Immutable.  The coefficient tuple never has a trailing zero; the zero
     polynomial has an empty tuple and degree None (an explicit sentinel,
-    so no arithmetic can be done on it by accident).  `+`, `-`, `scale`,
-    `scale_arg` and `derivative` spend rational arithmetic only on nonzero
-    coefficients.  `*` puts each operand over the lcm D of its denominators,
-    convolves the nonzero integer numerators and reduces once per output
+    so no arithmetic can be done on it by accident).  `+`, `-`, `scale` and
+    `derivative` spend rational arithmetic only on nonzero coefficients.
+    `*` puts each operand over the lcm D of its denominators, convolves the
+    integer numerators in `_convolve` and reduces once per output
     coefficient, by `Fraction(x, D_a * D_b)`; `shift_arg` does so in `_newton`,
-    whose integer stage `_newton_ints` the finite-difference lowering shares.
+    whose integer stage `_newton_ints` the finite-difference lowering and the
+    stencils share.
     """
 
     __slots__ = ("coeffs",)
@@ -146,14 +148,8 @@ class Poly:
             return Poly()
         da, xs = _over_lcm(self.coeffs)
         db, ys = _over_lcm(other.coeffs)
-        out = [0] * (len(xs) + len(ys) - 1)
-        ys = [(j, b) for j, b in enumerate(ys) if b]
-        for i, a in enumerate(xs):
-            if a:
-                for j, b in ys:
-                    out[i + j] += a * b
         d = da * db
-        return Poly([Fraction(x, d) for x in out])
+        return Poly([Fraction(x, d) for x in _convolve(xs, ys)])
 
     def scale(self, k: Rat) -> "Poly":
         if k == 1:
@@ -184,16 +180,6 @@ class Poly:
         nodes = [offset.numerator] * (len(self.coeffs) - 1)
         return _newton(self.coeffs, 1, offset.denominator, nodes)
 
-    def scale_arg(self, factor: Rat) -> "Poly":
-        """Return f(factor * y), one running power of factor per coefficient."""
-        if factor == 1:
-            return self
-        factor, power, out = Fraction(factor), Fraction(1), []
-        for c in self.coeffs:
-            out.append(c * power if c else c)
-            power *= factor
-        return Poly(out)
-
     def __repr__(self) -> str:
         if self.is_zero:
             return "Poly(0)"
@@ -205,6 +191,17 @@ def _over_lcm(coeffs: Collection[Fraction]) -> tuple[int, list[int]]:
     """(D, [c * D for c in coeffs]) with D the lcm of the denominators."""
     d = lcm(*(c.denominator for c in coeffs))
     return d, [c.numerator * (d // c.denominator) for c in coeffs]
+
+
+def _convolve(xs: Sequence[int], ys: Sequence[int]) -> list[int]:
+    """The coefficients of (sum xs[i] y^i)(sum ys[j] y^j); a zero coefficient costs nothing."""
+    out = [0] * (len(xs) + len(ys) - 1)
+    ys = [(j, b) for j, b in enumerate(ys) if b]
+    for i, a in enumerate(xs):
+        if a:
+            for j, b in ys:
+                out[i + j] += a * b
+    return out
 
 
 def _newton(coeffs: Sequence[Fraction], r: int, s: int, nodes: Sequence[int], expand=False) -> Poly:
@@ -252,7 +249,8 @@ class LaurentPoly:
     polynomial has low 0 and the zero Poly), so each value has one
     representation, and every operation is the matching `Poly` operation
     plus a change of `low`.  `terms` maps each power to its nonzero
-    coefficient, in increasing power order.
+    coefficient, in increasing power order.  Stencils move and compose
+    their coefficients on integers, in `realize`.
     """
 
     __slots__ = ("low", "poly")
@@ -272,10 +270,6 @@ class LaurentPoly:
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("LaurentPoly is immutable")
-
-    @staticmethod
-    def from_poly(p: Poly) -> "LaurentPoly":
-        return LaurentPoly._of(0, p)
 
     @property
     def terms(self) -> dict[int, Fraction]:
@@ -314,26 +308,11 @@ class LaurentPoly:
     def scale(self, k: Rat) -> "LaurentPoly":
         return LaurentPoly._of(self.low, self.poly.scale(k))
 
-    def scale_arg(self, factor: Rat) -> "LaurentPoly":
-        """Return f(factor * y); works for negative powers too."""
-        factor = Fraction(factor)
-        return LaurentPoly._of(self.low, self.poly.scale_arg(factor).scale(factor**self.low))
-
     def derivative(self) -> "LaurentPoly":
         # (y^l P)' = l y^(l-1) P + y^l P'
         return LaurentPoly._of(self.low - 1, self.poly.scale(self.low)) + LaurentPoly._of(
             self.low, self.poly.derivative()
         )
-
-    def shift_arg(self, offset: Rat) -> "LaurentPoly":
-        """Return f(y + offset); raises, as `to_poly` does, if any negative power remains."""
-        return LaurentPoly.from_poly(self.to_poly().shift_arg(offset))
-
-    def to_poly(self) -> Poly:
-        """Convert to a dense Poly; raises if any negative power remains."""
-        if self.low < 0:
-            raise ValueError("Laurent polynomial has poles")
-        return self._padded(0)
 
     def __repr__(self) -> str:
         if self.is_zero:

@@ -32,7 +32,9 @@ and reduces once per output coefficient at its end.
 
 Besides matrices, operators can be flattened to explicit stencils: a
 list of coefficient functions c_j(y) with (H f)(y) = sum c_j(y) f(y + j*delta)
-(shift mode) or sum c_j(y) f(q^j y) (scale mode).
+(shift mode) or sum c_j(y) f(q^j y) (scale mode).  `stencil_of` and
+`Stencil.apply` share one integer composition of such terms, held as Laurent
+triples, and build one Fraction per output coefficient.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from .algebra import (
     Poly,
     QuasiMonomial,
     Rat,
+    _convolve,
     _newton_ints,
     _over_lcm,
     basis_element,
@@ -58,6 +61,9 @@ from .fock import AlgebraMismatchError, FockPoly
 
 # Generator terms of a stencil: offset -> coefficient function.
 Terms = dict[int, LaurentPoly]
+# A Laurent triple (low, d, xs) is y^low * sum xs[k] y^k / d, with d != 0 and
+# not necessarily reduced; the stencils are computed on these.
+Triple = tuple[int, int, list[int]]
 
 
 class Realization:
@@ -303,29 +309,80 @@ class Stencil:
         return LaurentPoly()
 
     def apply(self, f: Poly) -> Poly:
-        """Evaluate the stencil on a polynomial; pole terms must cancel."""
-        acc = LaurentPoly()
-        for j, c in self.terms:
-            acc = acc + c * LaurentPoly.from_poly(_move(f, j, self.mode, self.param))
-        return acc.to_poly()
+        """The composition with f at offset 0, summed over the offsets; poles must cancel."""
+        terms = {j: _laurent_ints(c) for j, c in self.terms}
+        parts = _compose_ints(terms, {0: (0, *_over_lcm(f.coeffs))}, self.mode, self.param)
+        low, d, xs = _laurent_sum([part for _, part in parts])
+        if low < 0:
+            raise ValueError("Laurent polynomial has poles")
+        return _poly(d, [0] * low + xs)
 
 
-def _move(f: Poly | LaurentPoly, j: int, mode: str, param: Fraction) -> Poly | LaurentPoly:
-    """f(y + j*param) in shift mode, f(param^j * y) in scale mode."""
-    return f.shift_arg(j * param) if mode == "shift" else f.scale_arg(param**j)
+def _laurent_ints(c: LaurentPoly) -> Triple:
+    """c as a Laurent triple over the lcm of its denominators."""
+    return (c.low, *_over_lcm(c.poly.coeffs))
 
 
-def _compose_terms(x: Terms, y: Terms, mode: str, param: Fraction) -> Terms:
-    # (c(y) T^i)(d(y) T^j) = c(y) * d(T^i y) * T^(i+j), where T^i moves the
-    # argument by i steps.
-    out: Terms = {}
+def _move_ints(f: Triple, j: int, mode: str, param: Fraction) -> Triple:
+    """f(y + j*param) in shift mode, f(param^j * y) in scale mode.
+
+    Shift mode, param = r/s: f(y + jr/s) = G(sy + jr) / (d s^n) for the
+    integer G of `_newton_ints`, whose Newton coefficients at the node jr give
+    coefficient k as G'_k s^k / (d s^n); f must have no negative power.  Scale
+    mode, param^j = a/b: y^(low+k) gains (a/b)^low a^k b^(n-k) / b^n.
+    """
+    low, d, xs = f
+    if j == 0 or not xs:
+        return f
+    r, s = param.numerator, param.denominator
+    if mode == "shift":
+        if low < 0:
+            raise ValueError("Laurent polynomial has poles")
+        xs = [0] * low + xs
+        weights, g = _newton_ints(xs, 1, s, [j * r] * (len(xs) - 1))
+        return 0, d * weights[0], [x * s**k for k, x in enumerate(g)]
+    a, b = (r**j, s**j) if j > 0 else (s**-j, r**-j)
+    head, tail = (a**low, b**low) if low >= 0 else (b**-low, a**-low)
+    n = len(xs) - 1
+    out = [x * head * a**k * b ** (n - k) if x else 0 for k, x in enumerate(xs)]
+    return low, d * tail * b**n, out
+
+
+def _compose_ints(
+    x: dict[int, Triple], y: dict[int, Triple], mode: str, param: Fraction
+) -> list[tuple[int, Triple]]:
+    """The parts (i + j, c * d(T^i y)) of (sum_i c_i T^i)(sum_j d_j T^j), T^i moving by i steps."""
+    parts = []
     for i, c in x.items():
-        for j, d in y.items():
-            term = c * _move(d, i, mode, param)
-            if not term.is_zero:
-                key = i + j
-                out[key] = out.get(key, LaurentPoly()) + term
-    return {j: c for j, c in out.items() if not c.is_zero}
+        for j, f in y.items():
+            low, d, xs = _move_ints(f, i, mode, param)
+            parts.append((i + j, (c[0] + low, c[1] * d, _convolve(c[2], xs))))
+    return parts
+
+
+def _laurent_sum(parts: list[Triple]) -> Triple:
+    """The sum of the parts over the lcm of their denominators, zero ends dropped."""
+    low = min((p[0] for p in parts), default=0)
+    denom = lcm(*(d for _, d, _ in parts))
+    out = [0] * max((p[0] + len(p[2]) - low for p in parts), default=0)
+    for start, d, xs in parts:
+        k = denom // d
+        for i, x in enumerate(xs, start - low):
+            if x:
+                out[i] += k * x
+    while out and not out[-1]:
+        out.pop()
+    zeros = next((i for i, x in enumerate(out) if x), 0)
+    return low + zeros if out else 0, denom, out[zeros:]
+
+
+def _by_offset(parts: list[tuple[int, Triple]]) -> dict[int, Triple]:
+    """The parts added up per offset; offsets whose sum is zero are left out."""
+    groups: dict[int, list[Triple]] = {}
+    for j, part in parts:
+        groups.setdefault(j, []).append(part)
+    sums = ((j, _laurent_sum(group)) for j, group in groups.items())
+    return {j: t for j, t in sums if t[2]}
 
 
 def stencil_of(h: FockPoly, r: Realization) -> Stencil:
@@ -335,21 +392,26 @@ def stencil_of(h: FockPoly, r: Realization) -> Stencil:
     -(b-degree)..(a-degree)) and QDilatation (scale mode, offsets inside
     0..(a-degree)); the Differential realization raises ValueError.
     As in `apply_op`, the terms of each a^m are composed once and the
-    b terms are composed in by Horner's rule from the top b-power down.
+    b terms are composed in by Horner's rule from the top b-power down,
+    all on Laurent triples, and each output coefficient is reduced once.
     """
     mode, param, a_terms, b_terms = r.stencil_generators()
     _check_q(h, r)
+    a_terms, b_terms = ({j: _laurent_ints(c) for j, c in t.items()} for t in (a_terms, b_terms))
 
-    lowered: list[Terms] = [{0: LaurentPoly({0: 1})}]
+    lowered = [{0: (0, 1, [1])}]
     for _ in range(h.a_degree()):
-        lowered.append(_compose_terms(lowered[-1], a_terms, mode, param))
-    acc: Terms = {}
+        lowered.append(_by_offset(_compose_ints(lowered[-1], a_terms, mode, param)))
+    acc: dict[int, Triple] = {}
     for level in range(h.b_degree(), -1, -1):
-        if acc:
-            acc = _compose_terms(b_terms, acc, mode, param)
-        for (k, m), coeff in h.terms.items():
+        parts = _compose_ints(b_terms, acc, mode, param)
+        for (k, m), c in h.terms.items():
             if k == level:
-                for j, c in lowered[m].items():
-                    acc[j] = acc.get(j, LaurentPoly()) + c.scale(coeff)
-    terms = tuple(sorted((j, c) for j, c in acc.items() if not c.is_zero))
-    return Stencil(mode=mode, param=param, terms=terms)
+                scalar = {0: (0, c.denominator, [c.numerator])}
+                parts += _compose_ints(scalar, lowered[m], mode, param)
+        acc = _by_offset(parts)
+    terms = sorted(
+        (j, LaurentPoly({low + k: Fraction(x, d) for k, x in enumerate(xs) if x}))
+        for j, (low, d, xs) in acc.items()
+    )
+    return Stencil(mode=mode, param=param, terms=tuple(terms))

@@ -1,7 +1,11 @@
 """Independent oracles used to compute expected values.
 
-Each oracle deliberately takes the slow, obviously-correct route so it
-shares no code path with the implementation it checks:
+Each oracle deliberately takes the slow, obviously-correct route, and all
+but two share no code path with the implementation they check.  The two
+exceptions: `act_on_poly` normal-orders through `fock.normal_order_product`,
+and `shift_by_powers` multiplies through `Poly.__mul__`, so a fault in either
+kernel must be caught by another oracle (`oracle_product` for the Wick
+table).  The routes:
 
 * normal ordering by single adjacent swaps ab -> q ba + 1, one at a time;
 * the action of an element on the vacuum representation P(b)|0>;

@@ -18,6 +18,7 @@ from fockosc.algebra import (
     basis_transplant,
 )
 from fockosc.cli import MAX_HEIGHT
+from fockosc.realize import Stencil, _laurent_ints, _move_ints
 from oracles import dense_apply, newton_coefficients, shift_by_powers
 
 rationals = st.fractions(
@@ -33,6 +34,12 @@ mostly_zero = st.tuples(st.integers(0, 3), rationals).map(lambda t: t[1] if t[0]
 # Degree 20, every third coefficient zero: the substitution kernel's powers
 # r^k s^(n-k) reach 20 * 64 bits at a step or offset near cli.MAX_HEIGHT.
 degree_20 = [F(j % 3 and (-1) ** j * (2 * j + 1), j + 2) for j in range(21)]
+
+
+def moved(c: LaurentPoly, j: int, mode: str, param: F) -> LaurentPoly:
+    """c moved j steps by the stencils' integer kernel: c(y + j param) or c(param^j y)."""
+    low, d, xs = _move_ints(_laurent_ints(c), j, mode, param)
+    return LaurentPoly({low + k: F(x, d) for k, x in enumerate(xs)})
 
 
 class TestRational:
@@ -97,7 +104,10 @@ class TestPoly:
             assert shifted(x) == f(x + offset)
 
     def test_scale_arg(self):
-        assert Poly([1, 1, 1]).scale_arg(2) == Poly([1, 2, 4])
+        # f(2y) and f(y/2) through the stencils' integer move, one and minus one step.
+        f = LaurentPoly({0: 1, 1: 1, 2: 1})
+        assert moved(f, 1, "scale", F(2)) == LaurentPoly({0: 1, 1: 2, 2: 4})
+        assert moved(f, -1, "scale", F(2)) == LaurentPoly({0: 1, 1: F(1, 2), 2: F(1, 4)})
 
     def test_eval_horner(self):
         p = Poly([F(1, 2), -3, 1])
@@ -119,12 +129,18 @@ class TestLaurentPoly:
         assert p == LaurentPoly({0: 2, 1: 3})
 
     def test_to_poly_rejects_poles(self):
-        with pytest.raises(ValueError):
-            LaurentPoly({-1: 1}).to_poly()
+        # A pole cannot be moved by a shift, nor survive a stencil's application.
+        with pytest.raises(ValueError, match="poles"):
+            moved(LaurentPoly({-1: 1}), 1, "shift", F(1))
+        with pytest.raises(ValueError, match="poles"):
+            Stencil("shift", F(1), ((0, LaurentPoly({-1: 1})),)).apply(Poly.one())
+        assert Stencil("scale", F(2), ((0, LaurentPoly({-1: 1})),)).apply(Poly([0, 3])) == Poly([3])
 
     def test_scale_arg_negative_powers(self):
         p = LaurentPoly({-1: 1, 2: 1})
-        assert p.scale_arg(2) == LaurentPoly({-1: F(1, 2), 2: 4})
+        assert moved(p, 1, "scale", F(2)) == LaurentPoly({-1: F(1, 2), 2: 4})
+        # (-2/3)^-2 = 9/4, with a negative step and a negative ratio.
+        assert moved(p, -2, "scale", F(-2, 3)) == LaurentPoly({-1: F(4, 9), 2: F(81, 16)})
 
     def test_derivative(self):
         p = LaurentPoly({-1: 1, 0: 5, 2: 3})
@@ -151,27 +167,31 @@ def same_as(got: dict[int, F], want: sp.Expr) -> bool:
 
 
 class TestLaurentPolyOracle:
-    """LaurentPoly operations against the same operations done in sympy."""
+    """LaurentPoly operations, and the stencils' integer move, against sympy."""
 
-    @given(laurent_maps, laurent_maps, rationals, rationals.filter(bool), rationals)
+    @given(
+        laurent_maps, laurent_maps, rationals, rationals.filter(bool), rationals, st.integers(-3, 3)
+    )
     @settings(max_examples=60, deadline=None)
-    def test_operations_match_sympy(self, a_map, b_map, k, factor, offset):
+    def test_operations_match_sympy(self, a_map, b_map, k, factor, offset, j):
         a, b = LaurentPoly(a_map), LaurentPoly(b_map)
         sa, sb = sym_laurent(a_map), sym_laurent(b_map)
         assert same_as((a + b).terms, sa + sb)
         assert same_as((a - b).terms, sa - sb)
         assert same_as((a * b).terms, sa * sb)
         assert same_as(a.scale(k).terms, sym(k) * sa)
-        assert same_as(a.scale_arg(factor).terms, sa.subs(y, sym(factor) * y))
+        assert same_as(moved(a, j, "scale", factor).terms, sa.subs(y, sym(factor) ** j * y))
         assert same_as(a.derivative().terms, sp.diff(sa, y))
+        # The identity stencil applied to 1 gives a back as a Poly.
+        identity = Stencil("shift", factor, ((0, a),))
         if any(c != 0 and power < 0 for power, c in a_map.items()):
-            with pytest.raises(ValueError):
-                a.shift_arg(offset)
-            with pytest.raises(ValueError):
-                a.to_poly()
+            with pytest.raises(ValueError, match="poles"):
+                moved(a, j or 1, "shift", offset)
+            with pytest.raises(ValueError, match="poles"):
+                identity.apply(Poly.one())
         else:
-            assert same_as(a.shift_arg(offset).terms, sa.subs(y, y + sym(offset)))
-            assert same_as(dict(enumerate(a.to_poly().coeffs)), sa)
+            assert same_as(moved(a, j, "shift", offset).terms, sa.subs(y, y + j * sym(offset)))
+            assert same_as(dict(enumerate(identity.apply(Poly.one()).coeffs)), sa)
 
     @given(laurent_maps, st.sets(st.integers(-4, 6)))
     def test_zero_entries_change_nothing(self, terms, zero_powers):

@@ -7,6 +7,7 @@ import sympy as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fockosc import realize
 from fockosc.algebra import (
     LaurentPoly,
     OperatorMatrix,
@@ -21,11 +22,13 @@ from fockosc.realize import (
     Differential,
     FiniteDifference,
     QDilatation,
+    Stencil,
     apply_op,
     heisenberg_residual,
     realize_matrix,
     stencil_of,
 )
+from fockosc.verify import run_suite
 from oracles import act_on_poly
 
 DELTAS = [F(1), F(1, 2), F(-1, 3)]
@@ -640,3 +643,130 @@ class TestStencilMatrixProperty:
         # reaches above its own level, and its columns are those images.
         assert preserves_flag(m) == all(len(c.coeffs) <= j + 1 for j, c in enumerate(columns))
         assert list(m.columns) == columns
+
+
+def stencil_by_sympy(mode: str, param: F, terms: dict, f: Poly) -> dict[int, F]:
+    """sum_j c_j(y) f(y + j param), or f(param^j y), substituted in sympy: power -> coefficient.
+
+    Coefficients have no power below y^-2.
+    """
+    p, e = sympy_rational(param), sympy_poly(f)
+    total = sp.Integer(0)
+    for j, c in terms.items():
+        moved = e.subs(Y, Y + j * p if mode == "shift" else p**j * Y)
+        total += sum(sympy_rational(a) * Y**k for k, a in c.terms.items()) * moved
+    coeffs = sp.Poly(sp.expand(total * Y**2), Y).all_coeffs()[::-1]
+    return {k - 2: F(int(a.p), int(a.q)) for k, a in enumerate(coeffs) if a}
+
+
+def apply_matches_sympy(mode: str, param: F, terms: dict, f: Poly) -> bool:
+    """Stencil.apply gives the substituted sum, or raises ValueError where a pole survives."""
+    want = stencil_by_sympy(mode, param, terms, f)
+    if min(want, default=0) < 0:
+        want = None
+    else:
+        want = Poly([want.get(k, 0) for k in range(max(want, default=-1) + 1)])
+    try:
+        got = Stencil(mode, param, tuple(sorted(terms.items()))).apply(f)
+    except ValueError:
+        got = None
+    return got == want
+
+
+def cancel_poles(mode: str, param: F, terms: dict, f: Poly) -> dict:
+    """terms with one coefficient changed so that no pole survives on f, where one can be.
+
+    With P the pole part of the sum and F_j(y) = f(move_j y), F_j(0) != 0,
+    adding the pole part of -P / F_j (1/F_j as a series to y^1) to c_j
+    leaves -P plus powers >= 0.
+    """
+    want = stencil_by_sympy(mode, param, terms, f)
+    pole = sum(sympy_rational(c) * Y**k for k, c in want.items() if k < 0)
+    p, e = sympy_rational(param), sympy_poly(f)
+    for j, c in terms.items():
+        moved = e.subs(Y, Y + j * p if mode == "shift" else p**j * Y)
+        if moved.subs(Y, 0) != 0:
+            fix = sp.expand(-pole * sp.series(1 / moved, Y, 0, 2).removeO())
+            fix = {-k: fix.coeff(Y, -k) for k in (1, 2)}
+            fixed = c + LaurentPoly({k: F(int(a.p), int(a.q)) for k, a in fix.items()})
+            return {i: d for i, d in {**terms, j: fixed}.items() if not d.is_zero}
+    return terms
+
+
+laurent_coeffs = st.dictionaries(st.integers(-2, 3), small_rationals, min_size=1, max_size=3).map(
+    LaurentPoly
+).filter(lambda c: not c.is_zero)
+# Hand-built stencils with y^-1 and y^-2 coefficients and negative offsets.
+L = LaurentPoly
+STENCIL_CASES = [
+    # (f(q y) - f(y)) / (y (q - 1)): the pole cancels on every f.
+    ("scale", F(-2, 3), {1: L({-1: F(-3, 5)}), 0: L({-1: F(3, 5)})}, Poly([1, -2, 0, F(3, 4)])),
+    # (f(y/q^2) - (1 + 1/q) f(y/q) + f(y)/q) / y^2 vanishes to second order at 0.
+    ("scale", F(3), {-2: L({-2: 1}), -1: L({-2: F(-4, 3)}), 0: L({-2: F(1, 3)})}, Poly([5, 1, -1, 2])),
+    # (f(y - d) - f(y + d)) / y on an even f, plus y^-2 on f's double zero.
+    ("shift", F(-1, 2), {-1: L({-1: 1}), 1: L({-1: -1, 1: 2})}, Poly([3, 0, -2, 0, 1])),
+    ("shift", F(1, 3), {0: L({-2: 1}), 2: L({0: F(1, 2), 1: 3})}, Poly([0, 0, 1, F(-2, 5)])),
+    # Poles that survive.
+    ("shift", F(2), {1: L({-1: 1})}, Poly.one()),
+    ("scale", F(1, 2), {-1: L({-2: 1, 0: 1}), 1: L({-1: 2})}, Poly([1, 1])),
+]
+
+
+class TestStencilApplySympyOracle:
+    """Stencil.apply against sympy substitution, a route that shares no code with the kernels."""
+
+    @pytest.mark.parametrize("case", range(len(STENCIL_CASES)))
+    def test_hand_built_stencils(self, case):
+        assert apply_matches_sympy(*STENCIL_CASES[case])
+
+    @given(
+        st.sampled_from(["shift", "scale"]),
+        small_rationals.filter(bool),
+        st.dictionaries(st.integers(-3, 3), laurent_coeffs, min_size=1, max_size=4),
+        polys,
+        st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_apply_matches_substitution(self, mode, param, terms, f, cancel):
+        if cancel:
+            terms = cancel_poles(mode, param, terms, f)
+        assert apply_matches_sympy(mode, param, terms, f)
+
+
+def _moved_back(mode):
+    """_move_ints with the step reversed in `mode`: the shift node -jr, or q^-j for q^j."""
+    return lambda move: lambda f, j, m, param: move(f, -j if m == mode else j, m, param)
+
+
+def _offsets_dropped(total):
+    """_laurent_sum with every part placed at y^0."""
+    return lambda parts: total([(0, d, xs) for _, d, xs in parts])
+
+
+STENCIL_FAULTS = {
+    "shift-node-sign": ("_move_ints", _moved_back("shift")),
+    "laurent-offset-dropped": ("_laurent_sum", _offsets_dropped),
+    "q^j-as-q^-j": ("_move_ints", _moved_back("scale")),
+}
+
+
+@pytest.mark.parametrize("fault", STENCIL_FAULTS)
+def test_stencil_kernel_fault_is_caught(monkeypatch, fault):
+    """Each kernel fault fails a hand-built sympy case, and a stencil check of verify or its note."""
+    name, wrap = STENCIL_FAULTS[fault]
+    monkeypatch.setattr(realize, name, wrap(getattr(realize, name)))
+    assert not all(apply_matches_sympy(*case) for case in STENCIL_CASES)
+    if fault == "shift-node-sign":
+        cases = run_suite("transplant").cases
+        cases = [c for c in cases if c.case.startswith("stencil-eigenfunction")]
+        assert cases and not any(c.passed for c in cases)
+    else:
+        # The three-point coefficients that verify's dilatation-stencil-signs note states.
+        q, half = F(2), F(1, 2)
+        stencil = stencil_of(build_hf(0, q=q), QDilatation(q))
+        c1 = -4 * (1 + q - half * q * (q - 1)) / (q * (q - 1) ** 2)
+        assert stencil.terms != (
+            (0, L({-1: 4 * (1 - half * (q - 1)) / (q - 1) ** 2, 0: F(4) / (q - 1)})),
+            (1, L({-1: c1, 0: F(-4) / (q - 1)})),
+            (2, L({-1: 4 / (q * (q - 1) ** 2)})),
+        )
