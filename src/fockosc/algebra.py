@@ -1,24 +1,28 @@
 """Exact arithmetic substrate: rationals, polynomials, bases, matrices.
 
-Every scalar in the package is a `fractions.Fraction`, which already
+Every scalar a caller reads is a `fractions.Fraction`, which already
 guarantees the canonical reduced form (gcd 1, positive denominator) and
 arbitrary precision.  Nothing in this package ever rounds.
 
 A `Poly` is a dense coefficient vector over the rationals, lowest power
-first.  A `LaurentPoly` additionally admits negative powers and is stored
-as y^low times a Poly.  Polynomials are expressed in a quasi-monomial
-basis 1, y, y(y-d), y(y-d)(y-2d), ... whose elements vanish on the grid
-0, d, 2d, ...; step d = 0 is the monomial basis 1, y, y^2, ...
+first, held as reduced Fractions or as an integer pair (d, xs), sum
+xs[k] y^k / d, whichever was built first; the other form is built on its
+first read and kept.  A `LaurentPoly` additionally admits negative powers
+and is stored as y^low times a Poly.  Polynomials are expressed in a
+quasi-monomial basis 1, y, y(y-d), y(y-d)(y-2d), ... whose elements vanish
+on the grid 0, d, 2d, ...; step d = 0 is the monomial basis 1, y, y^2, ...
 `basis_transplant` moves coefficient vectors between any two of them.
 
-The integer kernels: `_over_lcm` puts coefficients over their common
-denominator; `_convolve` multiplies two integer coefficient lists, for
-`Poly.__mul__` and the stencils in `realize`; `_newton_ints` is the integer
-stage of the uncached Newton-basis kernel `_newton`, which
-`basis_transplant` and `Poly.shift_arg` run, and takes integer numerators,
-so the finite-difference lowering and the stencil moves in `realize` run it
-on their own integers.  Each reduces once per output coefficient.  `exact`
-turns a parameter into a Fraction and refuses a float.
+The integer kernels read and write the pair: `_convolve` multiplies two
+integer coefficient lists, for `Poly.__mul__` and the stencils in
+`realize`; `_newton_ints` is the integer stage of the uncached Newton-basis
+kernel `_newton`, which `basis_transplant` and `Poly.shift_arg` run, and
+takes integer numerators, so the finite-difference lowering and the stencil
+moves in `realize` run it on their own integers.  A chain of kernels builds
+no Fraction; the reduced Fractions come once, where a caller reads
+`coeffs`.  `_over_lcm` puts Fractions over their common denominator, for a
+Poly built from rationals and for `fock`.  `exact` turns a parameter into
+a Fraction and refuses a float.
 """
 
 from __future__ import annotations
@@ -63,55 +67,105 @@ class NotTriangularError(ValueError):
 class Poly:
     """Dense univariate polynomial over the rationals, lowest power first.
 
-    Immutable.  The coefficient tuple never has a trailing zero; the zero
-    polynomial has an empty tuple and degree None (an explicit sentinel,
-    so no arithmetic can be done on it by accident).  `+`, `-`, `scale` and
-    `derivative` spend rational arithmetic only on nonzero coefficients.
-    `*` puts each operand over the lcm D of its denominators, convolves the
-    integer numerators in `_convolve` and reduces once per output
-    coefficient, by `Fraction(x, D_a * D_b)`; `shift_arg` does so in `_newton`,
-    whose integer stage `_newton_ints` the finite-difference lowering and the
-    stencils share.
+    Immutable.  It starts in one of two exact forms and builds the other on
+    its first read, once, and keeps it (two threads that build it at once
+    build equal values):
+
+    * `coeffs`, the reduced Fractions.  The tuple never has a trailing zero;
+      the zero polynomial has an empty tuple and degree None (an explicit
+      sentinel, so no arithmetic can be done on it by accident).
+    * `ints`, a pair (d, xs) meaning sum xs[k] y^k / d, with d > 0 and no
+      trailing zero but not necessarily reduced.  `Poly.from_ints` builds a
+      Poly from such a pair.
+
+    The integer kernels read and write the pair: `*` convolves the two
+    operands' integers in `_convolve`, and `shift_arg` and `basis_transplant`
+    run `_newton`, whose integer stage `_newton_ints` the finite-difference
+    generators and the stencils share.  Every scalar a caller reads
+    (`coeffs`, `coeff`, `leading`, `==`, `hash`, `repr`) is a reduced
+    Fraction; `degree` and `is_zero` read whichever form exists.  `+`, `-`,
+    `scale` and `derivative` spend rational arithmetic only on nonzero
+    coefficients.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_coeffs", "_ints")
 
     def __init__(self, coeffs: Iterable[Rat] = ()):
         cs = [c if type(c) is Fraction else exact(c, "coefficient") for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "_coeffs", tuple(cs))
+        object.__setattr__(self, "_ints", None)
+
+    @staticmethod
+    def from_ints(d: int, xs: Iterable[int]) -> "Poly":
+        """The Poly sum xs[k] y^k / d for integers d != 0 and xs, held as that pair."""
+        if not d:
+            raise ZeroDivisionError("Poly denominator is zero")
+        xs = list(xs)
+        while xs and not xs[-1]:
+            xs.pop()
+        if d < 0:
+            d, xs = -d, [-x for x in xs]
+        out = object.__new__(Poly)
+        object.__setattr__(out, "_coeffs", None)
+        object.__setattr__(out, "_ints", (d if xs else 1, tuple(xs)))
+        return out
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("Poly is immutable")
 
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The reduced coefficients, lowest power first, without trailing zeros."""
+        cs = self._coeffs
+        if cs is None:
+            d, xs = self._ints
+            cs = tuple([Fraction(x, d) for x in xs])
+            object.__setattr__(self, "_coeffs", cs)
+        return cs
+
+    @property
+    def ints(self) -> tuple[int, tuple[int, ...]]:
+        """(d, xs) with self = sum xs[k] y^k / d, d > 0; see the class docstring."""
+        pair = self._ints
+        if pair is None:
+            d, xs = _over_lcm(self._coeffs)
+            pair = d, tuple(xs)
+            object.__setattr__(self, "_ints", pair)
+        return pair
+
     @staticmethod
     def one() -> "Poly":
-        return Poly([1])
+        return Poly.from_ints(1, (1,))
 
     @staticmethod
     def monomial(power: int, coeff: Rat = 1) -> "Poly":
         if power < 0:
             raise ValueError("monomial power must be non-negative")
-        return Poly([0] * power + [coeff])
+        coeff = exact(coeff, "coefficient")
+        return Poly.from_ints(coeff.denominator, [0] * power + [coeff.numerator])
 
     @property
     def degree(self) -> int | None:
         """Degree, or None for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else None
+        cs = self._coeffs
+        n = len(cs if cs is not None else self._ints[1])
+        return n - 1 if n else None
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return self.degree is None
 
     def coeff(self, power: int) -> Fraction:
-        if 0 <= power < len(self.coeffs):
-            return self.coeffs[power]
+        cs = self.coeffs
+        if 0 <= power < len(cs):
+            return cs[power]
         return Fraction(0)
 
     @property
     def leading(self) -> Fraction:
-        if not self.coeffs:
+        if self.is_zero:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
@@ -127,8 +181,9 @@ class Poly:
         return hash(self.coeffs)
 
     def __add__(self, other: "Poly") -> "Poly":
-        out = list(self.coeffs) + list(other.coeffs[len(self.coeffs) :])
-        for i, c in enumerate(other.coeffs[: len(self.coeffs)]):
+        a, b = self.coeffs, other.coeffs
+        out = list(a) + list(b[len(a) :])
+        for i, c in enumerate(b[: len(a)]):
             if c:
                 out[i] += c
         return Poly(out)
@@ -137,8 +192,9 @@ class Poly:
         return Poly([-c for c in self.coeffs])
 
     def __sub__(self, other: "Poly") -> "Poly":
-        out = list(self.coeffs) + [-c if c else c for c in other.coeffs[len(self.coeffs) :]]
-        for i, c in enumerate(other.coeffs[: len(self.coeffs)]):
+        a, b = self.coeffs, other.coeffs
+        out = list(a) + [-c if c else c for c in b[len(a) :]]
+        for i, c in enumerate(b[: len(a)]):
             if c:
                 out[i] -= c
         return Poly(out)
@@ -146,10 +202,8 @@ class Poly:
     def __mul__(self, other: "Poly") -> "Poly":
         if self.is_zero or other.is_zero:
             return Poly()
-        da, xs = _over_lcm(self.coeffs)
-        db, ys = _over_lcm(other.coeffs)
-        d = da * db
-        return Poly([Fraction(x, d) for x in _convolve(xs, ys)])
+        (da, xs), (db, ys) = self.ints, other.ints
+        return Poly.from_ints(da * db, _convolve(xs, ys))
 
     def scale(self, k: Rat) -> "Poly":
         if k == 1:
@@ -175,10 +229,9 @@ class Poly:
         Newton basis (y - r/s)^k, found by `_newton` with step 1/s and node r.
         """
         offset = Fraction(offset)
-        if offset == 0:
+        if offset == 0 or self.is_zero:
             return self
-        nodes = [offset.numerator] * (len(self.coeffs) - 1)
-        return _newton(self.coeffs, 1, offset.denominator, nodes)
+        return _newton(self, 1, offset.denominator, [offset.numerator] * self.degree)
 
     def __repr__(self) -> str:
         if self.is_zero:
@@ -204,16 +257,23 @@ def _convolve(xs: Sequence[int], ys: Sequence[int]) -> list[int]:
     return out
 
 
-def _newton(coeffs: Sequence[Fraction], r: int, s: int, nodes: Sequence[int], expand=False) -> Poly:
+def _newton(f: Poly, r: int, s: int, nodes: Sequence[int], expand=False) -> Poly:
     """Monomial coefficients to those in the basis prod_(i<k) (y - (r/s) nodes[i]), or back.
 
-    The coefficients are put over their common denominator D, the integers
-    come from `_newton_ints`, and each output coefficient is reduced once,
-    G'_k / (D w_k).
+    f is nonzero.  The integers G' come from `_newton_ints` on f's pair
+    (D, xs), and coefficient k is G'_k / (D w_k), w_k = r^k s^(n-k).  Each
+    G'_k is a sum of G_j = xs[j] w_j with j >= k times products of nodes, so
+    r^k divides it exactly, and coefficient k is (G'_k / r^k) s^k over D s^n:
+    one pair, free of the factor r^n, with no Fraction built.
     """
-    denom, xs = _over_lcm(coeffs)
-    weights, g = _newton_ints(xs, r, s, nodes, expand)
-    return Poly([Fraction(x, denom * w) for x, w in zip(g, weights)])
+    denom, xs = f.ints
+    _, g = _newton_ints(xs, r, s, nodes, expand)
+    out, r_pow, s_pow = [], 1, 1
+    for x in g:
+        out.append(x // r_pow * s_pow)
+        r_pow *= r
+        s_pow *= s
+    return Poly.from_ints(denom * s_pow // s, out)
 
 
 def _newton_ints(
@@ -363,8 +423,8 @@ def basis_transplant(coeffs: Poly, from_basis: QuasiMonomial, to_basis: QuasiMon
     out = coeffs
     for basis, expand in ((from_basis, True), (to_basis, False)):
         d = basis.delta
-        if d != 0:
-            out = _newton(out.coeffs, d.numerator, d.denominator, range(len(out.coeffs) - 1), expand)
+        if d != 0 and not out.is_zero:
+            out = _newton(out, d.numerator, d.denominator, range(out.degree), expand)
     return out
 
 
@@ -408,7 +468,7 @@ def preserves_flag(matrix: OperatorMatrix) -> bool:
     P_n into P_n, i.e. it is triangular in the degree grading; an image
     that leaves P_N fails it by its degree.
     """
-    return all(len(column.coeffs) <= j + 1 for j, column in enumerate(matrix.columns))
+    return all(column.is_zero or column.degree <= j for j, column in enumerate(matrix.columns))
 
 
 def back_substitute(

@@ -27,14 +27,17 @@ the package branches on the realization's type.
 A primitive acts on the pair (d, xs) meaning sum xs[k] y^k / d, with
 d != 0 and the pair not necessarily reduced, and returns such a pair.
 `lower(f)` and `raise_(f)`, `apply_op` and `heisenberg_residual` all go
-through the primitives, so a chain of generator steps passes integers
-and reduces once per output coefficient at its end.
+through the primitives: they read f's pair `f.ints` and return a Poly
+holding the result's pair, so a chain of generator steps builds no
+Fraction; each coefficient is reduced once, where a caller reads it.
 
 Besides matrices, operators can be flattened to explicit stencils: a
 list of coefficient functions c_j(y) with (H f)(y) = sum c_j(y) f(y + j*delta)
 (shift mode) or sum c_j(y) f(q^j y) (scale mode).  `stencil_of` and
 `Stencil.apply` share one integer composition of such terms, held as Laurent
-triples, and build one Fraction per output coefficient.
+triples; `_laurent_sum`, the one integer sum, adds them and the terms of
+`apply_op` and the residual.  `stencil_of` builds one Fraction per output
+coefficient.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from typing import Sequence
 
 from .algebra import (
     LaurentPoly,
@@ -51,7 +55,6 @@ from .algebra import (
     Rat,
     _convolve,
     _newton_ints,
-    _over_lcm,
     basis_element,
     basis_transplant,
     exact,
@@ -81,10 +84,10 @@ class Realization:
     basis = QuasiMonomial(0)
 
     def lower(self, f: Poly) -> Poly:
-        return _poly(*self.lower_ints(*_over_lcm(f.coeffs)))
+        return Poly.from_ints(*self.lower_ints(*f.ints))
 
     def raise_(self, f: Poly) -> Poly:
-        return _poly(*self.raise_ints(*_over_lcm(f.coeffs)))
+        return Poly.from_ints(*self.raise_ints(*f.ints))
 
     def raise_ints(self, d: int, xs: list[int]) -> tuple[int, list[int]]:
         return d, [0, *xs]
@@ -146,10 +149,11 @@ class FiniteDifference(Realization):
         return d * r * weights[1], out
 
     def raise_ints(self, d: int, xs: list[int]) -> tuple[int, list[int]]:
-        # y f(y - delta).  The shift stays on Poly.shift_arg, whose span the CI
-        # trace step requires on spectra-flat; nothing else there reaches it.
-        shifted = _poly(d, xs).shift_arg(-self.delta)
-        return super().raise_ints(*_over_lcm(shifted.coeffs))
+        # y f(y - delta).  The shift goes through Poly.shift_arg, whose span the
+        # CI trace step requires on spectra-flat; nothing else there reaches it.
+        # The Poly carries the pair in and out, so no Fraction is built.
+        shifted = Poly.from_ints(d, xs).shift_arg(-self.delta)
+        return super().raise_ints(*shifted.ints)
 
     def to_json(self) -> dict:
         return {"kind": "fd", "delta": str(self.delta)}
@@ -195,24 +199,6 @@ class QDilatation(Realization):
         return "scale", self.q, {1: alpha, 0: -alpha}, {0: LaurentPoly({1: 1})}
 
 
-def _poly(d: int, xs: list[int]) -> Poly:
-    """The Poly sum xs[k] y^k / d, one reduced Fraction per coefficient."""
-    return Poly([Fraction(x, d) for x in xs])
-
-
-def _combination(parts: list[tuple[Rat, int, list[int]]]) -> tuple[int, list[int]]:
-    """sum c xs / d over the parts (c, d, xs), as one pair over the lcm of c's and d's denominators."""
-    parts = [(c.numerator, c.denominator * d, xs) for c, d, xs in parts]
-    denom = lcm(*(d for _, d, _ in parts))
-    out = [0] * max(len(xs) for _, _, xs in parts)
-    for k, d, xs in parts:
-        k *= denom // d
-        for i, x in enumerate(xs):
-            if x:
-                out[i] += k * x
-    return denom, out
-
-
 def _check_q(h: FockPoly, r: Realization) -> None:
     if h.q != r.q:
         raise AlgebraMismatchError(f"element has q={h.q} but realization carries q={r.q}")
@@ -226,21 +212,20 @@ def apply_op(h: FockPoly, r: Realization, f: Poly) -> Poly:
     h = sum_k b^k Q_k(a), the powers a^m f are computed once each, up to
     the lowering degree, and the b-powers by Horner's rule from the top
     k down, one `raise_ints` per step.  All of it runs on the realization's
-    integer primitives; each level's terms c a^m f are added by rescaling
-    to the lcm of the denominators, and one Poly is built at the end.
+    integer primitives; each level's terms c a^m f are added in `_laurent_sum`,
+    and the result is a Poly holding the last pair.
     """
     _check_q(h, r)
-    lowered = [_over_lcm(f.coeffs)]
+    lowered = [f.ints]
     for _ in range(h.a_degree()):
         lowered.append(r.lower_ints(*lowered[-1]))
     acc = (1, [])
     for level in range(h.b_degree(), -1, -1):
-        if any(acc[1]):
+        if acc[1]:
             acc = r.raise_ints(*acc)
-        acc = _combination(
-            [(1, *acc)] + [(c, *lowered[m]) for (k, m), c in h.terms.items() if k == level]
-        )
-    return _poly(*acc)
+        parts = [(c, 0, *lowered[m]) for (k, m), c in h.terms.items() if k == level]
+        acc = _pair(_laurent_sum([(1, 0, *acc), *parts]))
+    return Poly.from_ints(*acc)
 
 
 def realize_matrix(h: FockPoly, r: Realization, n: int) -> OperatorMatrix:
@@ -268,15 +253,14 @@ def realize_matrix(h: FockPoly, r: Realization, n: int) -> OperatorMatrix:
 def heisenberg_residual(r: Realization, f: Poly) -> Poly:
     """(a.b - q.b.a - 1) applied to f, with q = r.q; zero for a valid realization.
 
-    ab and ba come from the integer primitives, are put over one common
-    denominator with q and f and combined in integers, with one Fraction per
-    coefficient of a nonzero residual.
+    ab and ba come from the integer primitives on f's pair and are combined
+    with q and f in `_laurent_sum`; no Fraction is built unless a caller reads
+    the residual's coefficients.
     """
-    f_ints = _over_lcm(f.coeffs)
+    f_ints = f.ints
     ab = r.lower_ints(*r.raise_ints(*f_ints))
     ba = r.raise_ints(*r.lower_ints(*f_ints))
-    denom, out = _combination([(1, *ab), (-r.q, *ba), (-1, *f_ints)])
-    return _poly(denom, out) if any(out) else Poly()
+    return Poly.from_ints(*_pair(_laurent_sum([(1, 0, *ab), (-r.q, 0, *ba), (-1, 0, *f_ints)])))
 
 
 # ---------------------------------------------------------------------------
@@ -311,16 +295,21 @@ class Stencil:
     def apply(self, f: Poly) -> Poly:
         """The composition with f at offset 0, summed over the offsets; poles must cancel."""
         terms = {j: _laurent_ints(c) for j, c in self.terms}
-        parts = _compose_ints(terms, {0: (0, *_over_lcm(f.coeffs))}, self.mode, self.param)
-        low, d, xs = _laurent_sum([part for _, part in parts])
-        if low < 0:
-            raise ValueError("Laurent polynomial has poles")
-        return _poly(d, [0] * low + xs)
+        parts = _compose_ints(terms, {0: (0, *f.ints)}, self.mode, self.param)
+        return Poly.from_ints(*_pair(_laurent_sum([(1, *part) for _, part in parts])))
 
 
 def _laurent_ints(c: LaurentPoly) -> Triple:
     """c as a Laurent triple over the lcm of its denominators."""
-    return (c.low, *_over_lcm(c.poly.coeffs))
+    return (c.low, *c.poly.ints)
+
+
+def _pair(t: Triple) -> tuple[int, list[int]]:
+    """The triple t as a pair (d, xs) at y^0; a negative power raises ValueError."""
+    low, d, xs = t
+    if low < 0:
+        raise ValueError("Laurent polynomial has poles")
+    return d, [0] * low + list(xs)
 
 
 def _move_ints(f: Triple, j: int, mode: str, param: Fraction) -> Triple:
@@ -336,9 +325,7 @@ def _move_ints(f: Triple, j: int, mode: str, param: Fraction) -> Triple:
         return f
     r, s = param.numerator, param.denominator
     if mode == "shift":
-        if low < 0:
-            raise ValueError("Laurent polynomial has poles")
-        xs = [0] * low + xs
+        d, xs = _pair(f)
         weights, g = _newton_ints(xs, 1, s, [j * r] * (len(xs) - 1))
         return 0, d * weights[0], [x * s**k for k, x in enumerate(g)]
     a, b = (r**j, s**j) if j > 0 else (s**-j, r**-j)
@@ -360,13 +347,17 @@ def _compose_ints(
     return parts
 
 
-def _laurent_sum(parts: list[Triple]) -> Triple:
-    """The sum of the parts over the lcm of their denominators, zero ends dropped."""
-    low = min((p[0] for p in parts), default=0)
-    denom = lcm(*(d for _, d, _ in parts))
-    out = [0] * max((p[0] + len(p[2]) - low for p in parts), default=0)
-    for start, d, xs in parts:
-        k = denom // d
+def _laurent_sum(parts: list[tuple[Rat, int, int, Sequence[int]]]) -> Triple:
+    """sum c y^low xs / d over the parts (c, low, d, xs) as one triple, zero ends dropped.
+
+    The denominator is the lcm of the d times c's denominator; each part is
+    rescaled to it by one integer factor that carries c's numerator.
+    """
+    low = min((p[1] for p in parts), default=0)
+    denom = lcm(*(c.denominator * d for c, _, d, _ in parts))
+    out = [0] * max((p[1] + len(p[3]) - low for p in parts), default=0)
+    for c, start, d, xs in parts:
+        k = c.numerator * (denom // (c.denominator * d))
         for i, x in enumerate(xs, start - low):
             if x:
                 out[i] += k * x
@@ -378,9 +369,9 @@ def _laurent_sum(parts: list[Triple]) -> Triple:
 
 def _by_offset(parts: list[tuple[int, Triple]]) -> dict[int, Triple]:
     """The parts added up per offset; offsets whose sum is zero are left out."""
-    groups: dict[int, list[Triple]] = {}
+    groups: dict[int, list] = {}
     for j, part in parts:
-        groups.setdefault(j, []).append(part)
+        groups.setdefault(j, []).append((1, *part))
     sums = ((j, _laurent_sum(group)) for j, group in groups.items())
     return {j: t for j, t in sums if t[2]}
 

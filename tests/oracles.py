@@ -1,11 +1,10 @@
 """Independent oracles used to compute expected values.
 
 Each oracle deliberately takes the slow, obviously-correct route, and all
-but two share no code path with the implementation they check.  The two
-exceptions: `act_on_poly` normal-orders through `fock.normal_order_product`,
-and `shift_by_powers` multiplies through `Poly.__mul__`, so a fault in either
-kernel must be caught by another oracle (`oracle_product` for the Wick
-table).  The routes:
+but one share no code path with the implementation they check.  The
+exception: `act_on_poly` normal-orders through `fock.normal_order_product`,
+so a fault in the Wick table must be caught by `oracle_product`.  The
+routes:
 
 * normal ordering by single adjacent swaps ab -> q ba + 1, one at a time;
 * the action of an element on the vacuum representation P(b)|0>;
@@ -93,15 +92,18 @@ def dense_apply(matrix: OperatorMatrix, vec) -> list[Fraction]:
 
 
 def shift_by_powers(f: Poly, offset: Fraction) -> Poly:
-    """f(y + offset) as sum c_j (y + offset)^j, each power by repeated products."""
-    out = Poly()
-    shifted = Poly([offset, 1])
-    power = Poly.one()
+    """f(y + offset) as sum c_j (y + offset)^j, each power by repeated products.
+
+    The powers are plain Fraction lists, multiplied by (y + offset) one term
+    at a time, so no Poly kernel runs.
+    """
+    out = [Fraction(0)] * len(f.coeffs)
+    power = [Fraction(1)]
     for c in f.coeffs:
-        if c != 0:
-            out = out + power.scale(c)
-        power = power * shifted
-    return out
+        for k, p in enumerate(power):
+            out[k] += c * p
+        power = [offset * a + b for a, b in zip(power + [0], [0] + power)]
+    return Poly(out)
 
 
 def newton_coefficients(f: Poly, d: Fraction) -> list[Fraction]:

@@ -1,5 +1,7 @@
 import sys
+import threading
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 import sympy as sp
@@ -117,6 +119,76 @@ class TestPoly:
         assert Poly([2, 4]).monic() == Poly([F(1, 2), 1])
         with pytest.raises(ValueError):
             Poly().monic()
+
+
+def pair_of(coeffs: list[F], factor: int, trailing: int) -> tuple[int, list[int]]:
+    """An integer pair (d, xs) for coeffs with d = factor * lcm, and `trailing` zeros appended."""
+    d = factor * lcm(*(c.denominator for c in coeffs))
+    return d, [c.numerator * (d // c.denominator) for c in coeffs] + [0] * trailing
+
+
+class TestTwoForms:
+    """A Poly built from rationals and one built from their integer pair are one value."""
+
+    @given(
+        st.lists(half_zero, max_size=12),
+        st.integers(-6, 6).filter(bool),
+        st.integers(0, 3),
+        st.booleans(),
+    )
+    @example([], -3, 2, False)
+    @example([F(0), F(0)], 5, 0, True)
+    @example([F(1, 2), F(-3), F(0)], -4, 1, False)
+    @settings(max_examples=80)
+    def test_forms_agree(self, coeffs, factor, trailing, read_ints_first):
+        d, xs = pair_of(coeffs, factor, trailing)
+        # degree and is_zero read whichever form exists, before the other is built.
+        a, b = Poly(coeffs), Poly.from_ints(d, xs)
+        assert (a.degree, a.is_zero) == (b.degree, b.is_zero)
+        assert b.is_zero == (not any(coeffs))
+        if read_ints_first:
+            a.ints, b.ints
+        assert a == b and b == a
+        assert hash(a) == hash(b)
+        assert a.coeffs == b.coeffs
+        for p in (a, b):
+            d_out, xs_out = p.ints
+            assert d_out > 0 and (not xs_out or xs_out[-1] != 0)
+            assert Poly.from_ints(d_out, xs_out) == p
+
+    def test_negative_denominator_and_zero(self):
+        p = Poly.from_ints(-6, [3, 0, 0])
+        assert p.ints == (6, (-3,)) and p.coeffs == (F(-1, 2),) and p.degree == 0
+        zero = Poly.from_ints(-4, [0, 0])
+        assert zero.ints == (1, ()) and zero.is_zero and zero.degree is None
+        assert zero == Poly() and hash(zero) == hash(Poly())
+        with pytest.raises(ZeroDivisionError):
+            Poly.from_ints(0, [1])
+
+    def test_threads_read_one_shared_poly(self):
+        xs = [(-1) ** k * (3**k + k) for k in range(150)]
+        d = 2**64 * 3**40
+        expected = Poly([F(x, d) for x in xs])
+        for shared in (Poly.from_ints(-d, [-x for x in xs]), Poly(expected.coeffs)):
+            barrier, results = threading.Barrier(4), [None] * 4
+
+            def read(i):
+                barrier.wait()
+                # Half the threads read coeffs first, half ints.
+                if i % 2:
+                    results[i] = (shared.coeffs, shared.ints)
+                else:
+                    pair = shared.ints
+                    results[i] = (shared.coeffs, pair)
+
+            threads = [threading.Thread(target=read, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+            assert all(r == results[0] for r in results)
+            assert results[0][0] == expected.coeffs
+            assert Poly.from_ints(*results[0][1]) == expected
 
 
 class TestLaurentPoly:

@@ -7,7 +7,7 @@ import sympy as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fockosc import realize
+from fockosc import algebra, realize
 from fockosc.algebra import (
     LaurentPoly,
     OperatorMatrix,
@@ -29,7 +29,7 @@ from fockosc.realize import (
     stencil_of,
 )
 from fockosc.verify import run_suite
-from oracles import act_on_poly
+from oracles import act_on_poly, newton_coefficients, shift_by_powers
 
 DELTAS = [F(1), F(1, 2), F(-1, 3)]
 QS = [F(2), F(1, 2), F(3, 7)]
@@ -740,7 +740,7 @@ def _moved_back(mode):
 
 def _offsets_dropped(total):
     """_laurent_sum with every part placed at y^0."""
-    return lambda parts: total([(0, d, xs) for _, d, xs in parts])
+    return lambda parts: total([(c, 0, d, xs) for c, _, d, xs in parts])
 
 
 STENCIL_FAULTS = {
@@ -770,3 +770,60 @@ def test_stencil_kernel_fault_is_caught(monkeypatch, fault):
             (1, L({-1: c1, 0: F(-4) / (q - 1)})),
             (2, L({-1: 4 / (q * (q - 1) ** 2)})),
         )
+
+
+def poly_kernels_match_oracles() -> list[bool]:
+    """The Poly kernels on a few cases, each against an oracle that builds no Poly from a pair.
+
+    shift_by_powers expands powers on Fraction lists, newton_coefficients reads
+    values on the grid, and sympy substitutes into the generator formulas.
+    """
+    f = Poly([F(1, 3), F(-2), F(0), F(5, 7)])
+    checks = [f.shift_arg(F(-9, 4)) == shift_by_powers(f, F(-9, 4))]
+    for delta in (F(-1, 3), F(7, 5)):
+        expected = Poly(newton_coefficients(f, delta))
+        checks.append(basis_transplant(f, QuasiMonomial(0), QuasiMonomial(delta)) == expected)
+    # At q = -1, {2} = 0: y^2 lowers to 0 * y.
+    for r, g in ((QDilatation(F(-1)), Poly([0, 0, 1])), (FiniteDifference(F(-2, 3)), f)):
+        checks.append(r.lower(g) == poly_of_sympy(sympy_lower(sympy_poly(g), r)))
+    return checks
+
+
+def _as_given(d, xs):
+    """A Poly holding the pair (d, xs) exactly as passed."""
+    out = object.__new__(Poly)
+    object.__setattr__(out, "_coeffs", None)
+    object.__setattr__(out, "_ints", (d, tuple(xs)))
+    return out
+
+
+def _newton_by_weights(f, r, s, nodes, expand=False):
+    """_newton with coefficient k rescaled by the weight w_k in place of s^n / w_k."""
+    denom, xs = f.ints
+    weights, g = algebra._newton_ints(xs, r, s, nodes, expand)
+    return Poly.from_ints(denom * s ** (len(g) - 1), [x * w for x, w in zip(g, weights)])
+
+
+POLY_FAULTS = {
+    # The pair's denominator made positive without negating the numerators.
+    "sign-normalization-dropped": (
+        Poly,
+        "from_ints",
+        lambda f: staticmethod(lambda d, xs: f(abs(d), xs)),
+    ),
+    "trailing-zero-strip-dropped": (
+        Poly,
+        "from_ints",
+        lambda f: staticmethod(lambda d, xs: _as_given(abs(d), [x if d > 0 else -x for x in xs])),
+    ),
+    "newton-scaled-by-weights": (algebra, "_newton", lambda f: _newton_by_weights),
+}
+
+
+@pytest.mark.parametrize("fault", POLY_FAULTS)
+def test_poly_kernel_fault_is_caught(monkeypatch, fault):
+    """Each fault of the pair constructor or of _newton fails an oracle that never runs it."""
+    assert all(poly_kernels_match_oracles())
+    owner, name, wrap = POLY_FAULTS[fault]
+    monkeypatch.setattr(owner, name, wrap(getattr(owner, name)))
+    assert not all(poly_kernels_match_oracles())

@@ -4,7 +4,7 @@ import re
 import pytest
 
 from fockosc import verify
-from fockosc.algebra import LaurentPoly, OperatorMatrix, Poly, QuasiMonomial, _over_lcm
+from fockosc.algebra import LaurentPoly, OperatorMatrix, Poly, QuasiMonomial
 from fockosc.cli import main
 from fockosc.fock import FockPoly, build_hf
 from fockosc.realize import (
@@ -12,7 +12,6 @@ from fockosc.realize import (
     FiniteDifference,
     QDilatation,
     Stencil,
-    _poly,
     realize_matrix,
 )
 from fockosc.spectral import SpectralReport
@@ -135,10 +134,10 @@ def _on_ints(fault):
 
     def wrap(lower_ints):
         def lower(self, f):
-            return _poly(*lower_ints(self, *_over_lcm(f.coeffs)))
+            return Poly.from_ints(*lower_ints(self, *f.ints))
 
         faulty = fault(lower)
-        return lambda self, d, xs: _over_lcm(faulty(self, _poly(d, xs)).coeffs)
+        return lambda self, d, xs: faulty(self, Poly.from_ints(d, xs)).ints
 
     return wrap
 
