@@ -8,21 +8,22 @@ A `Poly` is a dense coefficient vector over the rationals, lowest power
 first, held as reduced Fractions or as an integer pair (d, xs), sum
 xs[k] y^k / d, whichever was built first; the other form is built on its
 first read and kept.  A `LaurentPoly` additionally admits negative powers
-and is stored as y^low times a Poly.  Polynomials are expressed in a
-quasi-monomial basis 1, y, y(y-d), y(y-d)(y-2d), ... whose elements vanish
-on the grid 0, d, 2d, ...; step d = 0 is the monomial basis 1, y, y^2, ...
-`basis_transplant` moves coefficient vectors between any two of them.
+and is held as the triple (low, d, xs), y^low times a pair.  Polynomials
+are expressed in a quasi-monomial basis 1, y, y(y-d), y(y-d)(y-2d), ...
+whose elements vanish on the grid 0, d, 2d, ...; step d = 0 is the
+monomial basis 1, y, y^2, ...  `basis_transplant` moves coefficient
+vectors between any two of them.
 
-The integer kernels read and write the pair: `_convolve` multiplies two
-integer coefficient lists, for `Poly.__mul__` and the stencils in
-`realize`; `_newton_ints` is the integer stage of the uncached Newton-basis
-kernel `_newton`, which `basis_transplant` and `Poly.shift_arg` run, and
-takes integer numerators, so the finite-difference lowering and the stencil
-moves in `realize` run it on their own integers.  A chain of kernels builds
-no Fraction; the reduced Fractions come once, where a caller reads
-`coeffs`.  `_over_lcm` puts Fractions over their common denominator, for a
-Poly built from rationals and for `fock`.  `exact` turns a parameter into
-a Fraction and refuses a float.
+This module owns the integer form, one kernel per job: `_convolve`
+multiplies two integer coefficient lists; `_newton` changes a pair to the
+Newton basis at the nodes (r/s) nodes[i] or back, for the Taylor shift,
+the basis change and the finite-difference lowering and stencil moves in
+`realize`; `_laurent_sum` adds rational multiples of triples over one lcm,
+for `+` and `-` of both polynomial types and the sums in `realize`.  A
+chain of kernels builds no Fraction; the reduced Fractions come once,
+where a caller reads `coeffs`.  `_over_lcm` puts Fractions over their
+common denominator, for a Poly built from rationals and for `fock`.
+`exact` turns a parameter into a Fraction and refuses a float.
 """
 
 from __future__ import annotations
@@ -33,6 +34,9 @@ from math import lcm
 from typing import Collection, Iterable, Mapping, Sequence, Union
 
 Rat = Union[int, Fraction]
+# A Laurent triple (low, d, xs) is y^low * sum xs[k] y^k / d, with d != 0 and
+# not necessarily reduced.
+Triple = tuple[int, int, Sequence[int]]
 
 
 def exact(value: Rat, name: str) -> Fraction:
@@ -78,14 +82,13 @@ class Poly:
       trailing zero but not necessarily reduced.  `Poly.from_ints` builds a
       Poly from such a pair.
 
-    The integer kernels read and write the pair: `*` convolves the two
-    operands' integers in `_convolve`, and `shift_arg` and `basis_transplant`
-    run `_newton`, whose integer stage `_newton_ints` the finite-difference
-    generators and the stencils share.  Every scalar a caller reads
-    (`coeffs`, `coeff`, `leading`, `==`, `hash`, `repr`) is a reduced
-    Fraction; `degree` and `is_zero` read whichever form exists.  `+`, `-`,
-    `scale` and `derivative` spend rational arithmetic only on nonzero
-    coefficients.
+    The arithmetic reads and writes the pair: `*` convolves the two
+    operands' integers in `_convolve`, `+` and `-` add them in
+    `_laurent_sum`, `shift_arg` and `basis_transplant` run `_newton`, and
+    `scale`, `-f`, `derivative` and `monic` rewrite the pair in place of a
+    sum.  Every scalar a caller reads (`coeffs`, `coeff`, `leading`, `==`,
+    `hash`, `repr`) is a reduced Fraction; `degree` and `is_zero` read
+    whichever form exists.
     """
 
     __slots__ = ("_coeffs", "_ints")
@@ -171,8 +174,10 @@ class Poly:
 
     def monic(self) -> "Poly":
         """Rescale so the leading coefficient is 1."""
-        lead = self.leading
-        return Poly([c / lead for c in self.coeffs])
+        if self.is_zero:
+            raise ValueError("zero polynomial has no leading coefficient")
+        _, xs = self.ints
+        return Poly.from_ints(xs[-1], xs)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Poly) and self.coeffs == other.coeffs
@@ -181,23 +186,13 @@ class Poly:
         return hash(self.coeffs)
 
     def __add__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
-        out = list(a) + list(b[len(a) :])
-        for i, c in enumerate(b[: len(a)]):
-            if c:
-                out[i] += c
-        return Poly(out)
+        return Poly.from_ints(*_pair(_laurent_sum([(1, 0, *self.ints), (1, 0, *other.ints)])))
 
     def __neg__(self) -> "Poly":
-        return Poly([-c for c in self.coeffs])
+        return self.scale(-1)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
-        out = list(a) + [-c if c else c for c in b[len(a) :]]
-        for i, c in enumerate(b[: len(a)]):
-            if c:
-                out[i] -= c
-        return Poly(out)
+        return Poly.from_ints(*_pair(_laurent_sum([(1, 0, *self.ints), (-1, 0, *other.ints)])))
 
     def __mul__(self, other: "Poly") -> "Poly":
         if self.is_zero or other.is_zero:
@@ -206,21 +201,23 @@ class Poly:
         return Poly.from_ints(da * db, _convolve(xs, ys))
 
     def scale(self, k: Rat) -> "Poly":
+        k = exact(k, "k")
         if k == 1:
             return self
-        k = Fraction(k)
-        return Poly([k * c if c else c for c in self.coeffs] if k else ())
+        d, xs = self.ints
+        return Poly.from_ints(d * k.denominator, [k.numerator * x for x in xs])
 
     def __call__(self, point: Rat) -> Fraction:
         """Evaluate by Horner's rule, exactly."""
-        point = Fraction(point)
+        point = exact(point, "point")
         acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * point + c
         return acc
 
     def derivative(self) -> "Poly":
-        return Poly([i * c if c else c for i, c in enumerate(self.coeffs[1:], 1)])
+        d, xs = self.ints
+        return Poly.from_ints(d, [k * x for k, x in enumerate(xs[1:], 1)])
 
     def shift_arg(self, offset: Rat) -> "Poly":
         """Return f(y + offset), expanded exactly, in O(n^2) integer operations.
@@ -228,10 +225,10 @@ class Poly:
         Classical Taylor shift: f(y + r/s) has the coefficients of f in the
         Newton basis (y - r/s)^k, found by `_newton` with step 1/s and node r.
         """
-        offset = Fraction(offset)
+        offset = exact(offset, "offset")
         if offset == 0 or self.is_zero:
             return self
-        return _newton(self, 1, offset.denominator, [offset.numerator] * self.degree)
+        return Poly.from_ints(*_newton(*self.ints, 1, offset.denominator, [offset.numerator] * self.degree))
 
     def __repr__(self) -> str:
         if self.is_zero:
@@ -257,44 +254,61 @@ def _convolve(xs: Sequence[int], ys: Sequence[int]) -> list[int]:
     return out
 
 
-def _newton(f: Poly, r: int, s: int, nodes: Sequence[int], expand=False) -> Poly:
-    """Monomial coefficients to those in the basis prod_(i<k) (y - (r/s) nodes[i]), or back.
+def _newton(
+    d: int, xs: Sequence[int], r: int, s: int, nodes: Sequence[int], expand=False
+) -> tuple[int, list[int]]:
+    """The pair (d, xs) in the basis prod_(i<k) (y - (r/s) nodes[i]), or back if `expand`.
 
-    f is nonzero.  The integers G' come from `_newton_ints` on f's pair
-    (D, xs), and coefficient k is G'_k / (D w_k), w_k = r^k s^(n-k).  Each
-    G'_k is a sum of G_j = xs[j] w_j with j >= k times products of nodes, so
-    r^k divides it exactly, and coefficient k is (G'_k / r^k) s^k over D s^n:
-    one pair, free of the factor r^n, with no Fraction built.
-    """
-    denom, xs = f.ints
-    _, g = _newton_ints(xs, r, s, nodes, expand)
-    out, r_pow, s_pow = [], 1, 1
-    for x in g:
-        out.append(x // r_pow * s_pow)
-        r_pow *= r
-        s_pow *= s
-    return Poly.from_ints(denom * s_pow // s, out)
-
-
-def _newton_ints(
-    xs: Sequence[int], r: int, s: int, nodes: Sequence[int], expand=False
-) -> tuple[list[int], list[int]]:
-    """The integer stage of `_newton`: (weights w, Newton coefficients G').
-
-    With f = sum xs[k] y^k / D for any D, f(r t / s) = G(t) / (D s^n) for the
-    integer G(t) = sum xs[k] w_k t^k, w_k = r^k s^(n-k).  Synthetic division by
+    For f = sum xs[k] y^k / d, f(r t / s) = G(t) / (d s^n) for the integer
+    G(t) = sum xs[k] w_k t^k, w_k = r^k s^(n-k).  Synthetic division by
     t - nodes[0], t - nodes[1], ... turns G into its Newton coefficients G';
     `expand` undoes it, running the same steps backwards (nested
-    multiplication, nodes in reverse).
+    multiplication, nodes in reverse).  Coefficient k is G'_k / (d w_k).
+    Each G'_k is a sum of G_j with j >= k times products of nodes, so r^k
+    divides it exactly, and coefficient k is (G'_k / r^k) s^k over d s^n:
+    one pair, free of the factor r^n, with no division when r = 1.
     """
     n = len(xs) - 1
-    weights = [r**k * s ** (n - k) for k in range(n + 1)]
-    g = [x * w for x, w in zip(xs, weights)]
+    r_pows, s_pows = [1], [1]
+    for _ in range(n):
+        r_pows.append(r_pows[-1] * r)
+        s_pows.append(s_pows[-1] * s)
+    g = [x * (w * v) for x, w, v in zip(xs, r_pows, reversed(s_pows))]
     for i in reversed(range(n)) if expand else range(n):
         node = -nodes[i] if expand else nodes[i]
         for k in range(i, n) if expand else range(n - 1, i - 1, -1):
             g[k] += node * g[k + 1]
-    return weights, g
+    if r != 1:
+        g = [x // w for x, w in zip(g, r_pows)]
+    return d * s_pows[n], [x * v for x, v in zip(g, s_pows)]
+
+
+def _pair(t: Triple) -> tuple[int, list[int]]:
+    """The triple t as a pair (d, xs) at y^0; a negative power raises ValueError."""
+    low, d, xs = t
+    if low < 0:
+        raise ValueError("Laurent polynomial has poles")
+    return d, [0] * low + list(xs)
+
+
+def _laurent_sum(parts: list[tuple[Rat, int, int, Sequence[int]]]) -> Triple:
+    """sum c y^low xs / d over the parts (c, low, d, xs) as one triple, zero ends dropped.
+
+    The denominator is the lcm of the d times c's denominator; each part is
+    rescaled to it by one integer factor that carries c's numerator.
+    """
+    low = min((p[1] for p in parts), default=0)
+    denom = lcm(*(c.denominator * d for c, _, d, _ in parts))
+    out = [0] * max((p[1] + len(p[3]) - low for p in parts), default=0)
+    for c, start, d, xs in parts:
+        k = c.numerator * (denom // (c.denominator * d))
+        for i, x in enumerate(xs, start - low):
+            if x:
+                out[i] += k * x
+    while out and not out[-1]:
+        out.pop()
+    zeros = next((i for i, x in enumerate(out) if x), 0)
+    return low + zeros if out else 0, denom, out[zeros:]
 
 
 # ---------------------------------------------------------------------------
@@ -307,29 +321,35 @@ class LaurentPoly:
 
     `poly` is a `Poly` with a nonzero constant term (the zero Laurent
     polynomial has low 0 and the zero Poly), so each value has one
-    representation, and every operation is the matching `Poly` operation
-    plus a change of `low`.  `terms` maps each power to its nonzero
-    coefficient, in increasing power order.  Stencils move and compose
-    their coefficients on integers, in `realize`.
+    representation.  `ints` is the triple (low, d, xs) with poly's pair,
+    and `LaurentPoly.from_ints` builds a value from any triple; `+`, `-`,
+    `*`, `scale` and `derivative` run on the triples, and the stencils in
+    `realize` compute on them.  `terms` maps each power to its nonzero
+    coefficient, in increasing power order.
     """
 
     __slots__ = ("low", "poly")
 
     def __new__(cls, terms: Mapping[int, Rat] = {}):
         low, high = min(terms, default=0), max(terms, default=-1)
-        return cls._of(low, Poly([terms.get(p, 0) for p in range(low, high + 1)]))
+        return cls.from_ints(low, *Poly([terms.get(p, 0) for p in range(low, high + 1)]).ints)
 
     @staticmethod
-    def _of(low: int, poly: Poly) -> "LaurentPoly":
-        """y^low * poly, with the zero low-order coefficients of poly moved into low."""
-        zeros = next((i for i, c in enumerate(poly.coeffs) if c), 0)
+    def from_ints(low: int, d: int, xs: Sequence[int]) -> "LaurentPoly":
+        """y^low * sum xs[k] y^k / d for integers d != 0 and xs, leading zeros moved into low."""
+        zeros = next((i for i, x in enumerate(xs) if x), len(xs))
         out = object.__new__(LaurentPoly)
-        object.__setattr__(out, "low", low + zeros if poly.coeffs else 0)
-        object.__setattr__(out, "poly", Poly(poly.coeffs[zeros:]) if zeros else poly)
+        object.__setattr__(out, "low", low + zeros if zeros < len(xs) else 0)
+        object.__setattr__(out, "poly", Poly.from_ints(d, xs[zeros:]))
         return out
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("LaurentPoly is immutable")
+
+    @property
+    def ints(self) -> Triple:
+        """(low, d, xs) with self = y^low * sum xs[k] y^k / d, d > 0."""
+        return (self.low, *self.poly.ints)
 
     @property
     def terms(self) -> dict[int, Fraction]:
@@ -342,10 +362,6 @@ class LaurentPoly:
     def coeff(self, power: int) -> Fraction:
         return self.poly.coeff(power - self.low)
 
-    def _padded(self, low: int) -> Poly:
-        """The Poly P with self = y^low * P, for low <= self.low."""
-        return Poly((Fraction(0),) * (self.low - low) + self.poly.coeffs)
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, LaurentPoly) and (self.low, self.poly) == (other.low, other.poly)
 
@@ -353,26 +369,26 @@ class LaurentPoly:
         return hash((self.low, self.poly))
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        low = min(self.low, other.low)
-        return LaurentPoly._of(low, self._padded(low) + other._padded(low))
+        return LaurentPoly.from_ints(*_laurent_sum([(1, *self.ints), (1, *other.ints)]))
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly._of(self.low, -self.poly)
+        return self.scale(-1)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
+        return LaurentPoly.from_ints(*_laurent_sum([(1, *self.ints), (-1, *other.ints)]))
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return LaurentPoly._of(self.low + other.low, self.poly * other.poly)
+        (la, da, xs), (lb, db, ys) = self.ints, other.ints
+        return LaurentPoly.from_ints(la + lb, da * db, _convolve(xs, ys))
 
     def scale(self, k: Rat) -> "LaurentPoly":
-        return LaurentPoly._of(self.low, self.poly.scale(k))
+        k = exact(k, "k")
+        low, d, xs = self.ints
+        return LaurentPoly.from_ints(low, d * k.denominator, [k.numerator * x for x in xs])
 
     def derivative(self) -> "LaurentPoly":
-        # (y^l P)' = l y^(l-1) P + y^l P'
-        return LaurentPoly._of(self.low - 1, self.poly.scale(self.low)) + LaurentPoly._of(
-            self.low, self.poly.derivative()
-        )
+        low, d, xs = self.ints
+        return LaurentPoly.from_ints(low - 1, d, [(low + k) * x for k, x in enumerate(xs)])
 
     def __repr__(self) -> str:
         if self.is_zero:
@@ -424,7 +440,7 @@ def basis_transplant(coeffs: Poly, from_basis: QuasiMonomial, to_basis: QuasiMon
     for basis, expand in ((from_basis, True), (to_basis, False)):
         d = basis.delta
         if d != 0 and not out.is_zero:
-            out = _newton(out, d.numerator, d.denominator, range(out.degree), expand)
+            out = Poly.from_ints(*_newton(*out.ints, d.numerator, d.denominator, range(out.degree), expand))
     return out
 
 

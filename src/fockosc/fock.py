@@ -146,9 +146,9 @@ class FockPoly:
         return self + (-other)
 
     def scale(self, k: Rat) -> "FockPoly":
+        k = exact(k, "k")
         if k == 1:
             return self
-        k = Fraction(k)
         return FockPoly({w: k * c for w, c in self.terms.items()}, self.q)
 
     def __mul__(self, other: "FockPoly") -> "FockPoly":
@@ -224,7 +224,7 @@ class SL2Generators(NamedTuple):
 
 def sl2_generators(n: Rat) -> SL2Generators:
     """Raising/Cartan/lowering triple for the representation label n, undeformed (q = 1)."""
-    n = Fraction(n)
+    n = exact(n, "n")
     jplus = FockPoly({(2, 1): 1, (1, 0): -n})
     jzero = FockPoly({(1, 1): 1, (0, 0): -n / 2})
     jminus = FockPoly.a()

@@ -34,27 +34,27 @@ Fraction; each coefficient is reduced once, where a caller reads it.
 Besides matrices, operators can be flattened to explicit stencils: a
 list of coefficient functions c_j(y) with (H f)(y) = sum c_j(y) f(y + j*delta)
 (shift mode) or sum c_j(y) f(q^j y) (scale mode).  `stencil_of` and
-`Stencil.apply` share one integer composition of such terms, held as Laurent
-triples; `_laurent_sum`, the one integer sum, adds them and the terms of
-`apply_op` and the residual.  `stencil_of` builds one Fraction per output
-coefficient.
+`Stencil.apply` share one integer composition of such terms, on the Laurent
+triples `LaurentPoly.ints`.  The integer kernels all come from `algebra`:
+`_newton` shifts, `_convolve` multiplies, and `_laurent_sum` adds the stencil
+parts and the terms of `apply_op` and the residual.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from typing import Sequence
 
 from .algebra import (
     LaurentPoly,
     OperatorMatrix,
     Poly,
     QuasiMonomial,
-    Rat,
+    Triple,
     _convolve,
-    _newton_ints,
+    _laurent_sum,
+    _newton,
+    _pair,
     basis_element,
     basis_transplant,
     exact,
@@ -64,9 +64,6 @@ from .fock import AlgebraMismatchError, FockPoly
 
 # Generator terms of a stencil: offset -> coefficient function.
 Terms = dict[int, LaurentPoly]
-# A Laurent triple (low, d, xs) is y^low * sum xs[k] y^k / d, with d != 0 and
-# not necessarily reduced; the stencils are computed on these.
-Triple = tuple[int, int, list[int]]
 
 
 class Realization:
@@ -131,22 +128,19 @@ class FiniteDifference(Realization):
         return QuasiMonomial(self.delta)
 
     def lower_ints(self, d: int, xs: list[int]) -> tuple[int, list[int]]:
-        # (f(y + delta) - f(y))/delta with delta = r/s, from the Taylor shift's
-        # integers: f(y + delta)_k = G'_k / (d s^(n-k)) and f_k = G_k / (d s^(n-k))
-        # with G_k = xs[k] s^(n-k), so coefficient k of the quotient is
-        # (G'_k - G_k) s^k / (d r s^(n-1)).  It stays the shift formula, not
-        # c_k -> k c_k on quasi-monomials, so the matrix-transplant check
-        # still compares two code paths.
+        # (f(y + delta) - f(y))/delta with delta = r/s: the Taylor shift gives
+        # f(y + delta) = sum g_k y^k / (d s^n), f is sum xs[k] s^n y^k over the
+        # same denominator, and the top coefficients cancel, so coefficient k
+        # of the quotient is (g_k - xs[k] s^n) / (d r s^(n-1)).  It stays the
+        # shift formula, not c_k -> k c_k on quasi-monomials, so the
+        # matrix-transplant check still compares two code paths.
         n = len(xs) - 1
         if n < 1:
             return d, []
         r, s = self.delta.numerator, self.delta.denominator
-        weights, shifted = _newton_ints(xs, 1, s, [r] * n)
-        out, s_pow = [], 1
-        for x, w, g in zip(xs[:n], weights, shifted):
-            out.append((g - x * w) * s_pow)
-            s_pow *= s
-        return d * r * weights[1], out
+        top = s**n
+        _, shifted = _newton(d, xs, 1, s, [r] * n)
+        return d * r * s ** (n - 1), [g - x * top for x, g in zip(xs[:n], shifted)]
 
     def raise_ints(self, d: int, xs: list[int]) -> tuple[int, list[int]]:
         # y f(y - delta).  The shift goes through Poly.shift_arg, whose span the
@@ -294,31 +288,17 @@ class Stencil:
 
     def apply(self, f: Poly) -> Poly:
         """The composition with f at offset 0, summed over the offsets; poles must cancel."""
-        terms = {j: _laurent_ints(c) for j, c in self.terms}
+        terms = {j: c.ints for j, c in self.terms}
         parts = _compose_ints(terms, {0: (0, *f.ints)}, self.mode, self.param)
         return Poly.from_ints(*_pair(_laurent_sum([(1, *part) for _, part in parts])))
-
-
-def _laurent_ints(c: LaurentPoly) -> Triple:
-    """c as a Laurent triple over the lcm of its denominators."""
-    return (c.low, *c.poly.ints)
-
-
-def _pair(t: Triple) -> tuple[int, list[int]]:
-    """The triple t as a pair (d, xs) at y^0; a negative power raises ValueError."""
-    low, d, xs = t
-    if low < 0:
-        raise ValueError("Laurent polynomial has poles")
-    return d, [0] * low + list(xs)
 
 
 def _move_ints(f: Triple, j: int, mode: str, param: Fraction) -> Triple:
     """f(y + j*param) in shift mode, f(param^j * y) in scale mode.
 
-    Shift mode, param = r/s: f(y + jr/s) = G(sy + jr) / (d s^n) for the
-    integer G of `_newton_ints`, whose Newton coefficients at the node jr give
-    coefficient k as G'_k s^k / (d s^n); f must have no negative power.  Scale
-    mode, param^j = a/b: y^(low+k) gains (a/b)^low a^k b^(n-k) / b^n.
+    Shift mode, param = r/s: the Taylor shift `_newton` with step 1/s and
+    node jr; f must have no negative power.  Scale mode, param^j = a/b:
+    y^(low+k) gains (a/b)^low a^k b^(n-k) / b^n.
     """
     low, d, xs = f
     if j == 0 or not xs:
@@ -326,8 +306,7 @@ def _move_ints(f: Triple, j: int, mode: str, param: Fraction) -> Triple:
     r, s = param.numerator, param.denominator
     if mode == "shift":
         d, xs = _pair(f)
-        weights, g = _newton_ints(xs, 1, s, [j * r] * (len(xs) - 1))
-        return 0, d * weights[0], [x * s**k for k, x in enumerate(g)]
+        return (0, *_newton(d, xs, 1, s, [j * r] * (len(xs) - 1)))
     a, b = (r**j, s**j) if j > 0 else (s**-j, r**-j)
     head, tail = (a**low, b**low) if low >= 0 else (b**-low, a**-low)
     n = len(xs) - 1
@@ -345,26 +324,6 @@ def _compose_ints(
             low, d, xs = _move_ints(f, i, mode, param)
             parts.append((i + j, (c[0] + low, c[1] * d, _convolve(c[2], xs))))
     return parts
-
-
-def _laurent_sum(parts: list[tuple[Rat, int, int, Sequence[int]]]) -> Triple:
-    """sum c y^low xs / d over the parts (c, low, d, xs) as one triple, zero ends dropped.
-
-    The denominator is the lcm of the d times c's denominator; each part is
-    rescaled to it by one integer factor that carries c's numerator.
-    """
-    low = min((p[1] for p in parts), default=0)
-    denom = lcm(*(c.denominator * d for c, _, d, _ in parts))
-    out = [0] * max((p[1] + len(p[3]) - low for p in parts), default=0)
-    for c, start, d, xs in parts:
-        k = c.numerator * (denom // (c.denominator * d))
-        for i, x in enumerate(xs, start - low):
-            if x:
-                out[i] += k * x
-    while out and not out[-1]:
-        out.pop()
-    zeros = next((i for i, x in enumerate(out) if x), 0)
-    return low + zeros if out else 0, denom, out[zeros:]
 
 
 def _by_offset(parts: list[tuple[int, Triple]]) -> dict[int, Triple]:
@@ -388,7 +347,7 @@ def stencil_of(h: FockPoly, r: Realization) -> Stencil:
     """
     mode, param, a_terms, b_terms = r.stencil_generators()
     _check_q(h, r)
-    a_terms, b_terms = ({j: _laurent_ints(c) for j, c in t.items()} for t in (a_terms, b_terms))
+    a_terms, b_terms = ({j: c.ints for j, c in t.items()} for t in (a_terms, b_terms))
 
     lowered = [{0: (0, 1, [1])}]
     for _ in range(h.a_degree()):
@@ -401,8 +360,5 @@ def stencil_of(h: FockPoly, r: Realization) -> Stencil:
                 scalar = {0: (0, c.denominator, [c.numerator])}
                 parts += _compose_ints(scalar, lowered[m], mode, param)
         acc = _by_offset(parts)
-    terms = sorted(
-        (j, LaurentPoly({low + k: Fraction(x, d) for k, x in enumerate(xs) if x}))
-        for j, (low, d, xs) in acc.items()
-    )
+    terms = sorted((j, LaurentPoly.from_ints(*t)) for j, t in acc.items())
     return Stencil(mode=mode, param=param, terms=tuple(terms))

@@ -31,6 +31,7 @@ from .algebra import (
     QuasiMonomial,
     Rat,
     basis_transplant,
+    exact,
 )
 from .fock import build_hf
 from .realize import Differential, apply_op
@@ -49,7 +50,7 @@ def laguerre(n: int, alpha: Rat) -> Poly:
     """
     if n < 0:
         raise ValueError("Laguerre index must be non-negative")
-    alpha = Fraction(alpha)
+    alpha = exact(alpha, "alpha")
     coeffs = [Fraction((-1) ** n, factorial(n))]
     for l in range(n, 0, -1):
         coeffs.append(-coeffs[-1] * l * (alpha + l) / (n - l + 1))
@@ -75,7 +76,7 @@ def modified_laguerre(n: int, alpha: Rat, delta: Rat) -> Poly:
     delta = 0 collapses back to the plain Laguerre polynomial.
     """
     base = laguerre(n, alpha)
-    return basis_transplant(base, QuasiMonomial(Fraction(delta)), QuasiMonomial(0))
+    return basis_transplant(base, QuasiMonomial(exact(delta, "delta")), QuasiMonomial(0))
 
 
 def constant_ratio(a: LaurentPoly, b: LaurentPoly) -> Fraction | None:
@@ -130,7 +131,7 @@ def kratzer_apply(q: LaurentPoly, p: Rat, omega: Rat) -> LaurentPoly:
     w^2 x^2 terms with opposite sign, so the surviving action on Q is
     -Q'' - 2(p/x - w x) Q' + w(2p+1) Q.
     """
-    omega = Fraction(omega)
+    p, omega = exact(p, "p"), exact(omega, "omega")
     if omega <= 0:
         raise ValueError("frequency must be positive")
     dq = q.derivative()
@@ -145,8 +146,7 @@ def kratzer_eigencheck(n: int, p: Rat, omega: Rat) -> Fraction:
     and demands that the image be an exact multiple of the input; the
     measured multiple w(4n + 2p + 1) is returned.
     """
-    p = Fraction(p)
-    omega = Fraction(omega)
+    p, omega = exact(p, "p"), exact(omega, "omega")
     q = _even_substitute(laguerre(n, p - Fraction(1, 2)), omega)
     value = constant_ratio(kratzer_apply(q, p, omega), q)
     if value is None:
@@ -170,8 +170,7 @@ def gauge_conjugate_check(poly: Poly, p: Rat, omega: Rat) -> Fraction:
     """
     if poly.is_zero:
         raise ValueError("gauge check needs a nonzero polynomial")
-    p = Fraction(p)
-    omega = Fraction(omega)
+    p, omega = exact(p, "p"), exact(omega, "omega")
     q_in = _even_substitute(poly, omega)
     image = kratzer_apply(q_in, p, omega)
 

@@ -9,6 +9,7 @@ routes:
 * normal ordering by single adjacent swaps ab -> q ba + 1, one at a time;
 * the action of an element on the vacuum representation P(b)|0>;
 * matrix-vector products row by row over the dense view of a matrix;
+* linear combinations c_1 f_1 + c_2 f_2 + ... coefficient by coefficient;
 * argument shifts by expanding every power (y + a)^j;
 * quasi-monomial coefficients by Newton's forward differences;
 * Laguerre polynomials from the three-term recurrence;
@@ -18,6 +19,12 @@ routes:
 * q-deformed hg pencil eigenpolynomials as big q-Laguerre polynomials,
   expanded from their q-Pochhammer coefficients;
 * Hermite polynomials from the explicit factorial formula.
+
+The linear combinations, the argument shifts and the q-Pochhammer expansion
+run on plain Fraction lists and build a Poly only from the finished list, so
+none of them runs the integer kernels of `Poly` arithmetic (`_convolve`,
+`_laurent_sum`, `_newton`) that `apply_op`, the Heisenberg residual and
+`shift_arg` are made of.
 """
 
 from __future__ import annotations
@@ -89,6 +96,15 @@ def dense_apply(matrix: OperatorMatrix, vec) -> list[Fraction]:
     v = [Fraction(x) for x in vec]
     v += [Fraction(0)] * (matrix.size - len(v))
     return [sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in matrix.rows]
+
+
+def linear_combination(terms: list[tuple[Fraction, Poly]]) -> Poly:
+    """sum c f over the (c, f) in terms, added up on a Fraction list."""
+    out = [Fraction(0)] * max((len(f.coeffs) for _, f in terms), default=0)
+    for c, f in terms:
+        for k, a in enumerate(f.coeffs):
+            out[k] += c * a
+    return Poly(out)
 
 
 def shift_by_powers(f: Poly, offset: Fraction) -> Poly:
@@ -194,9 +210,11 @@ def qdil_hg_pencil_eigenpair(n: int, p: Fraction, B: Fraction, q: Fraction) -> t
     for k in range(n - 1, -1, -1):
         factor = (1 - e1 * q ** (k + 1) + e2 * q ** (2 * k + 2)) * (1 - q ** (k + 1))
         c[k] = c[k + 1] * factor / (q * (1 - q ** (k - n)))
-    # 1 - x q^j at x = -y/(qB) is 1 + y q^(j-1)/B.
-    total, pochhammer = Poly(), Poly.one()
+    # 1 - x q^j at x = -y/(qB) is 1 + y q^(j-1)/B; the products are Fraction lists.
+    total, pochhammer = [Fraction(0)] * (n + 1), [Fraction(1)]
     for j, ck in enumerate(c):
-        total = total + pochhammer.scale(ck)
-        pochhammer = pochhammer * Poly([1, q ** (j - 1) / B])
-    return -4 * (q**n - 1) / (q - 1) * q ** (-n), total.scale(1 / total.coeffs[-1])
+        for k, a in enumerate(pochhammer):
+            total[k] += ck * a
+        t = q ** (j - 1) / B
+        pochhammer = [a + t * b for a, b in zip(pochhammer + [0], [0] + pochhammer)]
+    return -4 * (q**n - 1) / (q - 1) * q ** (-n), Poly([a / total[-1] for a in total])

@@ -20,7 +20,15 @@ from fockosc.algebra import (
     basis_transplant,
 )
 from fockosc.cli import MAX_HEIGHT
-from fockosc.realize import Stencil, _laurent_ints, _move_ints
+from fockosc.fock import FockPoly, q_bracket, sl2_generators
+from fockosc.specfun import (
+    gauge_conjugate_check,
+    kratzer_apply,
+    kratzer_eigencheck,
+    laguerre,
+    modified_laguerre,
+)
+from fockosc.realize import Stencil, _move_ints
 from oracles import dense_apply, newton_coefficients, shift_by_powers
 
 rationals = st.fractions(
@@ -40,7 +48,7 @@ degree_20 = [F(j % 3 and (-1) ** j * (2 * j + 1), j + 2) for j in range(21)]
 
 def moved(c: LaurentPoly, j: int, mode: str, param: F) -> LaurentPoly:
     """c moved j steps by the stencils' integer kernel: c(y + j param) or c(param^j y)."""
-    low, d, xs = _move_ints(_laurent_ints(c), j, mode, param)
+    low, d, xs = _move_ints(c.ints, j, mode, param)
     return LaurentPoly({low + k: F(x, d) for k, x in enumerate(xs)})
 
 
@@ -117,8 +125,42 @@ class TestPoly:
 
     def test_monic(self):
         assert Poly([2, 4]).monic() == Poly([F(1, 2), 1])
+        assert Poly.from_ints(-6, [0, 3, 0, -4]).monic() == Poly([0, F(-3, 4), 0, 1])
         with pytest.raises(ValueError):
             Poly().monic()
+        with pytest.raises(ValueError):
+            Poly.from_ints(5, [0, 0]).monic()
+
+
+ONE = Poly([1, 1])
+HALF = LaurentPoly({-1: 1, 1: F(1, 2)})
+A = FockPoly({(0, 1): 1})
+
+
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("k", lambda: ONE.scale(0.1)),
+        ("point", lambda: ONE(0.1)),
+        ("offset", lambda: ONE.shift_arg(0.1)),
+        ("k", lambda: HALF.scale(0.1)),
+        ("k", lambda: A.scale(0.1)),
+        ("k", lambda: q_bracket(A, A, 0.1)),
+        ("n", lambda: sl2_generators(0.1)),
+        ("alpha", lambda: laguerre(2, 0.1)),
+        ("delta", lambda: modified_laguerre(2, F(1, 2), 0.1)),
+        ("p", lambda: kratzer_apply(HALF, 0.1, 1)),
+        ("omega", lambda: kratzer_apply(HALF, 1, 0.1)),
+        ("p", lambda: kratzer_eigencheck(1, 0.1, 1)),
+        ("omega", lambda: kratzer_eigencheck(1, 1, 0.1)),
+        ("p", lambda: gauge_conjugate_check(ONE, 0.1, 1)),
+        ("omega", lambda: gauge_conjugate_check(ONE, 1, 0.1)),
+    ],
+)
+def test_float_argument_is_refused(name, call):
+    # Poly([1]).scale(0.1) used to return 3602879701896397/36028797018963968.
+    with pytest.raises(TypeError, match=rf'^{name} must be exact.*Fraction\("0\.1"\)$'):
+        call()
 
 
 def pair_of(coeffs: list[F], factor: int, trailing: int) -> tuple[int, list[int]]:
@@ -191,6 +233,41 @@ class TestTwoForms:
             assert Poly.from_ints(*results[0][1]) == expected
 
 
+# Integer coefficient lists with zeros at either end and in between.
+zero_padded_ints = st.tuples(
+    st.integers(0, 3), st.lists(st.integers(-20, 20), max_size=6), st.integers(0, 3)
+).map(lambda t: [0] * t[0] + t[1] + [0] * t[2])
+
+
+class TestLaurentTriple:
+    """LaurentPoly.from_ints and ints against the terms constructor."""
+
+    @given(st.integers(-4, 4), st.integers(-30, 30).filter(bool), zero_padded_ints)
+    @example(-3, 5, [0, 0, 0])
+    @example(2, -4, [])
+    @example(-2, -6, [0, 3, 0, -9, 0])
+    @settings(max_examples=80)
+    def test_from_ints_matches_terms(self, low, d, xs):
+        got = LaurentPoly.from_ints(low, d, xs)
+        want = LaurentPoly({low + k: F(x, d) for k, x in enumerate(xs)})
+        assert got == want and hash(got) == hash(want)
+        assert got.terms == want.terms
+        assert list(got.terms) == sorted(got.terms)
+        out_low, out_d, out_xs = got.ints
+        assert out_d > 0
+        if any(xs):
+            assert out_xs[0] and out_xs[-1]
+            assert out_low == low + next(k for k, x in enumerate(xs) if x)
+        else:
+            assert got.is_zero and (out_low, out_d, out_xs) == (0, 1, ())
+        assert LaurentPoly.from_ints(*got.ints) == got
+        assert LaurentPoly.from_ints(*want.ints) == want
+
+    def test_zero_denominator(self):
+        with pytest.raises(ZeroDivisionError):
+            LaurentPoly.from_ints(0, 0, [1])
+
+
 class TestLaurentPoly:
     def test_no_zero_coefficients_stored(self):
         p = LaurentPoly({-2: 1, 0: 0, 3: F(1, 2)})
@@ -244,6 +321,10 @@ class TestLaurentPolyOracle:
     @given(
         laurent_maps, laurent_maps, rationals, rationals.filter(bool), rationals, st.integers(-3, 3)
     )
+    # A derivative that loses the constant term, scale(0), a zero operand and
+    # zero entries below the lowest nonzero power.
+    @example({0: F(5), 2: F(-3, 4)}, {}, F(0), F(2), F(1, 3), 1)
+    @example({-2: F(0), 0: F(0), 1: F(7, 2)}, {-1: F(0), 3: F(-2, 9)}, F(-5, 6), F(-1, 2), F(0), -2)
     @settings(max_examples=60, deadline=None)
     def test_operations_match_sympy(self, a_map, b_map, k, factor, offset, j):
         a, b = LaurentPoly(a_map), LaurentPoly(b_map)
@@ -294,6 +375,8 @@ class TestPolyZeroHeavy:
         [F(1, MAX_HEIGHT - 1), F(-MAX_HEIGHT, MAX_HEIGHT - 6), F(0), F(0), F(2, MAX_HEIGHT)],
         F(MAX_HEIGHT - 1, MAX_HEIGHT),
     )
+    # A constant, whose derivative is zero, and an empty operand.
+    @example([F(9, 2)], [], F(-2, 7))
     @settings(max_examples=80, deadline=None)
     def test_operations_match_sympy(self, a_coeffs, b_coeffs, k):
         a, b = Poly(a_coeffs), Poly(b_coeffs)

@@ -1,4 +1,5 @@
 import random
+import sys
 from dataclasses import fields
 from fractions import Fraction as F
 
@@ -29,7 +30,7 @@ from fockosc.realize import (
     stencil_of,
 )
 from fockosc.verify import run_suite
-from oracles import act_on_poly, newton_coefficients, shift_by_powers
+from oracles import act_on_poly, linear_combination, newton_coefficients, shift_by_powers
 
 DELTAS = [F(1), F(1, 2), F(-1, 3)]
 QS = [F(2), F(1, 2), F(3, 7)]
@@ -190,7 +191,7 @@ class TestHeisenbergResidual:
         for f in random_polys(40, 12, seed=505) + [Poly(), Poly([F(-5, 3)])]:
             ab = r.lower(r.raise_(f))
             ba = r.raise_(r.lower(f))
-            expected = ab - ba.scale(r.q) - f
+            expected = linear_combination([(1, ab), (-r.q, ba), (-1, f)])
             assert heisenberg_residual(r, f) == expected
             # The wrong shift keeps the bracket on constants: y c lowers back to c.
             constant = len(f.coeffs) <= 1
@@ -199,15 +200,15 @@ class TestHeisenbergResidual:
 
 def word_by_word(h: FockPoly, r, f: Poly) -> Poly:
     """h applied to f one word b^k a^m at a time, through r.lower and r.raise_."""
-    out = Poly()
+    words = []
     for (k, m), c in h.terms.items():
         g = f
         for _ in range(m):
             g = r.lower(g)
         for _ in range(k):
             g = r.raise_(g)
-        out = out + g.scale(c)
-    return out
+        words.append((c, g))
+    return linear_combination(words)
 
 
 class TestPrimitiveOverrides:
@@ -593,6 +594,10 @@ def sympy_poly(f: Poly) -> sp.Expr:
     return sum((sympy_rational(a) * Y**j for j, a in enumerate(f.coeffs)), sp.Integer(0))
 
 
+def sympy_laurent(terms: dict[int, F]) -> sp.Expr:
+    return sum((sympy_rational(c) * Y**k for k, c in terms.items()), sp.Integer(0))
+
+
 def poly_of_sympy(e: sp.Expr) -> Poly:
     return Poly([F(int(a.p), int(a.q)) for a in sp.Poly(sp.expand(e), Y).all_coeffs()[::-1]])
 
@@ -743,19 +748,151 @@ def _offsets_dropped(total):
     return lambda parts: total([(c, 0, d, xs) for c, _, d, xs in parts])
 
 
-STENCIL_FAULTS = {
-    "shift-node-sign": ("_move_ints", _moved_back("shift")),
-    "laurent-offset-dropped": ("_laurent_sum", _offsets_dropped),
-    "q^j-as-q^-j": ("_move_ints", _moved_back("scale")),
+def _scales_as_numerators(total):
+    """_laurent_sum with each part's rational scale c read as its numerator."""
+    return lambda parts: total([(c.numerator, low, d, xs) for c, low, d, xs in parts])
+
+
+def _as_given(d, xs):
+    """A Poly holding the pair (d, xs) exactly as passed."""
+    out = object.__new__(Poly)
+    object.__setattr__(out, "_coeffs", None)
+    object.__setattr__(out, "_ints", (d, tuple(xs)))
+    return out
+
+
+def _newton_by_weights(newton):
+    """_newton with coefficient k also multiplied by its weight w_k = r^k s^(n-k)."""
+
+    def faulty(d, xs, r, s, nodes, expand=False):
+        d, out = newton(d, xs, r, s, nodes, expand)
+        n = len(out) - 1
+        return d, [x * r**k * s ** (n - k) for k, x in enumerate(out)]
+
+    return faulty
+
+
+def _convolve_overwriting(xs, ys):
+    """_convolve with each product stored over the last one at its power, not added."""
+    out = [0] * (len(xs) + len(ys) - 1)
+    for i, a in enumerate(xs):
+        for j, b in enumerate(ys):
+            out[i + j] = a * b
+    return out
+
+
+def _low_kept(from_ints):
+    """LaurentPoly.from_ints with the leading zeros dropped but low left where it was."""
+
+    def faulty(low, d, xs):
+        out = from_ints(low, d, xs)
+        return from_ints(low, *out.poly.ints) if not out.is_zero else out
+
+    return staticmethod(faulty)
+
+
+def _denominator_times_s(lower_ints):
+    """FiniteDifference.lower_ints with its denominator multiplied by the step's denominator s."""
+
+    def faulty(self, d, xs):
+        d_out, out = lower_ints(self, d, xs)
+        return d_out * self.delta.denominator, out
+
+    return faulty
+
+
+def stencils_match_oracles() -> list[bool]:
+    """The hand-built stencils against sympy substitution."""
+    return [apply_matches_sympy(*case) for case in STENCIL_CASES]
+
+
+def poly_kernels_match_oracles() -> list[bool]:
+    """The algebra kernels and the generator primitives, each against an oracle that never runs it.
+
+    shift_by_powers expands powers on Fraction lists, newton_coefficients reads
+    values on the grid, act_on_poly normal-orders on the vacuum, and sympy
+    multiplies, differentiates and substitutes into the generator formulas.
+    """
+    f = Poly([F(1, 3), F(-2), F(0), F(5, 7)])
+    g = Poly([F(-4, 5), F(3), F(1, 2)])
+    checks = [f.shift_arg(F(-9, 4)) == shift_by_powers(f, F(-9, 4))]
+    checks.append(f * g == poly_of_sympy(sympy_poly(f) * sympy_poly(g)))
+    for delta in (F(-1, 3), F(7, 5)):
+        expected = Poly(newton_coefficients(f, delta))
+        checks.append(basis_transplant(f, QuasiMonomial(0), QuasiMonomial(delta)) == expected)
+    # At q = -1, {2} = 0: y^2 lowers to 0 * y.
+    for r, h in ((QDilatation(F(-1)), Poly([0, 0, 1])), (FiniteDifference(F(-2, 3)), f)):
+        checks.append(r.lower(h) == poly_of_sympy(sympy_lower(sympy_poly(h), r)))
+    h = build_hg(F(1, 3), F(-2, 3))
+    checks.append(apply_op(h, Differential(), f) == act_on_poly(h, f))
+    # Zero entries at the low end, and a derivative that loses its constant term.
+    zeros, constant = {-1: F(0), 0: F(0), 1: F(2, 3), 3: F(-1)}, {0: F(5), 2: F(1, 4)}
+    checks.append(sp.expand(sympy_laurent(LaurentPoly(zeros).terms) - sympy_laurent(zeros)) == 0)
+    derivative = LaurentPoly(constant).derivative().terms
+    checks.append(sp.expand(sympy_laurent(derivative) - sp.diff(sympy_laurent(constant), Y)) == 0)
+    return checks
+
+
+# Each kernel fault: (owner, name, wrap, oracle).  wrap(kernel) is the faulty
+# kernel, patched in for owner.name and for every module that imported it by
+# name, and oracle() lists checks of which at least one must then fail.
+KERNEL_FAULTS = {
+    # The pair's denominator made positive without negating the numerators.
+    "sign-normalization-dropped": (
+        Poly,
+        "from_ints",
+        lambda f: staticmethod(lambda d, xs: f(abs(d), xs)),
+        poly_kernels_match_oracles,
+    ),
+    "trailing-zero-strip-dropped": (
+        Poly,
+        "from_ints",
+        lambda f: staticmethod(lambda d, xs: _as_given(abs(d), [x if d > 0 else -x for x in xs])),
+        poly_kernels_match_oracles,
+    ),
+    "newton-scaled-by-weights": (algebra, "_newton", _newton_by_weights, poly_kernels_match_oracles),
+    "convolve-overwrites": (algebra, "_convolve", lambda f: _convolve_overwriting, poly_kernels_match_oracles),
+    "laurent-scale-denominator-dropped": (
+        algebra,
+        "_laurent_sum",
+        _scales_as_numerators,
+        poly_kernels_match_oracles,
+    ),
+    "laurent-low-not-raised": (LaurentPoly, "from_ints", _low_kept, poly_kernels_match_oracles),
+    "fd-lower-denominator-times-s": (
+        FiniteDifference,
+        "lower_ints",
+        _denominator_times_s,
+        poly_kernels_match_oracles,
+    ),
+    "shift-node-sign": (realize, "_move_ints", _moved_back("shift"), stencils_match_oracles),
+    "laurent-offset-dropped": (algebra, "_laurent_sum", _offsets_dropped, stencils_match_oracles),
+    "q^j-as-q^-j": (realize, "_move_ints", _moved_back("scale"), stencils_match_oracles),
 }
 
 
-@pytest.mark.parametrize("fault", STENCIL_FAULTS)
+def inject(monkeypatch, fault):
+    """Patch the fault's kernel in its owner and in every fockosc module that imported it by name."""
+    owner, name, wrap, _ = KERNEL_FAULTS[fault]
+    kernel = getattr(owner, name)
+    faulty = wrap(kernel)
+    monkeypatch.setattr(owner, name, faulty)
+    for module in [m for key, m in sys.modules.items() if key.startswith("fockosc.")]:
+        for key, value in list(vars(module).items()):
+            if value is kernel:
+                monkeypatch.setattr(module, key, faulty)
+
+
+def faults_checked_by(oracle):
+    return [fault for fault, spec in KERNEL_FAULTS.items() if spec[3] is oracle]
+
+
+@pytest.mark.parametrize("fault", faults_checked_by(stencils_match_oracles))
 def test_stencil_kernel_fault_is_caught(monkeypatch, fault):
     """Each kernel fault fails a hand-built sympy case, and a stencil check of verify or its note."""
-    name, wrap = STENCIL_FAULTS[fault]
-    monkeypatch.setattr(realize, name, wrap(getattr(realize, name)))
-    assert not all(apply_matches_sympy(*case) for case in STENCIL_CASES)
+    assert all(stencils_match_oracles())
+    inject(monkeypatch, fault)
+    assert not all(stencils_match_oracles())
     if fault == "shift-node-sign":
         cases = run_suite("transplant").cases
         cases = [c for c in cases if c.case.startswith("stencil-eigenfunction")]
@@ -772,58 +909,26 @@ def test_stencil_kernel_fault_is_caught(monkeypatch, fault):
         )
 
 
-def poly_kernels_match_oracles() -> list[bool]:
-    """The Poly kernels on a few cases, each against an oracle that builds no Poly from a pair.
-
-    shift_by_powers expands powers on Fraction lists, newton_coefficients reads
-    values on the grid, and sympy substitutes into the generator formulas.
-    """
-    f = Poly([F(1, 3), F(-2), F(0), F(5, 7)])
-    checks = [f.shift_arg(F(-9, 4)) == shift_by_powers(f, F(-9, 4))]
-    for delta in (F(-1, 3), F(7, 5)):
-        expected = Poly(newton_coefficients(f, delta))
-        checks.append(basis_transplant(f, QuasiMonomial(0), QuasiMonomial(delta)) == expected)
-    # At q = -1, {2} = 0: y^2 lowers to 0 * y.
-    for r, g in ((QDilatation(F(-1)), Poly([0, 0, 1])), (FiniteDifference(F(-2, 3)), f)):
-        checks.append(r.lower(g) == poly_of_sympy(sympy_lower(sympy_poly(g), r)))
-    return checks
-
-
-def _as_given(d, xs):
-    """A Poly holding the pair (d, xs) exactly as passed."""
-    out = object.__new__(Poly)
-    object.__setattr__(out, "_coeffs", None)
-    object.__setattr__(out, "_ints", (d, tuple(xs)))
-    return out
-
-
-def _newton_by_weights(f, r, s, nodes, expand=False):
-    """_newton with coefficient k rescaled by the weight w_k in place of s^n / w_k."""
-    denom, xs = f.ints
-    weights, g = algebra._newton_ints(xs, r, s, nodes, expand)
-    return Poly.from_ints(denom * s ** (len(g) - 1), [x * w for x, w in zip(g, weights)])
-
-
-POLY_FAULTS = {
-    # The pair's denominator made positive without negating the numerators.
-    "sign-normalization-dropped": (
-        Poly,
-        "from_ints",
-        lambda f: staticmethod(lambda d, xs: f(abs(d), xs)),
-    ),
-    "trailing-zero-strip-dropped": (
-        Poly,
-        "from_ints",
-        lambda f: staticmethod(lambda d, xs: _as_given(abs(d), [x if d > 0 else -x for x in xs])),
-    ),
-    "newton-scaled-by-weights": (algebra, "_newton", lambda f: _newton_by_weights),
-}
-
-
-@pytest.mark.parametrize("fault", POLY_FAULTS)
+@pytest.mark.parametrize("fault", faults_checked_by(poly_kernels_match_oracles))
 def test_poly_kernel_fault_is_caught(monkeypatch, fault):
-    """Each fault of the pair constructor or of _newton fails an oracle that never runs it."""
+    """Each fault of an algebra kernel or a primitive fails an oracle that never runs it."""
     assert all(poly_kernels_match_oracles())
-    owner, name, wrap = POLY_FAULTS[fault]
-    monkeypatch.setattr(owner, name, wrap(getattr(owner, name)))
+    inject(monkeypatch, fault)
     assert not all(poly_kernels_match_oracles())
+
+
+INTEGER_KERNELS = [
+    (algebra, "_newton"),
+    (algebra, "_laurent_sum"),
+    (algebra, "_convolve"),
+    (realize, "_move_ints"),
+    (Poly, "from_ints"),
+    (LaurentPoly, "from_ints"),
+]
+
+
+def test_every_integer_kernel_has_a_fault():
+    faulted = {(owner, name) for owner, name, _, _ in KERNEL_FAULTS.values()}
+    for owner, name in INTEGER_KERNELS:
+        assert callable(getattr(owner, name)), name
+        assert (owner, name) in faulted, f"{name} has no fault in KERNEL_FAULTS"
