@@ -8,11 +8,12 @@ A `Poly` is a dense coefficient vector over the rationals, lowest power
 first, held as reduced Fractions or as an integer pair (d, xs), sum
 xs[k] y^k / d, whichever was built first; the other form is built on its
 first read and kept.  A `LaurentPoly` additionally admits negative powers
-and is held as the triple (low, d, xs), y^low times a pair.  Polynomials
-are expressed in a quasi-monomial basis 1, y, y(y-d), y(y-d)(y-2d), ...
-whose elements vanish on the grid 0, d, 2d, ...; step d = 0 is the
-monomial basis 1, y, y^2, ...  `basis_transplant` moves coefficient
-vectors between any two of them.
+and is held as the triple (low, d, xs), y^low times a pair.  Both take
+their arithmetic, `==`, `hash` and `repr` from the private base
+`_Polynomial`, and mixing the two types raises TypeError.  Polynomials
+are expressed in a quasi-monomial basis 1, y, y(y-d), ... whose elements
+vanish on the grid 0, d, 2d, ...; step d = 0 is the monomial basis 1, y,
+y^2, ...  `basis_transplant` moves coefficient vectors between any two.
 
 This module owns the integer form, one kernel per job: `_convolve`
 multiplies two integer coefficient lists; `_newton` changes a pair to the
@@ -68,7 +69,59 @@ class NotTriangularError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-class Poly:
+class _Polynomial:
+    """`+ - * scale`, `==`, `hash`, `repr` and immutability of both polynomial types.
+
+    A subclass gives `_triple`, its value as a Laurent triple (low, d, xs),
+    the constructor `_of_triple(low, d, xs)` and `_key`, which `==` and
+    `hash` read.  Operands of different types raise TypeError.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):  # pragma: no cover - guard only
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and self._key == other._key
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+    def _sum(self, other, sign: int):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._of_triple(*_laurent_sum([(1, *self._triple), (sign, *other._triple)]))
+
+    def __add__(self, other):
+        return self._sum(other, 1)
+
+    def __sub__(self, other):
+        return self._sum(other, -1)
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def __mul__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        (la, da, xs), (lb, db, ys) = self._triple, other._triple
+        return self._of_triple(la + lb, da * db, _convolve(xs, ys))
+
+    def scale(self, k: Rat):
+        k = exact(k, "k")
+        if k == 1:
+            return self
+        low, d, xs = self._triple
+        return self._of_triple(low, d * k.denominator, [k.numerator * x for x in xs])
+
+    def __repr__(self) -> str:
+        low, d, xs = self._triple
+        terms = " + ".join(f"{Fraction(x, d)}*y^{low + k}" for k, x in enumerate(xs) if x)
+        return f"{type(self).__name__}({terms or 0})"
+
+
+class Poly(_Polynomial):
     """Dense univariate polynomial over the rationals, lowest power first.
 
     Immutable.  It starts in one of two exact forms and builds the other on
@@ -82,13 +135,12 @@ class Poly:
       trailing zero but not necessarily reduced.  `Poly.from_ints` builds a
       Poly from such a pair.
 
-    The arithmetic reads and writes the pair: `*` convolves the two
-    operands' integers in `_convolve`, `+` and `-` add them in
-    `_laurent_sum`, `shift_arg` and `basis_transplant` run `_newton`, and
-    `scale`, `-f`, `derivative` and `monic` rewrite the pair in place of a
-    sum.  Every scalar a caller reads (`coeffs`, `coeff`, `leading`, `==`,
-    `hash`, `repr`) is a reduced Fraction; `degree` and `is_zero` read
-    whichever form exists.
+    The arithmetic reads and writes the pair.  `+`, `-`, `*`, `scale` and
+    `-f` come from `_Polynomial` on the triple (0, d, xs), so a LaurentPoly
+    operand raises TypeError; `shift_arg` and `basis_transplant` run
+    `_newton`, and `derivative` and `monic` rewrite the pair.  Every scalar
+    a caller reads (`coeffs`, `coeff`, `leading`, `==`, `hash`, `repr`) is
+    a reduced Fraction; `degree` and `is_zero` read whichever form exists.
     """
 
     __slots__ = ("_coeffs", "_ints")
@@ -115,9 +167,6 @@ class Poly:
         object.__setattr__(out, "_ints", (d if xs else 1, tuple(xs)))
         return out
 
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("Poly is immutable")
-
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         """The reduced coefficients, lowest power first, without trailing zeros."""
@@ -128,6 +177,8 @@ class Poly:
             object.__setattr__(self, "_coeffs", cs)
         return cs
 
+    _key = coeffs
+
     @property
     def ints(self) -> tuple[int, tuple[int, ...]]:
         """(d, xs) with self = sum xs[k] y^k / d, d > 0; see the class docstring."""
@@ -137,6 +188,14 @@ class Poly:
             pair = d, tuple(xs)
             object.__setattr__(self, "_ints", pair)
         return pair
+
+    @property
+    def _triple(self) -> Triple:
+        return (0, *self.ints)
+
+    @staticmethod
+    def _of_triple(low: int, d: int, xs: Sequence[int]) -> "Poly":
+        return Poly.from_ints(d, xs) if not low else Poly.from_ints(*_pair((low, d, xs)))
 
     @staticmethod
     def one() -> "Poly":
@@ -179,34 +238,6 @@ class Poly:
         _, xs = self.ints
         return Poly.from_ints(xs[-1], xs)
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __add__(self, other: "Poly") -> "Poly":
-        return Poly.from_ints(*_pair(_laurent_sum([(1, 0, *self.ints), (1, 0, *other.ints)])))
-
-    def __neg__(self) -> "Poly":
-        return self.scale(-1)
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return Poly.from_ints(*_pair(_laurent_sum([(1, 0, *self.ints), (-1, 0, *other.ints)])))
-
-    def __mul__(self, other: "Poly") -> "Poly":
-        if self.is_zero or other.is_zero:
-            return Poly()
-        (da, xs), (db, ys) = self.ints, other.ints
-        return Poly.from_ints(da * db, _convolve(xs, ys))
-
-    def scale(self, k: Rat) -> "Poly":
-        k = exact(k, "k")
-        if k == 1:
-            return self
-        d, xs = self.ints
-        return Poly.from_ints(d * k.denominator, [k.numerator * x for x in xs])
-
     def __call__(self, point: Rat) -> Fraction:
         """Evaluate by Horner's rule, exactly."""
         point = exact(point, "point")
@@ -229,12 +260,6 @@ class Poly:
         if offset == 0 or self.is_zero:
             return self
         return Poly.from_ints(*_newton(*self.ints, 1, offset.denominator, [offset.numerator] * self.degree))
-
-    def __repr__(self) -> str:
-        if self.is_zero:
-            return "Poly(0)"
-        terms = [f"{c}*y^{i}" for i, c in enumerate(self.coeffs) if c != 0]
-        return "Poly(" + " + ".join(terms) + ")"
 
 
 def _over_lcm(coeffs: Collection[Fraction]) -> tuple[int, list[int]]:
@@ -316,15 +341,16 @@ def _laurent_sum(parts: list[tuple[Rat, int, int, Sequence[int]]]) -> Triple:
 # ---------------------------------------------------------------------------
 
 
-class LaurentPoly:
+class LaurentPoly(_Polynomial):
     """Polynomial with integer (possibly negative) powers, stored as y^low * poly.
 
     `poly` is a `Poly` with a nonzero constant term (the zero Laurent
     polynomial has low 0 and the zero Poly), so each value has one
     representation.  `ints` is the triple (low, d, xs) with poly's pair,
-    and `LaurentPoly.from_ints` builds a value from any triple; `+`, `-`,
-    `*`, `scale` and `derivative` run on the triples, and the stencils in
-    `realize` compute on them.  `terms` maps each power to its nonzero
+    and `LaurentPoly.from_ints` builds a value from any triple.  `+`, `-`,
+    `*` and `scale` come from `_Polynomial` on these triples (a Poly
+    operand raises TypeError), `derivative` rewrites one, and the stencils
+    in `realize` compute on them.  `terms` maps each power to its nonzero
     coefficient, in increasing power order.
     """
 
@@ -343,13 +369,16 @@ class LaurentPoly:
         object.__setattr__(out, "poly", Poly.from_ints(d, xs[zeros:]))
         return out
 
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("LaurentPoly is immutable")
-
     @property
     def ints(self) -> Triple:
         """(low, d, xs) with self = y^low * sum xs[k] y^k / d, d > 0."""
         return (self.low, *self.poly.ints)
+
+    _triple, _of_triple = ints, from_ints
+
+    @property
+    def _key(self) -> tuple[int, Poly]:
+        return self.low, self.poly
 
     @property
     def terms(self) -> dict[int, Fraction]:
@@ -362,39 +391,9 @@ class LaurentPoly:
     def coeff(self, power: int) -> Fraction:
         return self.poly.coeff(power - self.low)
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, LaurentPoly) and (self.low, self.poly) == (other.low, other.poly)
-
-    def __hash__(self) -> int:
-        return hash((self.low, self.poly))
-
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return LaurentPoly.from_ints(*_laurent_sum([(1, *self.ints), (1, *other.ints)]))
-
-    def __neg__(self) -> "LaurentPoly":
-        return self.scale(-1)
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return LaurentPoly.from_ints(*_laurent_sum([(1, *self.ints), (-1, *other.ints)]))
-
-    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        (la, da, xs), (lb, db, ys) = self.ints, other.ints
-        return LaurentPoly.from_ints(la + lb, da * db, _convolve(xs, ys))
-
-    def scale(self, k: Rat) -> "LaurentPoly":
-        k = exact(k, "k")
-        low, d, xs = self.ints
-        return LaurentPoly.from_ints(low, d * k.denominator, [k.numerator * x for x in xs])
-
     def derivative(self) -> "LaurentPoly":
         low, d, xs = self.ints
         return LaurentPoly.from_ints(low - 1, d, [(low + k) * x for k, x in enumerate(xs)])
-
-    def __repr__(self) -> str:
-        if self.is_zero:
-            return "LaurentPoly(0)"
-        terms = [f"{c}*y^{p}" for p, c in self.terms.items()]
-        return "LaurentPoly(" + " + ".join(terms) + ")"
 
 
 # ---------------------------------------------------------------------------

@@ -41,8 +41,8 @@ def q_number(n: int, q: Rat) -> Fraction:
     """
     if n < 0:
         raise ValueError("q-number index must be non-negative")
-    acc = Fraction(0)
-    power = Fraction(1)
+    q = exact(q, "q")
+    acc, power = Fraction(0), Fraction(1)
     for _ in range(n):
         acc += power
         power *= q

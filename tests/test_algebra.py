@@ -1,3 +1,4 @@
+import operator
 import sys
 import threading
 from fractions import Fraction as F
@@ -20,7 +21,7 @@ from fockosc.algebra import (
     basis_transplant,
 )
 from fockosc.cli import MAX_HEIGHT
-from fockosc.fock import FockPoly, q_bracket, sl2_generators
+from fockosc.fock import FockPoly, q_bracket, q_number, sl2_generators
 from fockosc.specfun import (
     gauge_conjugate_check,
     kratzer_apply,
@@ -87,6 +88,7 @@ class TestPoly:
         assert p * p == Poly([1, 2, 1])
         assert p - p == Poly()
         assert p.scale(3) == Poly([3, 3])
+        assert p * Poly() == Poly() and Poly() * p == Poly()
 
     def test_shift_arg(self):
         p = Poly([0, 0, 1])  # y^2
@@ -147,6 +149,7 @@ A = FockPoly({(0, 1): 1})
         ("k", lambda: A.scale(0.1)),
         ("k", lambda: q_bracket(A, A, 0.1)),
         ("n", lambda: sl2_generators(0.1)),
+        ("q", lambda: q_number(3, 0.1)),
         ("alpha", lambda: laguerre(2, 0.1)),
         ("delta", lambda: modified_laguerre(2, F(1, 2), 0.1)),
         ("p", lambda: kratzer_apply(HALF, 0.1, 1)),
@@ -161,6 +164,32 @@ def test_float_argument_is_refused(name, call):
     # Poly([1]).scale(0.1) used to return 3602879701896397/36028797018963968.
     with pytest.raises(TypeError, match=rf'^{name} must be exact.*Fraction\("0\.1"\)$'):
         call()
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        (Poly(), "Poly(0)"),
+        (Poly([F(1, 2), 0, -3, 0]), "Poly(1/2*y^0 + -3*y^2)"),
+        (Poly.from_ints(-6, [3, 0, 18, 0]), "Poly(-1/2*y^0 + -3*y^2)"),
+        (LaurentPoly(), "LaurentPoly(0)"),
+        (LaurentPoly({-1: F(1, 3), 0: 0, 2: -5}), "LaurentPoly(1/3*y^-1 + -5*y^2)"),
+        (LaurentPoly.from_ints(-2, 4, [0, 2, 0, -6, 0]), "LaurentPoly(1/2*y^-1 + -3/2*y^1)"),
+    ],
+)
+def test_repr_and_immutability(value, text):
+    assert repr(value) == text
+    with pytest.raises(AttributeError, match=f"^{type(value).__name__} is immutable$"):
+        value.low = 0
+
+
+@pytest.mark.parametrize("a, b", [(Poly([1]), LaurentPoly({0: 1})), (LaurentPoly({0: 1}), Poly([1]))])
+def test_mixed_polynomial_types_are_refused(a, b):
+    # One value in two types: no operation mixes them, and they are never equal.
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            op(a, b)
+    assert a != b and not a == b
 
 
 def pair_of(coeffs: list[F], factor: int, trailing: int) -> tuple[int, list[int]]:
@@ -276,6 +305,7 @@ class TestLaurentPoly:
     def test_mul_with_poles(self):
         p = LaurentPoly({-1: 1}) * LaurentPoly({1: 2, 2: 3})
         assert p == LaurentPoly({0: 2, 1: 3})
+        assert p * LaurentPoly() == LaurentPoly() and LaurentPoly() * p == LaurentPoly()
 
     def test_to_poly_rejects_poles(self):
         # A pole cannot be moved by a shift, nor survive a stencil's application.

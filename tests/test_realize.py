@@ -1,3 +1,4 @@
+import ast
 import random
 import sys
 from dataclasses import fields
@@ -8,7 +9,8 @@ import sympy as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fockosc import algebra, realize
+import oracles
+from fockosc import algebra, fock, realize
 from fockosc.algebra import (
     LaurentPoly,
     OperatorMatrix,
@@ -23,6 +25,7 @@ from fockosc.realize import (
     Differential,
     FiniteDifference,
     QDilatation,
+    Realization,
     Stencil,
     apply_op,
     heisenberg_residual,
@@ -30,7 +33,15 @@ from fockosc.realize import (
     stencil_of,
 )
 from fockosc.verify import run_suite
-from oracles import act_on_poly, linear_combination, newton_coefficients, shift_by_powers
+from fockosc.spectral import eigensolve_flag, pencil_solve
+from oracles import (
+    act_on_poly,
+    dense_apply,
+    linear_combination,
+    newton_coefficients,
+    oracle_product,
+    shift_by_powers,
+)
 
 DELTAS = [F(1), F(1, 2), F(-1, 3)]
 QS = [F(2), F(1, 2), F(3, 7)]
@@ -518,7 +529,9 @@ def sympy_rational(c: F) -> sp.Rational:
 
 
 def sympy_lower(e: sp.Expr, r) -> sp.Expr:
-    """a by its formula: (f(y+d) - f(y))/d under fd, (f(qy) - f(y))/(y(q-1)) under qdil."""
+    """a by its formula: f' under diff, (f(y+d) - f(y))/d under fd, (f(qy) - f(y))/(y(q-1)) under qdil."""
+    if isinstance(r, Differential):
+        return sp.diff(e, Y)
     if isinstance(r, FiniteDifference):
         d = sympy_rational(r.delta)
         return sp.expand((e.subs(Y, Y + d) - e) / d)
@@ -801,6 +814,38 @@ def _denominator_times_s(lower_ints):
     return faulty
 
 
+def _numerators_not_rescaled(over_lcm):
+    """_over_lcm returning the lcm but each numerator as it was, not times lcm / denominator."""
+    return lambda coeffs: (over_lcm(coeffs)[0], [c.numerator for c in coeffs])
+
+
+def _band_one(solve):
+    """back_substitute reading only the diagonal and the first superdiagonal of each column."""
+
+    def faulty(matrix, weights=None):
+        columns = [
+            c if j < 2 else Poly([0] * (j - 1) + list(c.coeffs[j - 1 :])) for j, c in enumerate(matrix.columns)
+        ]
+        return solve(OperatorMatrix(columns, matrix.basis), weights)
+
+    return faulty
+
+
+def _full_contraction_dropped(wick_table):
+    """_wick_table leaving out the term with j = min(m, k) contractions from each entry."""
+
+    def faulty(q, ms, ks):
+        denominator, table = wick_table(q, ms, ks)
+        return denominator, {key: [(j, w) for j, w in ws if j < min(key)] for key, ws in table.items()}
+
+    return faulty
+
+
+def _scale_numerator_only(scale):
+    """_Polynomial.scale with k read as its numerator."""
+    return lambda self, k: scale(self, F(k).numerator)
+
+
 def stencils_match_oracles() -> list[bool]:
     """The hand-built stencils against sympy substitution."""
     return [apply_matches_sympy(*case) for case in STENCIL_CASES]
@@ -820,9 +865,16 @@ def poly_kernels_match_oracles() -> list[bool]:
     for delta in (F(-1, 3), F(7, 5)):
         expected = Poly(newton_coefficients(f, delta))
         checks.append(basis_transplant(f, QuasiMonomial(0), QuasiMonomial(delta)) == expected)
-    # At q = -1, {2} = 0: y^2 lowers to 0 * y.
-    for r, h in ((QDilatation(F(-1)), Poly([0, 0, 1])), (FiniteDifference(F(-2, 3)), f)):
-        checks.append(r.lower(h) == poly_of_sympy(sympy_lower(sympy_poly(h), r)))
+    # Each generator primitive against its formula; at q = -1, {2} = 0 and y^2 lowers to 0 * y.
+    for r, h in (
+        (Differential(), f),
+        (QDilatation(F(-1)), Poly([0, 0, 1])),
+        (QDilatation(F(-6, 7)), f),
+        (FiniteDifference(F(-2, 3)), f),
+    ):
+        e = sympy_poly(h)
+        checks.append(r.lower(h) == poly_of_sympy(sympy_lower(e, r)))
+        checks.append(r.raise_(h) == poly_of_sympy(sympy_raise(e, r)))
     h = build_hg(F(1, 3), F(-2, 3))
     checks.append(apply_op(h, Differential(), f) == act_on_poly(h, f))
     # Zero entries at the low end, and a derivative that loses its constant term.
@@ -833,9 +885,47 @@ def poly_kernels_match_oracles() -> list[bool]:
     return checks
 
 
+def both_types_match_sympy() -> list[bool]:
+    """scale of a Poly and of a LaurentPoly against sympy, one check per type."""
+    k, f, c = F(-3, 7), Poly([F(1, 3), F(-2), F(0), F(5, 7)]), {-2: F(2, 5), 1: F(-1), 3: F(7, 4)}
+    return [
+        f.scale(k) == poly_of_sympy(sympy_rational(k) * sympy_poly(f)),
+        sp.expand(sympy_laurent(LaurentPoly(c).scale(k).terms) - sympy_rational(k) * sympy_laurent(c)) == 0,
+    ]
+
+
+def solver_matches_dense_apply() -> list[bool]:
+    """Each solved level against the matrix applied row by row: M v = E W v.
+
+    Plain levels of diff hg (B != 0 fills the second superdiagonal) and
+    pencil levels of qdil hg at s = -1.
+    """
+    q = F(-6, 7)
+    plain = realize_matrix(build_hg(F(1, 3), F(-2, 3)), Differential(), 6)
+    pencil = realize_matrix(build_hg(F(1, 3), F(2), q), QDilatation(q), 5)
+    checks = []
+    solved = ((plain, eigensolve_flag(plain), F(1)), (pencil, pencil_solve(pencil, -1, q), 1 / q))
+    for m, report, weight in solved:
+        for level in report.entries:
+            v = list(level.eigenpoly.coeffs) + [F(0)] * (m.size - len(level.eigenpoly.coeffs))
+            checks.append(dense_apply(m, v) == [level.eigenvalue * weight**i * x for i, x in enumerate(v)])
+    return checks
+
+
+def wick_matches_swaps() -> list[bool]:
+    """Normal-ordered products against single swaps (`oracle_product`), at q = 1, -6/7, -1 and 0."""
+    checks = []
+    for q in (F(1), F(-6, 7), F(-1), F(0)):
+        x = FockPoly({(1, 2): 3, (0, 3): F(1, 2), (2, 0): -1}, q)
+        y = FockPoly({(2, 1): F(-2, 3), (3, 2): 1, (0, 1): 5}, q)
+        checks += [(x * y).terms == oracle_product(x, y), (y * x).terms == oracle_product(y, x)]
+    return checks
+
+
 # Each kernel fault: (owner, name, wrap, oracle).  wrap(kernel) is the faulty
 # kernel, patched in for owner.name and for every module that imported it by
-# name, and oracle() lists checks of which at least one must then fail.
+# name, and oracle() lists checks of which at least one must then fail
+# (every one, for both_types_match_sympy).
 KERNEL_FAULTS = {
     # The pair's denominator made positive without negating the numerators.
     "sign-normalization-dropped": (
@@ -865,6 +955,46 @@ KERNEL_FAULTS = {
         _denominator_times_s,
         poly_kernels_match_oracles,
     ),
+    "diff-lower-k-from-0": (
+        Differential,
+        "lower_ints",
+        lambda f: lambda self, d, xs: (d, [k * x for k, x in enumerate(xs[1:])]),
+        poly_kernels_match_oracles,
+    ),
+    # The denominator y(1 - q) in place of y(q - 1).
+    "qdil-lower-sign-flipped": (
+        QDilatation,
+        "lower_ints",
+        lambda f: lambda self, d, xs: f(self, -d, xs),
+        poly_kernels_match_oracles,
+    ),
+    "raise-drops-constant": (
+        Realization,
+        "raise_ints",
+        lambda f: lambda self, d, xs: f(self, d, [0, *xs[1:]]),
+        poly_kernels_match_oracles,
+    ),
+    # y f(y + delta) in place of y f(y - delta).
+    "fd-raise-shift-sign": (
+        FiniteDifference,
+        "raise_ints",
+        lambda f: lambda self, d, xs: f(FiniteDifference(-self.delta), d, xs),
+        poly_kernels_match_oracles,
+    ),
+    "over-lcm-numerators-not-rescaled": (
+        algebra,
+        "_over_lcm",
+        _numerators_not_rescaled,
+        poly_kernels_match_oracles,
+    ),
+    "scale-denominator-dropped": (
+        algebra._Polynomial,
+        "scale",
+        _scale_numerator_only,
+        both_types_match_sympy,
+    ),
+    "solver-band-one": (algebra, "back_substitute", _band_one, solver_matches_dense_apply),
+    "wick-full-contraction-dropped": (fock, "_wick_table", _full_contraction_dropped, wick_matches_swaps),
     "shift-node-sign": (realize, "_move_ints", _moved_back("shift"), stencils_match_oracles),
     "laurent-offset-dropped": (algebra, "_laurent_sum", _offsets_dropped, stencils_match_oracles),
     "q^j-as-q^-j": (realize, "_move_ints", _moved_back("scale"), stencils_match_oracles),
@@ -909,21 +1039,42 @@ def test_stencil_kernel_fault_is_caught(monkeypatch, fault):
         )
 
 
-@pytest.mark.parametrize("fault", faults_checked_by(poly_kernels_match_oracles))
+@pytest.mark.parametrize(
+    "fault",
+    [f for f, spec in KERNEL_FAULTS.items() if spec[3] not in (stencils_match_oracles, both_types_match_sympy)],
+)
 def test_poly_kernel_fault_is_caught(monkeypatch, fault):
-    """Each fault of an algebra kernel or a primitive fails an oracle that never runs it."""
-    assert all(poly_kernels_match_oracles())
+    """Each fault of a kernel, the solver or a primitive fails a check of an oracle that never runs it."""
+    oracle = KERNEL_FAULTS[fault][3]
+    assert all(oracle())
     inject(monkeypatch, fault)
-    assert not all(poly_kernels_match_oracles())
+    assert not all(oracle())
+
+
+@pytest.mark.parametrize("fault", faults_checked_by(both_types_match_sympy))
+def test_shared_arithmetic_fault_fails_both_types(monkeypatch, fault):
+    """A fault in the arithmetic Poly and LaurentPoly inherit fails the sympy check of each."""
+    assert all(both_types_match_sympy())
+    inject(monkeypatch, fault)
+    assert not any(both_types_match_sympy())
 
 
 INTEGER_KERNELS = [
     (algebra, "_newton"),
     (algebra, "_laurent_sum"),
     (algebra, "_convolve"),
+    (algebra, "_over_lcm"),
+    (algebra, "back_substitute"),
+    (algebra._Polynomial, "scale"),
+    (fock, "_wick_table"),
     (realize, "_move_ints"),
     (Poly, "from_ints"),
     (LaurentPoly, "from_ints"),
+    (Differential, "lower_ints"),
+    (FiniteDifference, "lower_ints"),
+    (QDilatation, "lower_ints"),
+    (Realization, "raise_ints"),
+    (FiniteDifference, "raise_ints"),
 ]
 
 
@@ -932,3 +1083,21 @@ def test_every_integer_kernel_has_a_fault():
     for owner, name in INTEGER_KERNELS:
         assert callable(getattr(owner, name)), name
         assert (owner, name) in faulted, f"{name} has no fault in KERNEL_FAULTS"
+
+
+def test_oracles_take_only_the_checked_values_from_fockosc():
+    """tests/oracles.py imports Poly, OperatorMatrix, FockPoly and normal_order_product, and no kernel."""
+    tree = ast.parse(open(oracles.__file__).read())
+    taken = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any(a.name.split(".")[0] == "fockosc" for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and (node.level or node.module.split(".")[0] == "fockosc"):
+            taken |= {(node.module, a.name) for a in node.names}
+    allowed = {
+        ("fockosc.algebra", "Poly"),
+        ("fockosc.algebra", "OperatorMatrix"),
+        ("fockosc.fock", "FockPoly"),
+        ("fockosc.fock", "normal_order_product"),
+    }
+    assert taken <= allowed, taken - allowed
