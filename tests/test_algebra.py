@@ -9,6 +9,7 @@ import sympy as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fockosc import algebra
 from fockosc.algebra import (
     DegenerateSpectrumError,
     LaurentPoly,
@@ -150,6 +151,7 @@ A = FockPoly({(0, 1): 1})
         ("k", lambda: q_bracket(A, A, 0.1)),
         ("n", lambda: sl2_generators(0.1)),
         ("q", lambda: q_number(3, 0.1)),
+        ("weights", lambda: back_substitute(OperatorMatrix([ONE.scale(0), ONE], QuasiMonomial(0)), [1, 0.1])),
         ("alpha", lambda: laguerre(2, 0.1)),
         ("delta", lambda: modified_laguerre(2, F(1, 2), 0.1)),
         ("p", lambda: kratzer_apply(HALF, 0.1, 1)),
@@ -564,6 +566,19 @@ class TestBackSubstitute:
         for value, v in levels:
             image = dense_apply(m, v.coeffs)
             assert image == [value * c for c in list(v.coeffs) + [F(0)] * (3 - len(v.coeffs))]
+
+    @pytest.mark.parametrize("bits", [0, 10**9])
+    def test_degenerate_level_named_in_each_regime(self, monkeypatch, bits):
+        # Level 3 repeats the eigenvalue 2 of level 1. Row 2 of level 3 runs on
+        # Fractions (bits 0) or on integers (bits 10**9), and row 1 raises.
+        m = OperatorMatrix(
+            [Poly([1]), Poly([F(1, 2), 2]), Poly([F(-1, 3), 5, 7]), Poly([0, F(3, 4), 1, 2])],
+            QuasiMonomial(0),
+        )
+        monkeypatch.setattr(algebra, "_INTEGER_BITS", bits)
+        with pytest.raises(DegenerateSpectrumError, match=r"^eigenvalue 2 occurs at levels \(1, 3\)$") as raised:
+            back_substitute(m)
+        assert (raised.value.levels, raised.value.value) == ((1, 3), 2)
 
     def test_matrix_leaving_the_flag_rejected(self):
         # Column 0 is 1 + 5y, so M (1, 0) = (1, 5) and (1, 0) is no eigenvector.

@@ -3,6 +3,7 @@ import random
 import sys
 from dataclasses import fields
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 import sympy as sp
@@ -831,6 +832,11 @@ def _band_one(solve):
     return faulty
 
 
+def _rescale_dropped(row):
+    """_row_ints reading each term over F_(i+1), without the rescale F_(i+1) // F_j."""
+    return lambda entries, xs, fs, f_next, z, p: row(entries, xs, [f_next] * len(fs), f_next, z, p)
+
+
 def _full_contraction_dropped(wick_table):
     """_wick_table leaving out the term with j = min(m, k) contractions from each entry."""
 
@@ -894,21 +900,29 @@ def both_types_match_sympy() -> list[bool]:
     ]
 
 
-def solver_matches_dense_apply() -> list[bool]:
+# The solver's two regimes: at 0 bits every row of a level runs on Fractions,
+# at 10**9 bits every row runs on integers (`_row_ints`).
+SOLVER_REGIMES = (0, 10**9)
+
+
+def solver_matches_dense_apply(regimes=SOLVER_REGIMES) -> list[bool]:
     """Each solved level against the matrix applied row by row: M v = E W v.
 
     Plain levels of diff hg (B != 0 fills the second superdiagonal) and
-    pencil levels of qdil hg at s = -1.
+    pencil levels of qdil hg at s = -1, solved once in each of `regimes`
+    (values of algebra._INTEGER_BITS).
     """
     q = F(-6, 7)
     plain = realize_matrix(build_hg(F(1, 3), F(-2, 3)), Differential(), 6)
     pencil = realize_matrix(build_hg(F(1, 3), F(2), q), QDilatation(q), 5)
     checks = []
-    solved = ((plain, eigensolve_flag(plain), F(1)), (pencil, pencil_solve(pencil, -1, q), 1 / q))
-    for m, report, weight in solved:
-        for level in report.entries:
-            v = list(level.eigenpoly.coeffs) + [F(0)] * (m.size - len(level.eigenpoly.coeffs))
-            checks.append(dense_apply(m, v) == [level.eigenvalue * weight**i * x for i, x in enumerate(v)])
+    for bits in regimes:
+        with mock.patch.object(algebra, "_INTEGER_BITS", bits):
+            solved = ((plain, eigensolve_flag(plain), F(1)), (pencil, pencil_solve(pencil, -1, q), 1 / q))
+        for m, report, weight in solved:
+            for level in report.entries:
+                v = list(level.eigenpoly.coeffs) + [F(0)] * (m.size - len(level.eigenpoly.coeffs))
+                checks.append(dense_apply(m, v) == [level.eigenvalue * weight**i * x for i, x in enumerate(v)])
     return checks
 
 
@@ -994,6 +1008,8 @@ KERNEL_FAULTS = {
         both_types_match_sympy,
     ),
     "solver-band-one": (algebra, "back_substitute", _band_one, solver_matches_dense_apply),
+    # Only a band-2 row has a term with F_(i+1) // F_j != 1.
+    "solver-rescale-dropped": (algebra, "_row_ints", _rescale_dropped, solver_matches_dense_apply),
     "wick-full-contraction-dropped": (fock, "_wick_table", _full_contraction_dropped, wick_matches_swaps),
     "shift-node-sign": (realize, "_move_ints", _moved_back("shift"), stencils_match_oracles),
     "laurent-offset-dropped": (algebra, "_laurent_sum", _offsets_dropped, stencils_match_oracles),
@@ -1051,6 +1067,15 @@ def test_poly_kernel_fault_is_caught(monkeypatch, fault):
     assert not all(oracle())
 
 
+@pytest.mark.parametrize("fault", faults_checked_by(solver_matches_dense_apply))
+def test_solver_fault_is_caught_in_each_regime(monkeypatch, fault):
+    """The solver faults against each regime alone: the band fault fails both, and
+    the integer row fault fails the integer one while the Fraction one never runs it."""
+    inject(monkeypatch, fault)
+    caught = [not all(solver_matches_dense_apply([bits])) for bits in SOLVER_REGIMES]
+    assert caught == [fault != "solver-rescale-dropped", True]
+
+
 @pytest.mark.parametrize("fault", faults_checked_by(both_types_match_sympy))
 def test_shared_arithmetic_fault_fails_both_types(monkeypatch, fault):
     """A fault in the arithmetic Poly and LaurentPoly inherit fails the sympy check of each."""
@@ -1065,6 +1090,7 @@ INTEGER_KERNELS = [
     (algebra, "_convolve"),
     (algebra, "_over_lcm"),
     (algebra, "back_substitute"),
+    (algebra, "_row_ints"),
     (algebra._Polynomial, "scale"),
     (fock, "_wick_table"),
     (realize, "_move_ints"),

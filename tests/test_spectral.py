@@ -1,9 +1,11 @@
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fockosc import algebra
 from fockosc.algebra import (
     DegenerateSpectrumError,
     NotTriangularError,
@@ -245,6 +247,20 @@ class TestSolverProperty:
     def test_zero_heavy_triangle_solves_the_pencil(self, pencil):
         self.check_pencil(pencil)
 
+    # At 0 bits back_substitute solves every row on Fractions; the pencils
+    # above stay far under the default switch and run on integers.
+    @given(flag_pencils())
+    @settings(max_examples=80, deadline=None)
+    def test_every_eigenpoly_solves_the_pencil_on_fractions(self, pencil):
+        with mock.patch.object(algebra, "_INTEGER_BITS", 0):
+            self.check_pencil(pencil)
+
+    @given(flag_pencils(zero_heavy_entries))
+    @settings(max_examples=80, deadline=None)
+    def test_zero_heavy_triangle_solves_the_pencil_on_fractions(self, pencil):
+        with mock.patch.object(algebra, "_INTEGER_BITS", 0):
+            self.check_pencil(pencil)
+
     @staticmethod
     def check_pencil(pencil):
         # M v = E W v, with W = diag(q^(s i)), checked by a dense product
@@ -296,6 +312,7 @@ class TestDeformedClosedForm:
     @example(F(2), F(5, 2), 2, 14)
     @example(F(1, 3), F(0), -2, 14)
     @example(F(-1), F(0), 0, 3)
+    @example(F(7, 6), F(5, 2), 2, 32)
     @settings(max_examples=60, deadline=None)
     def test_eigenpairs_match_two_term_recurrence(self, q, p, s, size):
         matrix = realize_matrix(build_hf(p, q=q), QDilatation(q), size)
@@ -313,6 +330,7 @@ class TestDeformedClosedForm:
     @example(F(2), F(-5), F(-1, 3), 2, 12)
     @example(F(1, 3), F(2), F(5, 2), -2, 12)
     @example(F(-1), F(1, 2), F(0), 0, 4)
+    @example(F(7, 6), F(-2, 3), F(5, 2), -2, 32)
     @settings(max_examples=60, deadline=None)
     def test_hg_eigenpairs_match_three_term_recurrence(self, q, B, p, s, size):
         """hg under qdil at s = 0, -1 and +-2, where no standard closed form exists."""
@@ -335,6 +353,18 @@ class TestDeformedClosedForm:
         report = pencil_solve(realize_matrix(build_hg(p, B, q=q), QDilatation(q), size), 1, q)
         expected = [qdil_hg_pencil_eigenpair(n, p, B, q) for n in range(size + 1)]
         assert [(e.eigenvalue, e.eigenpoly) for e in report.entries] == expected
+
+    @pytest.mark.parametrize("op, s", [("hf", 2), ("hg", -2)])
+    def test_size_32_examples_cross_the_integer_switch(self, op, s):
+        """The size-32 examples above reach back_substitute's switch at its default.
+
+        A reduced denominator of v_i divides the running F_i, so one with more
+        than `_INTEGER_BITS` bits means the level went on to Fractions.
+        """
+        q, p = F(7, 6), F(5, 2)
+        element = build_hf(p, q=q) if op == "hf" else build_hg(p, F(-2, 3), q=q)
+        top = pencil_solve(realize_matrix(element, QDilatation(q), 32), s, q).entries[-1].eigenpoly
+        assert max(c.denominator for c in top.coeffs).bit_length() > algebra._INTEGER_BITS
 
 
 class TestReferenceSpectrum:
