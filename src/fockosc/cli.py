@@ -8,6 +8,10 @@ byte-identical.  All rationals cross this boundary as exact "num/den"
 strings; no decimal conversion happens anywhere.  Exit codes: 0 all
 checks pass, 1 verification failure or spectral degeneracy, 2 usage
 error.  A run that stops with an error leaves no new --out file.
+
+`build_parser` builds the parser once per process, and that parser is the
+CLI's only state that lasts from one `main` call to the next: parsing never
+changes it, and no result is cached, so `main` is reentrant.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import io
 import json
 import os
@@ -49,9 +54,14 @@ MAX_HEIGHT = 2**64 - 1
 # A qdil coefficient has about N^2 log2 H(q) bits, H(q) = max(|num|, den), so
 # --N and --q are bounded together, exactly: H(q)^(N^2) <= 7^(MAX_N^2).
 QDIL_BUDGET = 7 ** (MAX_N * MAX_N)
+# Most digits in one rational option: 640 is the lowest int-string limit an
+# interpreter can be set to, so Fraction never meets that limit, and a longer
+# literal is refused after one scan, with no quadratic conversion.
+MAX_DIGITS = 640
 LIMITS = (
-    "Rational options take a numerator and denominator of at most 2^64 - 1 "
-    "in absolute value, and a decimal exponent of at most 4 digits."
+    f"Rational options take at most {MAX_DIGITS} digits, a numerator and "
+    "denominator of at most 2^64 - 1 in absolute value, and a decimal exponent "
+    "of at most 4 digits."
 )
 QDIL_LIMIT = (
     f"A qdil spectrum needs N^2 log2 H(q) <= {MAX_N}^2 log2 7 (about 45996), "
@@ -65,15 +75,22 @@ def _height(value: Fraction) -> int:
     return max(abs(value.numerator), value.denominator)
 
 
+def _quote(text: str) -> str:
+    """The literal for an error message, cut to a short prefix."""
+    return repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
+
+
 def _rational(text: str) -> Fraction:
+    if sum(map(str.isdecimal, text)) > MAX_DIGITS:
+        raise argparse.ArgumentTypeError(f"{_quote(text)} has more digits than allowed. {LIMITS}")
     if _LONG_EXPONENT.search(text.replace("_", "")):
-        raise argparse.ArgumentTypeError(f"{text!r} has a longer exponent than allowed. {LIMITS}")
+        raise argparse.ArgumentTypeError(f"{_quote(text)} has a longer exponent than allowed. {LIMITS}")
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"not a rational: {_quote(text)}") from exc
     if _height(value) > MAX_HEIGHT:
-        raise argparse.ArgumentTypeError(f"{text!r} is over the height cap. {LIMITS}")
+        raise argparse.ArgumentTypeError(f"{_quote(text)} is over the height cap. {LIMITS}")
     return value
 
 
@@ -263,7 +280,9 @@ def _write(args, payload: dict) -> None:
         sys.stdout.write(text)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process; parsing never changes it, and no caller may."""
     parser = argparse.ArgumentParser(
         prog="fockosc",
         description="Exact spectra of the Fock-space oscillator and its discretizations.",

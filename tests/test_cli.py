@@ -2,10 +2,15 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from fockosc.cli import main
+import fockosc
+from fockosc.cli import build_parser, main
 
 
 def run_json(args, tmp_path, name="out.json"):
@@ -215,8 +220,13 @@ class TestSpectrumCommand:
             (["spectrum", "--realization", "diff", "--op", "hg", "--B", "-18446744073709551616"], "--B"),
             (["spectrum", "--realization", "diff", "--p", "1/18446744073709551616"], "--p"),
             (["spectrum", "--realization", "diff", "--p", "0e1_0000_0000"], "--p"),
+            (["spectrum", "--realization", "diff", "--p", "1." + "0" * 5000], "--p"),
+            (["spectrum", "--realization", "diff", "--p", "1" * 5000], "--p"),
         ],
-        ids=["p", "q", "delta", "delta-small", "q-N128", "B-negative", "denominator", "exponent"],
+        ids=[
+            "p", "q", "delta", "delta-small", "q-N128", "B-negative", "denominator", "exponent",
+            "long-decimal", "long-integer",
+        ],
     )
     def test_oversized_rational_is_usage_error(self, monkeypatch, capsys, args, option):
         monkeypatch.setattr("fockosc.cli.realize_matrix", self._no_matrix)
@@ -228,6 +238,8 @@ class TestSpectrumCommand:
         assert f"error: argument {option}: " in err
         assert "numerator and denominator of at most 2^64 - 1" in err
         assert "Traceback" not in err
+        # A long literal is quoted by a short prefix, not echoed whole.
+        assert not any(len(arg) > 40 and arg[:41] in err for arg in args)
 
     @pytest.mark.parametrize(
         "option, value",
@@ -456,6 +468,35 @@ class TestDeterminism:
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    # Usage errors, exit 1, CSV, defaults, stencils, a suite and help, in one order.
+    REENTRANT_SEQUENCE = [
+        ["spectrum", "--realization", "diff", "--N", "200"],
+        ["spectrum", "--op", "hg", "--realization", "fd", "--delta", "-1/3", "--B", "-2/3",
+         "--N", "5", "--format", "csv"],
+        ["spectrum", "--realization", "diff"],
+        ["stencil", "--realization", "fd", "--delta", "1/2", "--p", "3/2"],
+        ["stencil", "--op", "hg", "--realization", "qdil", "--q", "7/6", "--B", "1"],
+        ["verify", "casimir"],
+        ["spectrum", "--realization", "qdil", "--q", "-1", "--N", "3"],
+        ["spectrum", "--realization", "qdil", "--q", "3/2", "--N", "4", "--rhs", "scaled", "--s", "-2"],
+        ["spectrum", "--help"],
+    ]
+
+    def test_main_is_reentrant(self, monkeypatch, capsys):
+        """Commands run one after another in one process read as each run in a fresh one."""
+        assert build_parser() is build_parser()
+        monkeypatch.setenv("COLUMNS", "80")
+        env = {**os.environ, "PYTHONPATH": str(Path(fockosc.__file__).parents[1])}
+        for argv in self.REENTRANT_SEQUENCE:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out, err = capsys.readouterr()
+            child = subprocess.run(
+                [sys.executable, "-m", "fockosc", *argv], env=env, capture_output=True, text=True
+            )
+            assert (code, out, err) == (child.returncode, child.stdout, child.stderr), argv
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     @pytest.mark.parametrize(
