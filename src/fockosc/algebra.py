@@ -19,15 +19,16 @@ This module owns the integer form, one kernel per job: `_convolve`
 multiplies two integer coefficient lists; `_newton` changes a pair to the
 Newton basis at the nodes (r/s) nodes[i] or back, for the Taylor shift,
 the basis change and the finite-difference lowering and stencil moves in
-`realize`; `_laurent_sum` adds rational multiples of triples over one lcm,
-for `+` and `-` of both polynomial types and the sums in `realize`.  A
-chain of kernels builds no Fraction; the reduced Fractions come once,
-where a caller reads `coeffs`.  `_over_lcm` puts Fractions over their
-common denominator, for a Poly built from rationals and for `fock`.
-`back_substitute` solves each level on integers as well, one `_row_ints`
-step per row over a running denominator, until that denominator passes
-`_INTEGER_BITS` and the level goes on in Fractions.  `exact` turns a
-parameter into a Fraction and refuses a float.
+`realize`; `_dilate` takes a triple f to f((a/b) y), for the scale-mode
+stencil moves and the pencil in `spectral`; `_laurent_sum` adds rational
+multiples of triples over one lcm, for `+` and `-` of both polynomial
+types and the sums in `realize`.  A chain of kernels builds no Fraction;
+the reduced Fractions come once, where a caller reads `coeffs`.
+`_over_lcm` puts Fractions over their common denominator, for a Poly
+built from rationals and for `fock`.  `back_substitute` solves every
+level of M v = E v on integers too, one `_row_ints` step per row, until
+the running denominator passes `_INTEGER_BITS` and Fractions take over.
+`exact` turns a parameter into a Fraction and refuses a float.
 """
 
 from __future__ import annotations
@@ -311,6 +312,17 @@ def _newton(
     return d * s_pows[n], [x * v for x, v in zip(g, s_pows)]
 
 
+def _dilate(f: Triple, a: int, b: int) -> Triple:
+    """The triple f((a/b) y) for integers a, b != 0: y^(low+k) gains (a/b)^low a^k b^(n-k) / b^n."""
+    low, d, xs = f
+    if not xs:  # kept as it is: b ** -1 would be a float
+        return f
+    head, tail = (a**low, b**low) if low >= 0 else (b**-low, a**-low)
+    n = len(xs) - 1
+    out = [x * head * a**k * b ** (n - k) if x else 0 for k, x in enumerate(xs)]
+    return low, d * tail * b**n, out
+
+
 def _pair(t: Triple) -> tuple[int, list[int]]:
     """The triple t as a pair (d, xs) at y^0; a negative power raises ValueError."""
     low, d, xs = t
@@ -516,22 +528,18 @@ def _row_ints(
     return t // g, p // g
 
 
-def back_substitute(
-    matrix: OperatorMatrix, weights: Sequence[Rat] | None = None
-) -> list[tuple[Fraction, Poly]]:
-    """Every level (E_n, v_n) of M v = E W v, with v_n monic of degree n.
+def back_substitute(matrix: OperatorMatrix) -> list[tuple[Fraction, Poly]]:
+    """Every level (E_n, v_n) of M v = E v, with v_n monic of degree n.
 
-    W is diagonal with entries `weights` (all 1 by default, the plain
-    eigenproblem M v = E v); the pencil solver passes w_i = q^(s i).  A
-    matrix that leaves the flag raises NotTriangularError before any level
-    is solved.  Level n has E_n = M[n][n] / w_n and is solved upward,
-    v_i = sum_(j>i) (M[i][j] / (E_n w_i - M[i][i])) v_j.  The divisor
-    w_i (E_n - E_i) vanishes only where level n repeats the eigenvalue of a
-    lower level i; the first such (i, n) raises DegenerateSpectrumError.
+    A matrix that leaves the flag raises NotTriangularError before any
+    level is solved.  Level n has E_n = M[n][n] and is solved upward,
+    v_i = sum_(j>i) (M[i][j] / (E_n - M[i][i])) v_j.  The divisor vanishes
+    only where level n repeats the eigenvalue of a lower level i; the first
+    such (i, n) raises DegenerateSpectrumError.
 
     Row i is read once over the lcm R_i of its entries' denominators, as
     integers A_ij = R_i M[i][j], so v_i = z sum_j A_ij v_j / p_i with
-    E_n w_i = u / z and p_i = u R_i - z A_ii.  A level holds v_j = X_j / F_j
+    E_n = u / z and p_i = u R_i - z A_ii.  A level holds v_j = X_j / F_j
     over a running denominator, F_n = 1 and F_i = F_(i+1) f_i, where
     `_row_ints` divides gcd(t, p_i) out of each row against its own divisor
     only.  Each coefficient is built once, as Fraction(X_i, F_i).  Once F_i
@@ -544,9 +552,6 @@ def back_substitute(
     if not preserves_flag(matrix):
         raise NotTriangularError("matrix does not preserve the flag")
     columns = matrix.columns
-    size = len(columns)
-    w = [exact(x, "weights") for x in weights] if weights else [Fraction(1)] * size
-    w_ints = [(x.numerator, x.denominator) for x in w]
     diagonal = [column.coeff(i) for i, column in enumerate(columns)]
     above = [[] for _ in columns]
     for j, column in enumerate(columns):
@@ -559,25 +564,22 @@ def back_substitute(
         scaled = [(j, e.numerator * (r // e.denominator)) for j, e in entries]
         rows.append((r, diagonal[i].numerator * (r // diagonal[i].denominator), scaled))
     levels = []
-    for n, pivot in enumerate(diagonal):
-        eigenvalue = pivot / w[n]
-        xs, fs = [0] * size, [1] * size
+    for n, eigenvalue in enumerate(diagonal):
+        xs, fs = [0] * len(columns), [1] * len(columns)
         xs[n] = 1
         en, ed = eigenvalue.numerator, eigenvalue.denominator
         i = n - 1
         while i >= 0 and fs[i + 1].bit_length() <= _INTEGER_BITS:
             r, a, entries = rows[i]
-            wn, wd = w_ints[i]
-            u, z = en * wn, ed * wd
-            p = u * r - z * a
+            p = en * r - ed * a
             if not p:
                 raise DegenerateSpectrumError((i, n), eigenvalue)
-            xs[i], f = _row_ints(entries, xs, fs, fs[i + 1], z, p)
+            xs[i], f = _row_ints(entries, xs, fs, fs[i + 1], ed, p)
             fs[i] = fs[i + 1] * f
             i -= 1
         v = [Fraction(0)] * (i + 1) + [Fraction(x, f) for x, f in zip(xs[i + 1 : n + 1], fs[i + 1 : n + 1])]
         for i in range(i, -1, -1):
-            denom = eigenvalue * w[i] - diagonal[i]
+            denom = eigenvalue - diagonal[i]
             if denom == 0:
                 raise DegenerateSpectrumError((i, n), eigenvalue)
             terms = [entry / denom * v[j] for j, entry in above[i] if j <= n and v[j]]

@@ -323,6 +323,9 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--format", choices=["json", "csv"], default="json")
     verify.add_argument("--out", default=None, help="output path (default stdout)")
 
+    # Errors found after parsing are reported by the subcommand's parser, like argparse's own.
+    for command in (spectrum, stencil, verify):
+        command.set_defaults(command_parser=command)
     return parser
 
 
@@ -350,10 +353,9 @@ def _attach_negative_values(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
-    with _check_out(parser, args.out):
-        code, payload = COMMANDS[args.command](parser, args)
+    args = build_parser().parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
+    with _check_out(args.command_parser, args.out):
+        code, payload = COMMANDS[args.command](args.command_parser, args)
         _write(args, payload)
     return code
 

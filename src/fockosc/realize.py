@@ -36,8 +36,9 @@ list of coefficient functions c_j(y) with (H f)(y) = sum c_j(y) f(y + j*delta)
 (shift mode) or sum c_j(y) f(q^j y) (scale mode).  `stencil_of` and
 `Stencil.apply` share one integer composition of such terms, on the Laurent
 triples `LaurentPoly.ints`.  The integer kernels all come from `algebra`:
-`_newton` shifts, `_convolve` multiplies, and `_laurent_sum` adds the stencil
-parts and the terms of `apply_op` and the residual.
+`_newton` shifts, `_dilate` dilates, `_convolve` multiplies, and
+`_laurent_sum` adds the stencil parts and the terms of `apply_op` and the
+residual.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ from .algebra import (
     QuasiMonomial,
     Triple,
     _convolve,
+    _dilate,
     _laurent_sum,
     _newton,
     _pair,
@@ -297,21 +299,16 @@ def _move_ints(f: Triple, j: int, mode: str, param: Fraction) -> Triple:
     """f(y + j*param) in shift mode, f(param^j * y) in scale mode.
 
     Shift mode, param = r/s: the Taylor shift `_newton` with step 1/s and
-    node jr; f must have no negative power.  Scale mode, param^j = a/b:
-    y^(low+k) gains (a/b)^low a^k b^(n-k) / b^n.
+    node jr; f must have no negative power.  Scale mode: `_dilate` by
+    param^j.
     """
-    low, d, xs = f
-    if j == 0 or not xs:
+    if j == 0 or not f[2]:
         return f
     r, s = param.numerator, param.denominator
     if mode == "shift":
         d, xs = _pair(f)
         return (0, *_newton(d, xs, 1, s, [j * r] * (len(xs) - 1)))
-    a, b = (r**j, s**j) if j > 0 else (s**-j, r**-j)
-    head, tail = (a**low, b**low) if low >= 0 else (b**-low, a**-low)
-    n = len(xs) - 1
-    out = [x * head * a**k * b ** (n - k) if x else 0 for k, x in enumerate(xs)]
-    return low, d * tail * b**n, out
+    return _dilate(f, *((r**j, s**j) if j > 0 else (s**-j, r**-j)))
 
 
 def _compose_ints(

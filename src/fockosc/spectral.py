@@ -5,9 +5,9 @@ degree-graded basis, so its eigenvalues are the diagonal entries and the
 eigen-polynomials come out of back-substitution -- plain linear algebra,
 no characteristic polynomials and no rounding.
 
-The pencil solver handles the generalized problem H f = E * S_s f where
-S_s rescales the argument by q^s; on monomials S_s is diagonal with
-entries q^(s*n), so triangularity carries over.
+The pencil H f = E * S_s f, where S_s rescales the argument by q^s, is
+the plain problem for S_s^-1 H: H with row n scaled by q^(-s*n), still
+triangular, so one solver serves both.
 """
 
 from __future__ import annotations
@@ -22,6 +22,8 @@ from .algebra import (
     Poly,
     QuasiMonomial,
     Rat,
+    _dilate,
+    _pair,
     back_substitute,
     exact,
 )
@@ -74,31 +76,25 @@ class SpectralReport:
         return tuple(e.eigenvalue for e in self.entries)
 
 
-def _solve(matrix: OperatorMatrix, weights: list[Rat] | None = None) -> SpectralReport:
-    """The levels of one back_substitute call, as a report in the matrix's basis."""
-    levels = back_substitute(matrix, weights)
-    return SpectralReport(matrix.basis, tuple(SpectralEntry(n, *level) for n, level in enumerate(levels)))
-
-
 def eigensolve_flag(matrix: OperatorMatrix) -> SpectralReport:
     """Full exact eigensystem of a flag-preserving matrix.
 
     Eigenvalues are the diagonal entries; every level's monic eigen-polynomial
-    comes from one back_substitute call with unit weights, which raises
-    NotTriangularError if the matrix is not flag-preserving and
-    DegenerateSpectrumError if two diagonal entries collide.
+    comes from one back_substitute call, which raises NotTriangularError if
+    the matrix is not flag-preserving and DegenerateSpectrumError if two
+    diagonal entries collide.
     """
-    return _solve(matrix)
+    levels = back_substitute(matrix)
+    return SpectralReport(matrix.basis, tuple(SpectralEntry(n, *level) for n, level in enumerate(levels)))
 
 
 def pencil_solve(matrix: OperatorMatrix, s: int, q: Rat) -> SpectralReport:
     """Solve H f = E * f(q^s * .) on the monomial flag.
 
-    The substitution is diagonal with entries q^(s n), so level n carries
-    the eigenvalue H[n][n] / q^(s n); one back_substitute call with the row
-    weights w_i = q^(s i) solves every level.
-    Both signs of s are accepted so either dilation direction can be
-    matched against a reference family.
+    This is S_s^-1 H f = E f, and S_s^-1 dilates by q^-s: `_dilate` scales
+    row i of H by q^(-s i) on the column pairs, so level n has the
+    eigenvalue H[n][n] q^(-s n).  Both signs of s are accepted so either
+    dilation direction can be matched against a reference family.
     """
     q = exact(q, "q")
     if q == 0:
@@ -107,7 +103,9 @@ def pencil_solve(matrix: OperatorMatrix, s: int, q: Rat) -> SpectralReport:
         raise ValueError("scale power must be one of -2, -1, 1, 2")
     if matrix.basis.delta != 0:
         raise NotTriangularError("pencil solving expects the monomial basis")
-    return _solve(matrix, [q ** (s * n) for n in range(matrix.size)])
+    a, b = (q**-s).as_integer_ratio()
+    columns = [Poly.from_ints(*_pair(_dilate((0, *c.ints), a, b))) for c in matrix.columns]
+    return eigensolve_flag(OperatorMatrix(columns, matrix.basis))
 
 
 def isospectral_compare(a: SpectralReport, b: SpectralReport) -> tuple[int, ...]:

@@ -151,7 +151,6 @@ A = FockPoly({(0, 1): 1})
         ("k", lambda: q_bracket(A, A, 0.1)),
         ("n", lambda: sl2_generators(0.1)),
         ("q", lambda: q_number(3, 0.1)),
-        ("weights", lambda: back_substitute(OperatorMatrix([ONE.scale(0), ONE], QuasiMonomial(0)), [1, 0.1])),
         ("alpha", lambda: laguerre(2, 0.1)),
         ("delta", lambda: modified_laguerre(2, F(1, 2), 0.1)),
         ("p", lambda: kratzer_apply(HALF, 0.1, 1)),

@@ -182,10 +182,13 @@ class TestSpectrumCommand:
         # -4 {n} q^-n at q = 2: 0, -2, -3, -7/2
         assert [lvl["E"] for lvl in data["levels"]] == ["0", "-2", "-3", "-7/2"]
 
-    def test_scaled_rhs_rejects_fd(self):
+    def test_scaled_rhs_rejects_fd(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["spectrum", "--realization", "fd", "--rhs", "scaled"])
         assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: fockosc spectrum ")
+        assert "fockosc spectrum: error: scaled right-hand sides need the monomial basis" in err
 
     def test_bad_rational_is_usage_error(self):
         with pytest.raises(SystemExit) as info:
@@ -198,7 +201,9 @@ class TestSpectrumCommand:
         with pytest.raises(SystemExit) as info:
             main(["spectrum", "--realization", "diff", "--N", n])
         assert info.value.code == 2
-        assert f"--N must be between 0 and 128, got {n}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("usage: fockosc spectrum ")
+        assert f"fockosc spectrum: error: --N must be between 0 and 128, got {n}" in err
 
     def test_flag_dimension_cap_is_accepted(self, monkeypatch):
         monkeypatch.setattr("fockosc.cli.realize_matrix", self._no_matrix)
@@ -276,13 +281,17 @@ class TestSpectrumCommand:
             main(["spectrum", "--realization", "qdil", "--q", q, "--N", str(n)])
         assert info.value.code == 2
         err = capsys.readouterr().err
-        assert f"error: --q {q} at --N {n} is over the budget." in err
+        assert err.startswith("usage: fockosc spectrum ")
+        assert f"fockosc spectrum: error: --q {q} at --N {n} is over the budget." in err
         assert "N^2 log2 H(q) <= 128^2 log2 7" in err
 
-    def test_invalid_q_is_usage_error(self):
+    def test_invalid_q_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["spectrum", "--realization", "qdil", "--q", "1"])
         assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: fockosc spectrum ")
+        assert "fockosc spectrum: error: dilatation parameter must differ from 0 and 1" in err
 
     @pytest.mark.parametrize(
         "args, option, value",
@@ -317,7 +326,7 @@ class TestSpectrumCommand:
         with pytest.raises(SystemExit) as info:
             main(args + ["--out", out])
         assert info.value.code == 2
-        assert f"fockosc: error: cannot write --out {out}: " in capsys.readouterr().err
+        assert f"fockosc {args[0]}: error: cannot write --out {out}: " in capsys.readouterr().err
 
     @pytest.mark.parametrize("key", list(SPECTRUM_PINS), ids="-".join)
     def test_report_pinned(self, tmp_path, key):

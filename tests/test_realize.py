@@ -823,11 +823,21 @@ def _numerators_not_rescaled(over_lcm):
 def _band_one(solve):
     """back_substitute reading only the diagonal and the first superdiagonal of each column."""
 
-    def faulty(matrix, weights=None):
+    def faulty(matrix):
         columns = [
             c if j < 2 else Poly([0] * (j - 1) + list(c.coeffs[j - 1 :])) for j, c in enumerate(matrix.columns)
         ]
-        return solve(OperatorMatrix(columns, matrix.basis), weights)
+        return solve(OperatorMatrix(columns, matrix.basis))
+
+    return faulty
+
+
+def _dilated_once_more(dilate):
+    """_dilate with every power one step too high: f((a/b) y) times a/b."""
+
+    def faulty(f, a, b):
+        low, d, xs = dilate(f, a, b)
+        return low, d * b, [a * x for x in xs]
 
     return faulty
 
@@ -1014,6 +1024,9 @@ KERNEL_FAULTS = {
     "shift-node-sign": (realize, "_move_ints", _moved_back("shift"), stencils_match_oracles),
     "laurent-offset-dropped": (algebra, "_laurent_sum", _offsets_dropped, stencils_match_oracles),
     "q^j-as-q^-j": (realize, "_move_ints", _moved_back("scale"), stencils_match_oracles),
+    # The kernel's a and b swapped, f((b/a) y), and its powers one too high.
+    "dilate-ratio-inverted": (algebra, "_dilate", lambda f: lambda t, a, b: f(t, b, a), stencils_match_oracles),
+    "dilate-power-off-by-one": (algebra, "_dilate", _dilated_once_more, stencils_match_oracles),
 }
 
 
@@ -1055,6 +1068,14 @@ def test_stencil_kernel_fault_is_caught(monkeypatch, fault):
         )
 
 
+@pytest.mark.parametrize("fault", [f for f, spec in KERNEL_FAULTS.items() if spec[1] == "_dilate"])
+def test_dilation_fault_fails_the_pencil_oracle(monkeypatch, fault):
+    """The pencil solver dilates its matrix on `_dilate`; M v = E W v read by
+    `dense_apply` on the undilated matrix, with W = diag(q^(s i)), never runs it."""
+    inject(monkeypatch, fault)
+    assert not all(solver_matches_dense_apply())
+
+
 @pytest.mark.parametrize(
     "fault",
     [f for f, spec in KERNEL_FAULTS.items() if spec[3] not in (stencils_match_oracles, both_types_match_sympy)],
@@ -1094,6 +1115,7 @@ INTEGER_KERNELS = [
     (algebra._Polynomial, "scale"),
     (fock, "_wick_table"),
     (realize, "_move_ints"),
+    (algebra, "_dilate"),
     (Poly, "from_ints"),
     (LaurentPoly, "from_ints"),
     (Differential, "lower_ints"),

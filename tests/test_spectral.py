@@ -191,9 +191,12 @@ class TestPencilSolve:
             assert image == scaled
 
     def test_root_of_unity_collides(self):
+        # At q = -1, {2} = 0, so level 2 repeats level 0's eigenvalue 0 for every s.
         matrix = realize_matrix(build_hf(0, q=-1), QDilatation(-1), 4)
-        with pytest.raises(DegenerateSpectrumError):
-            pencil_solve(matrix, -1, -1)
+        for s in (-2, -1, 1, 2):
+            with pytest.raises(DegenerateSpectrumError) as info:
+                pencil_solve(matrix, s, -1)
+            assert (info.value.levels, info.value.value) == ((0, 2), 0), s
 
     def test_quasi_monomial_basis_rejected(self):
         matrix = realize_matrix(build_hf(0), FiniteDifference(F(1)), 4)
