@@ -28,13 +28,12 @@ import sys
 from fractions import Fraction
 
 from .algebra import DegenerateSpectrumError
-from .fock import FockPoly, build_hf, build_hg
+from .fock import FockPoly, build_hf, build_hg, number_matrix
 from .realize import (
     Differential,
     FiniteDifference,
     QDilatation,
     Realization,
-    realize_matrix,
     stencil_of,
 )
 from .spectral import (
@@ -174,7 +173,7 @@ def cmd_spectrum(parser: argparse.ArgumentParser, args) -> tuple[int, dict]:
         parser.error("scaled right-hand sides need the monomial basis (diff or qdil)")
     operator = _build_operator(args, realization)
     head = _report_head(args, operator, realization)
-    matrix = realize_matrix(operator, realization, args.N)
+    matrix = number_matrix(operator, args.N, realization.basis)
 
     q = realization.q
     s = 0 if args.rhs == "plain" else args.s

@@ -13,6 +13,14 @@ theorem (Katriel & Kibler, J. Phys. A 25, 1992) gives in closed form
 
 with the Gaussian binomials [m j], {n} = 1 + q + ... + q^(n-1) and
 [j]! = {1}{2}...{j}.
+
+On number states the generators act as a e_j = {j} e_(j-1) and
+b e_j = e_(j+1) (Arik & Coon, J. Math. Phys. 17, 1976).  Every
+realization in `realize` has such a basis of its own flag: e_j = y^j for
+the differential and dilatation realizations, and the quasi-monomial
+y(y-d)...(y-(j-1)d) for the finite-difference one.  So `number_matrix`
+writes the matrix of an element straight from its words,
+b^k a^m e_j = {j}{j-1}...{j-m+1} e_(j-m+k).
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, NamedTuple
 
-from .algebra import Rat, _over_lcm, exact
+from .algebra import OperatorMatrix, Poly, QuasiMonomial, Rat, _over_lcm, exact
 
 Word = tuple[int, int]  # (power of b, power of a)
 
@@ -212,6 +220,41 @@ def q_bracket(x: FockPoly, y: FockPoly, lam: Rat) -> FockPoly:
 
 def commutator(x: FockPoly, y: FockPoly) -> FockPoly:
     return q_bracket(x, y, 1)
+
+
+def _q_numbers(q: Fraction, n: int) -> list[Fraction]:
+    """[{0}, {1}, ..., {n}] by the recurrence {j+1} = q{j} + 1."""
+    out = [Fraction(0)]
+    for _ in range(n):
+        out.append(out[-1] * q + 1)
+    return out
+
+
+def number_matrix(h: FockPoly, n: int, basis: QuasiMonomial) -> OperatorMatrix:
+    """Matrix of h on P_n in a basis e_j with a e_j = {j} e_(j-1) and b e_j = e_(j+1).
+
+    Column j is sum c_km {j}{j-1}...{j-m+1} e_(j-m+k) over the words b^k a^m
+    of h with m <= j, kept whole as in `realize.realize_matrix`: an image
+    that leaves P_n keeps its entries above n.  For a realization r it equals
+    realize_matrix(h, r, n) with basis r.basis, from O(terms * n) rationals
+    and no polynomial arithmetic.  The CLI's spectra are built here;
+    realize_matrix stays the path that `verify` and the tests use.
+    """
+    if n < 0:
+        raise ValueError("flag dimension must be non-negative")
+    brackets = _q_numbers(h.q, n)
+    depth, height = h.a_degree(), h.b_degree()
+    columns = []
+    for j in range(n + 1):
+        falling = [Fraction(1)]
+        for i in range(min(j, depth)):
+            falling.append(falling[-1] * brackets[j - i])
+        column = [Fraction(0)] * (j + height + 1)
+        for (k, m), c in h.terms.items():
+            if m <= j:
+                column[j - m + k] += c * falling[m]
+        columns.append(Poly(column))
+    return OperatorMatrix(columns, basis)
 
 
 class SL2Generators(NamedTuple):

@@ -145,11 +145,9 @@ class FiniteDifference(Realization):
         return d * r * s ** (n - 1), [g - x * top for x, g in zip(xs[:n], shifted)]
 
     def raise_ints(self, d: int, xs: list[int]) -> tuple[int, list[int]]:
-        # y f(y - delta).  The shift goes through Poly.shift_arg, whose span the
-        # CI trace step requires on spectra-flat; nothing else there reaches it.
-        # The Poly carries the pair in and out, so no Fraction is built.
-        shifted = Poly.from_ints(d, xs).shift_arg(-self.delta)
-        return super().raise_ints(*shifted.ints)
+        # y f(y - delta): the Taylor shift with node -r, then the factor y.
+        r, s = self.delta.numerator, self.delta.denominator
+        return super().raise_ints(*_newton(d, xs, 1, s, [-r] * (len(xs) - 1)))
 
     def to_json(self) -> dict:
         return {"kind": "fd", "delta": str(self.delta)}
@@ -232,6 +230,11 @@ def realize_matrix(h: FockPoly, r: Realization, n: int) -> OperatorMatrix:
     above degree N, which is what `preserves_flag` reads.  The
     FiniteDifference basis is QuasiMonomial(delta), which makes a
     flag-preserving matrix identical to its Differential counterpart.
+
+    This is the polynomial path, through `apply_op` and the realization's
+    primitives, that `verify` and the tests use.  The CLI builds its spectra
+    with `fock.number_matrix`, which writes the same matrix from the
+    number-state action, and the tests check the two against each other.
     """
     if n < 0:
         raise ValueError("flag dimension must be non-negative")

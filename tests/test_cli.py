@@ -197,7 +197,7 @@ class TestSpectrumCommand:
 
     @pytest.mark.parametrize("n", ["-1", "129"])
     def test_flag_dimension_out_of_range_is_usage_error(self, monkeypatch, capsys, n):
-        monkeypatch.setattr("fockosc.cli.realize_matrix", self._no_matrix)
+        monkeypatch.setattr("fockosc.cli.number_matrix", self._no_matrix)
         with pytest.raises(SystemExit) as info:
             main(["spectrum", "--realization", "diff", "--N", n])
         assert info.value.code == 2
@@ -206,12 +206,12 @@ class TestSpectrumCommand:
         assert f"fockosc spectrum: error: --N must be between 0 and 128, got {n}" in err
 
     def test_flag_dimension_cap_is_accepted(self, monkeypatch):
-        monkeypatch.setattr("fockosc.cli.realize_matrix", self._no_matrix)
+        monkeypatch.setattr("fockosc.cli.number_matrix", self._no_matrix)
         with pytest.raises(AssertionError, match="matrix built at N = 128"):
             main(["spectrum", "--realization", "diff", "--N", "128"])
 
     @staticmethod
-    def _no_matrix(operator, realization, n):
+    def _no_matrix(operator, n, basis):
         raise AssertionError(f"matrix built at N = {n}")
 
     @pytest.mark.parametrize(
@@ -234,7 +234,7 @@ class TestSpectrumCommand:
         ],
     )
     def test_oversized_rational_is_usage_error(self, monkeypatch, capsys, args, option):
-        monkeypatch.setattr("fockosc.cli.realize_matrix", self._no_matrix)
+        monkeypatch.setattr("fockosc.cli.number_matrix", self._no_matrix)
         monkeypatch.setattr("fockosc.cli.stencil_of", lambda *_: pytest.fail("stencil built"))
         with pytest.raises(SystemExit) as info:
             main(args)
@@ -257,7 +257,7 @@ class TestSpectrumCommand:
         ],
     )
     def test_height_cap_is_accepted(self, monkeypatch, option, value):
-        monkeypatch.setattr("fockosc.cli.realize_matrix", self._no_matrix)
+        monkeypatch.setattr("fockosc.cli.number_matrix", self._no_matrix)
         realization = "qdil" if option == "--q" else "fd"
         with pytest.raises(AssertionError, match="matrix built at N = 1$"):
             main(["spectrum", "--realization", realization, "--op", "hg", option, value, "--N", "1"])
@@ -267,7 +267,7 @@ class TestSpectrumCommand:
         [("7/6", 128), ("-6/7", 128), ("18446744073709551615", 26), ("18446744073709551615", 0)],
     )
     def test_qdil_budget_is_accepted(self, monkeypatch, q, n):
-        monkeypatch.setattr("fockosc.cli.realize_matrix", self._no_matrix)
+        monkeypatch.setattr("fockosc.cli.number_matrix", self._no_matrix)
         with pytest.raises(AssertionError, match=f"matrix built at N = {n}$"):
             main(["spectrum", "--realization", "qdil", "--q", q, "--N", str(n)])
 
@@ -276,7 +276,7 @@ class TestSpectrumCommand:
         [("1000/999", 128), ("-7/8", 128), ("18446744073709551615", 27), ("4294967295", 128)],
     )
     def test_qdil_over_budget_is_usage_error(self, monkeypatch, capsys, q, n):
-        monkeypatch.setattr("fockosc.cli.realize_matrix", self._no_matrix)
+        monkeypatch.setattr("fockosc.cli.number_matrix", self._no_matrix)
         with pytest.raises(SystemExit) as info:
             main(["spectrum", "--realization", "qdil", "--q", q, "--N", str(n)])
         assert info.value.code == 2
@@ -320,7 +320,7 @@ class TestSpectrumCommand:
     )
     def test_unwritable_out_is_usage_error(self, monkeypatch, capsys, tmp_path, args, where):
         # The path is checked before anything is computed.
-        for name in ("realize_matrix", "run_suite"):
+        for name in ("number_matrix", "run_suite"):
             monkeypatch.setattr(f"fockosc.cli.{name}", lambda *_, n=name: pytest.fail(f"{n} ran"))
         out = str(where(tmp_path))
         with pytest.raises(SystemExit) as info:
@@ -346,7 +346,7 @@ class TestSpectrumCommand:
         ids=["crash", "usage-error", "existing-file-crash"],
     )
     def test_failed_run_leaves_no_new_out_file(self, monkeypatch, tmp_path, args, existing):
-        monkeypatch.setattr("fockosc.cli.realize_matrix", self._no_matrix)
+        monkeypatch.setattr("fockosc.cli.number_matrix", self._no_matrix)
         out = tmp_path / "r.json"
         if existing is not None:
             out.write_bytes(existing)

@@ -14,6 +14,7 @@ import oracles
 from fockosc import algebra, fock, realize
 from fockosc.algebra import (
     LaurentPoly,
+    NotTriangularError,
     OperatorMatrix,
     Poly,
     QuasiMonomial,
@@ -21,7 +22,7 @@ from fockosc.algebra import (
     basis_transplant,
     preserves_flag,
 )
-from fockosc.fock import AlgebraMismatchError, FockPoly, build_hf, build_hg, q_number
+from fockosc.fock import AlgebraMismatchError, FockPoly, build_hf, build_hg, number_matrix, q_number
 from fockosc.realize import (
     Differential,
     FiniteDifference,
@@ -61,6 +62,30 @@ def random_polys(count, max_degree, seed):
         coeffs = [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(degree + 1)]
         coeffs[degree] = coeffs[degree] or F(1)
         out.append(Poly(coeffs))
+    return out
+
+
+# The realizations random_elements draws under, in turn: each kind, and q = -1, where {2} = 0.
+NUMBER_REALIZATIONS = [
+    Differential(),
+    FiniteDifference(F(1)),
+    FiniteDifference(F(-2, 3)),
+    QDilatation(F(7, 6)),
+    QDilatation(F(-1)),
+    QDilatation(F(3, 7)),
+]
+
+
+def random_elements(count, seed):
+    """(h, r, n): seeded elements with up to five words b^k a^m, k, m <= 3 (so k > m
+    occurs), under each of NUMBER_REALIZATIONS in turn, and flag dimensions n <= 12."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        r = NUMBER_REALIZATIONS[i % len(NUMBER_REALIZATIONS)]
+        words = [(rng.randint(0, 3), rng.randint(0, 3)) for _ in range(rng.randint(1, 5))]
+        h = FockPoly({w: F(rng.randint(-9, 9), rng.randint(1, 5)) for w in words}, r.q)
+        out.append((h, r, rng.randint(0, 12)))
     return out
 
 
@@ -381,6 +406,29 @@ class TestRealizeMatrix:
         m = realize_matrix(build_hf(F(5, 2)), Differential(), 10)
         for j in range(11):
             assert len(m.columns[j].coeffs) <= j + 1
+
+
+class TestNumberMatrix:
+    """fock.number_matrix against realize_matrix, the polynomial path it never runs."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_realize_matrix(self, seed):
+        elements = random_elements(36, seed)
+        assert any(k > m for h, _, _ in elements for k, m in h.terms)
+        for h, r, n in elements:
+            assert number_matrix(h, n, r.basis) == realize_matrix(h, r, n), (h, r.label, n)
+
+    def test_column_leaving_the_flag_is_kept(self):
+        # b^2 a e_j = j e_(j+1) leaves P_2 from column 1 on.
+        m = number_matrix(FockPoly({(2, 1): 1, (0, 0): 3}), 2, QuasiMonomial(0))
+        assert not preserves_flag(m)
+        assert m.columns[2] == Poly([0, 0, 3, 2])
+        with pytest.raises(NotTriangularError):
+            eigensolve_flag(m)
+
+    def test_negative_flag_dimension(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            number_matrix(build_hf(0), -1, QuasiMonomial(0))
 
 
 class TestStencils:
@@ -946,6 +994,11 @@ def wick_matches_swaps() -> list[bool]:
     return checks
 
 
+def number_matrix_matches_realize() -> list[bool]:
+    """fock.number_matrix against realize_matrix on seeded random elements."""
+    return [number_matrix(h, n, r.basis) == realize_matrix(h, r, n) for h, r, n in random_elements(12, 0)]
+
+
 # Each kernel fault: (owner, name, wrap, oracle).  wrap(kernel) is the faulty
 # kernel, patched in for owner.name and for every module that imported it by
 # name, and oracle() lists checks of which at least one must then fail
@@ -1021,6 +1074,13 @@ KERNEL_FAULTS = {
     # Only a band-2 row has a term with F_(i+1) // F_j != 1.
     "solver-rescale-dropped": (algebra, "_row_ints", _rescale_dropped, solver_matches_dense_apply),
     "wick-full-contraction-dropped": (fock, "_wick_table", _full_contraction_dropped, wick_matches_swaps),
+    # {j + 1} read where {j} belongs.
+    "number-bracket-off-by-one": (
+        fock,
+        "_q_numbers",
+        lambda f: lambda q, n: f(q, n + 1)[1:],
+        number_matrix_matches_realize,
+    ),
     "shift-node-sign": (realize, "_move_ints", _moved_back("shift"), stencils_match_oracles),
     "laurent-offset-dropped": (algebra, "_laurent_sum", _offsets_dropped, stencils_match_oracles),
     "q^j-as-q^-j": (realize, "_move_ints", _moved_back("scale"), stencils_match_oracles),
