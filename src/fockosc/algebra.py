@@ -28,12 +28,14 @@ the reduced Fractions come once, where a caller reads `coeffs`.
 built from rationals and for `fock`.  `back_substitute` solves every
 level of M v = E v on integers too, one `_row_ints` step per row, until
 the running denominator passes `_INTEGER_BITS` and Fractions take over.
-`exact` turns a parameter into a Fraction and refuses a float.
+`exact` turns a parameter into a Fraction and refuses a float.  The
+private base `_Value` gives the package's other immutable values (bases,
+matrices, realizations, stencils and reports) a frozen dataclass's
+`__init__`, `==`, `hash` and `repr` on `__slots__` fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Collection, Iterable, Mapping, Sequence, Union
@@ -66,6 +68,55 @@ class DegenerateSpectrumError(ValueError):
 
 class NotTriangularError(ValueError):
     """A matrix expected to be triangular in its basis ordering is not."""
+
+
+# ---------------------------------------------------------------------------
+# Immutable values
+# ---------------------------------------------------------------------------
+
+
+class _Value:
+    """An immutable record whose fields are its class's `__slots__`, in order.
+
+    It behaves as a frozen dataclass: `__init__` sets the fields from
+    positional or keyword arguments, `==` holds only for the same type with
+    equal fields, `hash` is the hash of the field tuple, `repr` is
+    `Type(field=value, ...)`, and setting or deleting an attribute raises
+    AttributeError.  A subclass lists every field in its own `__slots__`; one
+    that checks or converts its arguments defines `__init__` and calls this one.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        if kwargs:  # the fields after the positional ones, in order; a leftover is an error
+            args += tuple([kwargs.pop(name) for name in names[len(args) :] if name in kwargs])
+        if kwargs or len(args) != len(names):
+            raise TypeError(f"{type(self).__qualname__}() takes the fields {names}")
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
 
 # ---------------------------------------------------------------------------
@@ -416,13 +467,13 @@ class LaurentPoly(_Polynomial):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuasiMonomial:
+class QuasiMonomial(_Value):
     """The basis 1, y, y(y-d), y(y-d)(y-2d), ... with step d.
 
     Step 0 is the monomial basis 1, y, y^2, ...
     """
 
+    __slots__ = ("delta",)
     delta: Fraction
 
     def to_json(self) -> dict:
@@ -463,8 +514,7 @@ def basis_transplant(coeffs: Poly, from_basis: QuasiMonomial, to_basis: QuasiMon
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OperatorMatrix:
+class OperatorMatrix(_Value):
     """Operator on the flag space P_N, stored as the images of its basis.
 
     `columns[j]` is the image of basis element j, expressed in `basis` and
@@ -473,11 +523,12 @@ class OperatorMatrix:
     is the derived (N+1)x(N+1) view of the part inside P_N.
     """
 
+    __slots__ = ("columns", "basis")
     columns: tuple[Poly, ...]
     basis: QuasiMonomial
 
-    def __post_init__(self):
-        object.__setattr__(self, "columns", tuple(self.columns))
+    def __init__(self, columns: Iterable[Poly], basis: QuasiMonomial):
+        super().__init__(tuple(columns), basis)
 
     @property
     def size(self) -> int:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import functools
 import io
 import json
@@ -26,6 +25,7 @@ import os
 import re
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .algebra import DegenerateSpectrumError
 from .fock import FockPoly, build_hf, build_hg, number_matrix
@@ -42,9 +42,16 @@ from .spectral import (
     reference_label,
     reference_spectrum,
 )
-from .verify import SUITES, VerifyReport, run_all, run_suite
+
+if TYPE_CHECKING:
+    from .verify import VerifyReport
 
 
+# The names of verify.SUITES, in its order (a test pins the two together):
+# `verify` and the special functions it checks load only when `fockosc verify` runs.
+SUITES = (
+    "heisenberg", "sl2", "casimir", "spectrum", "isospectral", "transplant", "kratzer", "parity", "qpencil",
+)
 # Largest accepted --N.  A qdil report grows like N^4; README
 # "Conventions and limitations" gives its measured cost at this cap.
 MAX_N = 128
@@ -72,6 +79,21 @@ _LONG_EXPONENT = re.compile(r"e[-+]?0*[1-9]\d{4}", re.IGNORECASE)
 
 def _height(value: Fraction) -> int:
     return max(abs(value.numerator), value.denominator)
+
+
+def _over_budget(height: int, n: int) -> bool:
+    """height^(n^2) > QDIL_BUDGET, decided from bit lengths where they can decide.
+
+    2^(b-1) <= height < 2^b for b = height.bit_length(), so the power has
+    more bits than the budget when (b-1) n^2 reaches its bit length, and
+    fewer when b n^2 stays under it; only between the two is it built.
+    """
+    bits, squares, budget_bits = height.bit_length(), n * n, QDIL_BUDGET.bit_length()
+    if (bits - 1) * squares >= budget_bits:
+        return True
+    if bits * squares < budget_bits:
+        return False
+    return height**squares > QDIL_BUDGET
 
 
 def _quote(text: str) -> str:
@@ -166,7 +188,7 @@ def _report_head(args, operator: FockPoly, realization: Realization) -> dict:
 def cmd_spectrum(parser: argparse.ArgumentParser, args) -> tuple[int, dict]:
     if not 0 <= args.N <= MAX_N:
         parser.error(f"--N must be between 0 and {MAX_N}, got {args.N}")
-    if args.realization == "qdil" and _height(args.q) ** (args.N**2) > QDIL_BUDGET:
+    if args.realization == "qdil" and _over_budget(_height(args.q), args.N):
         parser.error(f"--q {args.q} at --N {args.N} is over the budget. {QDIL_LIMIT}")
     realization = _build_realization(parser, args)
     if args.rhs == "scaled" and realization.basis.delta != 0:
@@ -214,10 +236,12 @@ def cmd_stencil(parser: argparse.ArgumentParser, args) -> tuple[int, dict]:
 
 
 def cmd_verify(parser: argparse.ArgumentParser, args) -> tuple[int, dict]:
+    from . import verify
+
     if args.suite != "all":
-        report = run_suite(args.suite)
+        report = verify.run_suite(args.suite)
         return (0 if report.passed else 1), {"command": "verify", **_verify_json(report)}
-    reports = run_all()
+    reports = verify.run_all()
     passed = all(r.passed for r in reports)
     suites = [_verify_json(r) for r in reports]
     return (0 if passed else 1), {"command": "verify", "suite": "all", "passed": passed, "suites": suites}
@@ -266,6 +290,8 @@ def _write(args, payload: dict) -> None:
     if args.format == "json":
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
+        import csv
+
         header, rows = CSV_TABLES[args.command](payload)
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")

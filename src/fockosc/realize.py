@@ -43,7 +43,6 @@ residual.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (
@@ -51,7 +50,9 @@ from .algebra import (
     OperatorMatrix,
     Poly,
     QuasiMonomial,
+    Rat,
     Triple,
+    _Value,
     _convolve,
     _dilate,
     _laurent_sum,
@@ -68,7 +69,7 @@ from .fock import AlgebraMismatchError, FockPoly
 Terms = dict[int, LaurentPoly]
 
 
-class Realization:
+class Realization(_Value):
     """A substitution of the generators a, b by operators on polynomials.
 
     Subclasses provide `q`, `lower_ints(d, xs)`, optionally
@@ -77,9 +78,11 @@ class Realization:
     The primitives act on sum xs[k] y^k / d (see the module docstring);
     `lower` and `raise_` are defined once, on top of them.  The raising
     generator and the basis default to multiplication by y and the
-    monomial basis QuasiMonomial(0).
+    monomial basis QuasiMonomial(0).  A realization is an immutable value
+    whose fields are its parameters.
     """
 
+    __slots__ = ()
     basis = QuasiMonomial(0)
 
     def lower(self, f: Poly) -> Poly:
@@ -100,8 +103,8 @@ class Realization:
         return f"{kind}({params})" if params else kind
 
 
-@dataclass(frozen=True)
 class Differential(Realization):
+    __slots__ = ()
     q = Fraction(1)
 
     def lower_ints(self, d: int, xs: list[int]) -> tuple[int, list[int]]:
@@ -114,13 +117,13 @@ class Differential(Realization):
         raise ValueError("the differential realization has no stencil")
 
 
-@dataclass(frozen=True)
 class FiniteDifference(Realization):
+    __slots__ = ("delta",)
     delta: Fraction
     q = Fraction(1)
 
-    def __post_init__(self):
-        object.__setattr__(self, "delta", exact(self.delta, "delta"))
+    def __init__(self, delta: Rat):
+        super().__init__(exact(delta, "delta"))
         if self.delta == 0:
             raise ValueError("finite-difference step must be nonzero")
 
@@ -159,12 +162,12 @@ class FiniteDifference(Realization):
         return "shift", self.delta, a_terms, {-1: LaurentPoly({1: 1})}
 
 
-@dataclass(frozen=True)
 class QDilatation(Realization):
+    __slots__ = ("q",)
     q: Fraction
 
-    def __post_init__(self):
-        object.__setattr__(self, "q", exact(self.q, "q"))
+    def __init__(self, q: Rat):
+        super().__init__(exact(q, "q"))
         if self.q in (0, 1):
             raise ValueError("dilatation parameter must differ from 0 and 1")
 
@@ -267,8 +270,7 @@ def heisenberg_residual(r: Realization, f: Poly) -> Poly:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Stencil:
+class Stencil(_Value):
     """Explicit multi-point form of a realized operator.
 
     mode "shift": (H f)(y) = sum_j coeff[j](y) * f(y + j*param)
@@ -277,6 +279,7 @@ class Stencil:
     Offsets with zero coefficient are not stored.
     """
 
+    __slots__ = ("mode", "param", "terms")
     mode: str  # "shift" | "scale"
     param: Fraction
     terms: tuple[tuple[int, LaurentPoly], ...]  # sorted by offset

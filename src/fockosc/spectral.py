@@ -12,7 +12,6 @@ triangular, so one solver serves both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -22,6 +21,7 @@ from .algebra import (
     Poly,
     QuasiMonomial,
     Rat,
+    _Value,
     _dilate,
     _pair,
     back_substitute,
@@ -64,10 +64,10 @@ class SpectralEntry(NamedTuple):
     eigenpoly: Poly  # coefficients in the report's basis, leading coefficient 1
 
 
-@dataclass(frozen=True)
-class SpectralReport:
+class SpectralReport(_Value):
     """Eigenvalues with monic eigen-polynomials, in a declared basis."""
 
+    __slots__ = ("basis", "entries")
     basis: QuasiMonomial
     entries: tuple[SpectralEntry, ...]
 

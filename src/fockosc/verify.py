@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import OperatorMatrix, Poly, QuasiMonomial, basis_transplant
+from .algebra import OperatorMatrix, Poly, QuasiMonomial, _Value, basis_transplant
 from .fock import FockPoly, build_hf, build_hg, casimir_value, commutator, sl2_generators
 from .realize import (
     Differential,
@@ -53,8 +52,8 @@ RESIDUAL_COUNT = 200
 RESIDUAL_MAX_DEGREE = 15
 
 
-@dataclass(frozen=True)
-class Case:
+class Case(_Value):
+    __slots__ = ("case", "inputs", "expected", "got", "passed")
     case: str
     inputs: dict
     expected: str
@@ -62,17 +61,20 @@ class Case:
     passed: bool
 
 
-@dataclass(frozen=True)
-class Note:
+class Note(_Value):
+    __slots__ = ("note_id", "text")
     note_id: str
     text: str
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(_Value):
+    __slots__ = ("suite", "cases", "notes")
     suite: str
     cases: tuple[Case, ...]
-    notes: tuple[Note, ...] = field(default=())
+    notes: tuple[Note, ...]
+
+    def __init__(self, suite: str, cases: tuple[Case, ...], notes: tuple[Note, ...] = ()):
+        super().__init__(suite, cases, notes)
 
     @property
     def passed(self) -> bool:

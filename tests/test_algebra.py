@@ -30,7 +30,9 @@ from fockosc.specfun import (
     laguerre,
     modified_laguerre,
 )
-from fockosc.realize import Stencil, _move_ints
+from fockosc.realize import Differential, FiniteDifference, QDilatation, Stencil, _move_ints
+from fockosc.spectral import SpectralEntry, SpectralReport
+from fockosc.verify import Case, Note, VerifyReport
 from oracles import dense_apply, newton_coefficients, shift_by_powers
 
 rationals = st.fractions(
@@ -182,6 +184,84 @@ def test_repr_and_immutability(value, text):
     assert repr(value) == text
     with pytest.raises(AttributeError, match=f"^{type(value).__name__} is immutable$"):
         value.low = 0
+
+
+def _case():
+    return Case("casimir", {"n": "2"}, "-8", "-8", True)
+
+
+# A builder of each immutable value class and its repr, the text a frozen dataclass prints.
+VALUES = [
+    (lambda: QuasiMonomial(F(1, 3)), "QuasiMonomial(delta=Fraction(1, 3))"),
+    (
+        lambda: OperatorMatrix([Poly([1]), Poly([0, F(-2, 3)])], QuasiMonomial(0)),
+        "OperatorMatrix(columns=(Poly(1*y^0), Poly(-2/3*y^1)), basis=QuasiMonomial(delta=0))",
+    ),
+    (Differential, "Differential()"),
+    (lambda: FiniteDifference(F(1, 3)), "FiniteDifference(delta=Fraction(1, 3))"),
+    (lambda: QDilatation(2), "QDilatation(q=Fraction(2, 1))"),
+    (
+        lambda: Stencil(mode="scale", param=F(7, 6), terms=((0, LaurentPoly({-1: 3})),)),
+        "Stencil(mode='scale', param=Fraction(7, 6), terms=((0, LaurentPoly(3*y^-1)),))",
+    ),
+    (
+        lambda: SpectralReport(QuasiMonomial(0), (SpectralEntry(0, F(0), Poly.one()),)),
+        "SpectralReport(basis=QuasiMonomial(delta=0), entries=(SpectralEntry(level=0, "
+        "eigenvalue=Fraction(0, 1), eigenpoly=Poly(1*y^0)),))",
+    ),
+    (_case, "Case(case='casimir', inputs={'n': '2'}, expected='-8', got='-8', passed=True)"),
+    (lambda: Note("four-point-constant", "text"), "Note(note_id='four-point-constant', text='text')"),
+    (
+        lambda: VerifyReport("casimir", (_case(),)),
+        "VerifyReport(suite='casimir', cases=(Case(case='casimir', inputs={'n': '2'}, "
+        "expected='-8', got='-8', passed=True),), notes=())",
+    ),
+]
+
+
+@pytest.mark.parametrize("build, text", VALUES, ids=[text.partition("(")[0] for _, text in VALUES])
+def test_value_semantics(build, text):
+    # Each class behaves as a frozen dataclass with the same fields.
+    value = build()
+    names = type(value).__slots__
+    fields = tuple(getattr(value, name) for name in names)
+    assert value == build() and not value != build()
+    assert type(value)(**dict(zip(names, fields))) == value
+    with pytest.raises(TypeError):
+        type(value)(*fields, None)
+    # Another type holding the same fields is unequal.
+    other = object.__new__(type("Other", (type(value),), {}))
+    for name, field in zip(names, fields):
+        object.__setattr__(other, name, field)
+    assert value != other and other != value and not value == other
+    if names:  # and so is the same type with its first field changed
+        changed = object.__new__(type(value))
+        for name, field in zip(names, (object(), *fields[1:])):
+            object.__setattr__(changed, name, field)
+        assert value != changed
+    try:
+        expected = hash(fields)
+    except TypeError:  # a Case holds its inputs as a dict, so neither hashes
+        with pytest.raises(TypeError):
+            hash(value)
+    else:
+        assert hash(value) == expected
+    assert repr(value) == text
+    for name in (*names, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert tuple(getattr(value, name) for name in names) == fields
+    assert not hasattr(value, "__dict__")
+
+
+def test_operator_matrix_columns_become_a_tuple():
+    columns = [Poly([1]), Poly([0, F(-2, 3)])]
+    built = [OperatorMatrix(c, QuasiMonomial(0)) for c in (columns, iter(columns), tuple(columns))]
+    assert built[0] == built[1] == built[2]
+    assert all(type(m.columns) is tuple for m in built)
+    assert len({hash(m) for m in built}) == 1
 
 
 @pytest.mark.parametrize("a, b", [(Poly([1]), LaurentPoly({0: 1})), (LaurentPoly({0: 1}), Poly([1]))])

@@ -1,8 +1,10 @@
+import ast
 import csv
 import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +12,8 @@ from pathlib import Path
 import pytest
 
 import fockosc
-from fockosc.cli import build_parser, main
+from fockosc import cli, verify
+from fockosc.cli import QDIL_BUDGET, _over_budget, build_parser, main
 
 
 def run_json(args, tmp_path, name="out.json"):
@@ -271,6 +274,16 @@ class TestSpectrumCommand:
         with pytest.raises(AssertionError, match=f"matrix built at N = {n}$"):
             main(["spectrum", "--realization", "qdil", "--q", q, "--N", str(n)])
 
+    def test_qdil_budget_check_is_exact(self):
+        # Bit lengths decide most pairs; the check must agree with the exact power on all.
+        rng = random.Random(2901)
+        pairs = [(7, 128), (8, 128), (2**64 - 1, 26), (2**64 - 1, 27), (1, 128), (2**64 - 1, 0)]
+        # Around the largest height accepted at each N that divides 128.
+        pairs += [(7 ** (128 // n) ** 2 + k, n) for n in (1, 2, 4, 8, 16, 32, 64) for k in (-1, 0, 1)]
+        pairs += [(rng.randint(1, 2 ** rng.randint(1, 64)), rng.randint(0, 128)) for _ in range(200)]
+        for height, n in pairs:
+            assert _over_budget(height, n) == (height ** (n * n) > QDIL_BUDGET), (height, n)
+
     @pytest.mark.parametrize(
         "q, n",
         [("1000/999", 128), ("-7/8", 128), ("18446744073709551615", 27), ("4294967295", 128)],
@@ -320,8 +333,8 @@ class TestSpectrumCommand:
     )
     def test_unwritable_out_is_usage_error(self, monkeypatch, capsys, tmp_path, args, where):
         # The path is checked before anything is computed.
-        for name in ("number_matrix", "run_suite"):
-            monkeypatch.setattr(f"fockosc.cli.{name}", lambda *_, n=name: pytest.fail(f"{n} ran"))
+        for target in ("fockosc.cli.number_matrix", "fockosc.verify.run_suite"):
+            monkeypatch.setattr(target, lambda *_, n=target: pytest.fail(f"{n} ran"))
         out = str(where(tmp_path))
         with pytest.raises(SystemExit) as info:
             main(args + ["--out", out])
@@ -457,6 +470,10 @@ class TestVerifyCommand:
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
         assert digest == "2b6e30e30136d8c0557ef8018fa2714427029bf37b7a6ed39e925ea54d390aeb"
 
+    def test_suite_names_match_verify(self):
+        # The parser reads the suite names from cli, which does not import verify.
+        assert cli.SUITES == tuple(verify.SUITES)
+
     def test_transplant_suite(self, tmp_path):
         code, data = run_json(["verify", "transplant"], tmp_path)
         assert code == 0
@@ -523,6 +540,42 @@ class TestDeterminism:
         assert capsys.readouterr().out == ""
         assert main(args + ["--format", fmt]) == 0
         assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
+
+
+# Runs one command in a fresh interpreter and prints its exit code and the
+# modules it imported on top of the interpreter's own start.
+IMPORTS_SCRIPT = """
+import sys
+before = set(sys.modules)
+from fockosc.cli import main
+code = main(sys.argv[1:])
+print(repr((code, sorted(set(sys.modules) - before))))
+"""
+# What only `fockosc verify` or CSV output needs, and what no command needs.
+COLD_IMPORTS = {"fockosc.verify", "fockosc.specfun", "csv", "dataclasses", "inspect"}
+
+
+@pytest.mark.parametrize(
+    "args, needed",
+    [
+        (["spectrum", "--realization", "diff", "--N", "2"], set()),
+        (["spectrum", "--realization", "qdil", "--q", "7/6", "--rhs", "scaled"], set()),
+        (["stencil", "--realization", "fd", "--op", "hg", "--B", "1"], set()),
+        (["stencil", "--realization", "qdil", "--format", "csv"], {"csv"}),
+        (["spectrum", "--realization", "fd", "--N", "3", "--format", "csv"], {"csv"}),
+        (["verify", "casimir"], {"fockosc.verify", "fockosc.specfun"}),
+    ],
+    ids=["spectrum", "spectrum-qdil-scaled", "stencil", "stencil-csv", "spectrum-csv", "verify"],
+)
+def test_command_imports_only_what_it_needs(tmp_path, args, needed):
+    env = {**os.environ, "PYTHONPATH": str(Path(fockosc.__file__).parents[1])}
+    argv = [*args, "--out", str(tmp_path / "out")]
+    child = subprocess.run(
+        [sys.executable, "-c", IMPORTS_SCRIPT, *argv], env=env, capture_output=True, text=True, check=True
+    )
+    code, added = ast.literal_eval(child.stdout)
+    assert code == 0
+    assert set(added) & COLD_IMPORTS == needed
 
 
 class TestCsvJsonEquivalence:
