@@ -41,6 +41,7 @@ from math import gcd, lcm
 from typing import Collection, Iterable, Mapping, Sequence, Union
 
 Rat = Union[int, Fraction]
+_ZERO = Fraction(0)
 # A Laurent triple (low, d, xs) is y^low * sum xs[k] y^k / d, with d != 0 and
 # not necessarily reduced.
 Triple = tuple[int, int, Sequence[int]]
@@ -137,6 +138,9 @@ class _Polynomial:
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
     def __eq__(self, other: object) -> bool:
         return type(other) is type(self) and self._key == other._key
 
@@ -227,8 +231,9 @@ class Poly(_Polynomial):
         """The reduced coefficients, lowest power first, without trailing zeros."""
         cs = self._coeffs
         if cs is None:
+            # A matrix column is mostly zeros; they share one Fraction and skip its gcd.
             d, xs = self._ints
-            cs = tuple([Fraction(x, d) for x in xs])
+            cs = tuple([Fraction(x, d) if x else _ZERO for x in xs])
             object.__setattr__(self, "_coeffs", cs)
         return cs
 

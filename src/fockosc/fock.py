@@ -222,11 +222,12 @@ def commutator(x: FockPoly, y: FockPoly) -> FockPoly:
     return q_bracket(x, y, 1)
 
 
-def _q_numbers(q: Fraction, n: int) -> list[Fraction]:
-    """[{0}, {1}, ..., {n}] by the recurrence {j+1} = q{j} + 1."""
-    out = [Fraction(0)]
+def _brackets(r: int, s: int, n: int) -> list[int]:
+    """[T_0, ..., T_n], T_i = s^(i-1) {i} for q = r/s, by T_0 = 0 and T_(i+1) = s^i + r T_i."""
+    out, power = [0], 1
     for _ in range(n):
-        out.append(out[-1] * q + 1)
+        out.append(power + r * out[-1])
+        power *= s
     return out
 
 
@@ -236,24 +237,33 @@ def number_matrix(h: FockPoly, n: int, basis: QuasiMonomial) -> OperatorMatrix:
     Column j is sum c_km {j}{j-1}...{j-m+1} e_(j-m+k) over the words b^k a^m
     of h with m <= j, kept whole as in `realize.realize_matrix`: an image
     that leaves P_n keeps its entries above n.  For a realization r it equals
-    realize_matrix(h, r, n) with basis r.basis, from O(terms * n) rationals
-    and no polynomial arithmetic.  The CLI's spectra are built here;
-    realize_matrix stays the path that `verify` and the tests use.
+    realize_matrix(h, r, n) with basis r.basis, with no polynomial arithmetic
+    and no Fraction: with q = r/s, {i} = T_i / s^(i-1) (`_brackets`), so each
+    falling product is an integer over a power of s, and column j is one
+    integer pair over the lcm of h's denominators times a power of s.  The
+    CLI's spectra are built here; realize_matrix stays the path that `verify`
+    and the tests use.
     """
     if n < 0:
         raise ValueError("flag dimension must be non-negative")
-    brackets = _q_numbers(h.q, n)
+    s = h.q.denominator
+    brackets = _brackets(h.q.numerator, s, n)
+    d, cs = _over_lcm(h.terms.values())
+    terms = list(zip(h.terms, cs))
     depth, height = h.a_degree(), h.b_degree()
     columns = []
     for j in range(n + 1):
-        falling = [Fraction(1)]
+        # falling[m] / (den / d) = {j}{j-1}...{j-m+1}; each factor {j-i} brings s^(j-1-i).
+        falling, den = [1], d
         for i in range(min(j, depth)):
-            falling.append(falling[-1] * brackets[j - i])
-        column = [Fraction(0)] * (j + height + 1)
-        for (k, m), c in h.terms.items():
+            power = s ** (j - 1 - i)
+            falling = [f * power for f in falling] + [falling[-1] * brackets[j - i]]
+            den *= power
+        column = [0] * (j + height + 1)
+        for (k, m), c in terms:
             if m <= j:
                 column[j - m + k] += c * falling[m]
-        columns.append(Poly(column))
+        columns.append(Poly.from_ints(den, column))
     return OperatorMatrix(columns, basis)
 
 

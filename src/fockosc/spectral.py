@@ -35,14 +35,18 @@ def reference_spectrum(count: int, q: Rat = 1, s: int = 0) -> list[Fraction]:
     """Reference eigenvalues -4 {n} q^(-s n) for n < count, in one pass with {n} running.
 
     s = 0 is the plain problem H f = E f and s != 0 the scaled right-hand
-    side H f = E f(q^s .); at q = 1 every family is -4n.
+    side H f = E f(q^s .); at q = 1 every family is -4n.  With q = r/t,
+    {n} = top / t^n by {n+1} = q {n} + 1 and q^(-s n) = a^n / b^n run on
+    integers, so each value is one Fraction.  q = 0 with s > 0 raises
+    ZeroDivisionError.
     """
     q = exact(q, "q")
-    step = q**-s
-    values, bracket, weight = [], Fraction(0), Fraction(1)
+    a, b = (q**-s).as_integer_ratio()
+    r, t = q.numerator, q.denominator
+    values, top, den, wa, wb = [], 0, 1, 1, 1
     for _ in range(count):
-        values.append(-4 * bracket * weight)
-        bracket, weight = bracket * q + 1, weight * step
+        values.append(Fraction(-4 * top * wa, den * wb))
+        top, den, wa, wb = top * r + den * t, den * t, wa * a, wb * b
     return values
 
 

@@ -184,6 +184,10 @@ def test_repr_and_immutability(value, text):
     assert repr(value) == text
     with pytest.raises(AttributeError, match=f"^{type(value).__name__} is immutable$"):
         value.low = 0
+    for name in type(value).__slots__:  # Poly: _coeffs, _ints; LaurentPoly: low, poly
+        with pytest.raises(AttributeError, match=f"^{type(value).__name__} is immutable$"):
+            delattr(value, name)
+    assert repr(value) == text and type(value).from_ints(*value.ints) == value
 
 
 def _case():

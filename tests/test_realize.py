@@ -419,6 +419,16 @@ class TestNumberMatrix:
         for h, r, n in elements:
             assert number_matrix(h, n, r.basis) == realize_matrix(h, r, n), (h, r.label, n)
 
+    @pytest.mark.parametrize("q", [F(2**64 - 1, 2**64 - 2), F(-(2**64 - 1), 2**64 - 2)], ids=["q>0", "q<0"])
+    @pytest.mark.parametrize(
+        "build", [lambda q: build_hf(F(5, 2), q), lambda q: build_hg(F(-1, 3), F(2, 7), q)], ids=["hf", "hg"]
+    )
+    def test_matches_realize_matrix_at_the_height_cap(self, q, build):
+        # Column j >= 2 of each is an integer pair over a multiple of s^(2j-3), s = 2^64 - 2.
+        h = build(q)
+        for n in (0, 1, 2, 12):
+            assert number_matrix(h, n, QuasiMonomial(0)) == realize_matrix(h, QDilatation(q), n), n
+
     def test_column_leaving_the_flag_is_kept(self):
         # b^2 a e_j = j e_(j+1) leaves P_2 from column 1 on.
         m = number_matrix(FockPoly({(2, 1): 1, (0, 0): 3}), 2, QuasiMonomial(0))
@@ -1078,8 +1088,8 @@ KERNEL_FAULTS = {
     # {j + 1} read where {j} belongs.
     "number-bracket-off-by-one": (
         fock,
-        "_q_numbers",
-        lambda f: lambda q, n: f(q, n + 1)[1:],
+        "_brackets",
+        lambda f: lambda r, s, n: f(r, s, n + 1)[1:],
         number_matrix_matches_realize,
     ),
     "shift-node-sign": (realize, "_move_ints", _moved_back("shift"), stencils_match_oracles),
@@ -1175,6 +1185,7 @@ INTEGER_KERNELS = [
     (algebra, "_row_ints"),
     (algebra._Polynomial, "scale"),
     (fock, "_wick_table"),
+    (fock, "_brackets"),
     (realize, "_move_ints"),
     (algebra, "_dilate"),
     (Poly, "from_ints"),

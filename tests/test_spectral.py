@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 from unittest import mock
 
@@ -370,7 +371,41 @@ class TestDeformedClosedForm:
         assert max(c.denominator for c in top.coeffs).bit_length() > algebra._INTEGER_BITS
 
 
+H = 2**64 - 1  # the CLI's height cap
+
+
+def seeded_qs(seed):
+    """q of both signs, with |q| < 1 and |q| > 1, of heights up to H."""
+    rng = random.Random(seed)
+    out = []
+    for sign in (1, -1):
+        a, b = sorted(rng.sample(range(1, 2 ** rng.randint(2, 64)), 2))
+        out += [F(sign * a, b), F(sign * b, a)]
+    return out
+
+
+REFERENCE_QS = [F(1), F(-1), F(H, H - 1), F(-(H - 1), H), F(-H, 2), F(1, H)]
+REFERENCE_QS += [q for seed in range(6) for q in seeded_qs(seed)]
+
+
 class TestReferenceSpectrum:
+    @pytest.mark.parametrize("q", REFERENCE_QS, ids=str)
+    def test_matches_q_number(self, q):
+        # The integer recurrences against the Fraction sum of fock.q_number.
+        rng = random.Random(str(q))
+        for s in (0, 1, -1, 2, -2):
+            want = [-4 * q_number(n, q) * q ** (-s * n) for n in range(40)]
+            count = rng.randint(0, 39)
+            assert reference_spectrum(40, q, s) == want and reference_spectrum(count, q, s) == want[:count], s
+
+    def test_q_zero(self):
+        assert reference_spectrum(5, 0) == [0, -4, -4, -4, -4]
+        for s in (-1, -2):
+            assert reference_spectrum(3, 0, s) == [0, 0, 0]
+        for s in (1, 2):
+            with pytest.raises(ZeroDivisionError):
+                reference_spectrum(0, 0, s)
+
     def test_classic(self):
         assert reference_spectrum(6) == [0, -4, -8, -12, -16, -20]
 
