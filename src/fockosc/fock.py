@@ -14,6 +14,14 @@ theorem (Katriel & Kibler, J. Phys. A 25, 1992) gives in closed form
 with the Gaussian binomials [m j], {n} = 1 + q + ... + q^(n-1) and
 [j]! = {1}{2}...{j}.
 
+Every product runs through one integer core, `_product_ints(x, y)`: the
+coefficients of x, of y and of the Wick table go over common denominators,
+and the terms of x*y add up on a flat word grid, word b^k a^m at index
+k*W + m with W = a-degree(x) + a-degree(y) + 1.  Contracting j pairs takes
+b^k a^m to b^(k-j) a^(m-j), j*(W + 1) places back, and the grid lists the
+words already sorted.  x*y and y*x share that grid, so `q_bracket` forms
+x*y - lam*y*x as one integer per word and builds its `Fraction`s only then.
+
 On number states the generators act as a e_j = {j} e_(j-1) and
 b e_j = e_(j+1) (Arik & Coon, J. Math. Phys. 17, 1976).  Every
 realization in `realize` has such a basis of its own flag: e_j = y^j for
@@ -26,11 +34,13 @@ b^k a^m e_j = {j}{j-1}...{j-m+1} e_(j-m+k).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Mapping, NamedTuple
 
 from .algebra import OperatorMatrix, Poly, QuasiMonomial, Rat, _over_lcm, exact
 
 Word = tuple[int, int]  # (power of b, power of a)
+Grid = tuple[int, int, list[int]]  # (d, W, xs): sum xs[k*W + m] b^k a^m / d
 
 
 class AlgebraMismatchError(ValueError):
@@ -93,6 +103,15 @@ class FockPoly:
     @staticmethod
     def word(k: int, m: int, coeff: Rat = 1, q: Rat = 1) -> "FockPoly":
         return FockPoly({(k, m): coeff}, q)
+
+    @staticmethod
+    def _of_grid(q: Fraction, d: int, width: int, grid: list[int]) -> "FockPoly":
+        """sum grid[k*width + m] b^k a^m / d for d > 0 and an exact q: one Fraction per
+        nonzero word, no re-validation and no sort, since the grid lists the words in order."""
+        out = object.__new__(FockPoly)
+        object.__setattr__(out, "q", q)
+        object.__setattr__(out, "terms", {divmod(i, width): Fraction(c, d) for i, c in enumerate(grid) if c})
+        return out
 
     # -- inspection ---------------------------------------------------------
 
@@ -172,50 +191,83 @@ def _wick_table(q: Fraction, ms: set[int], ks: set[int]) -> tuple[int, dict[Word
     T[j] = s^(j-1) + r T[j-1], and F[j] = T[1]...T[j] = s^(j(j-1)/2) [j]!.  So the
     coefficient [m j][k j][j]! q^((m-j)(k-j)) is B[m][j] B[k][j] F[j] r^((m-j)(k-j))
     s^(j(j+1)/2) over s^(mk), and every entry is an integer over S = s^(max m * max k).
-    Nothing divides, so q = 0 and q = -1 ({2} = 0) are not special.
+    No exponent passes max m * max k + max m + max k, so every power r^e and s^e is
+    read from one running list.  Nothing divides, so q = 0 and q = -1 ({2} = 0) are
+    not special.
     """
     r, s = q.numerator, q.denominator
+    m_top, k_top = max(ms, default=0), max(ks, default=0)
+    top = m_top * k_top
+    r_pow, s_pow = [1], [1]
+    for _ in range(top + m_top + k_top):
+        r_pow.append(r_pow[-1] * r)
+        s_pow.append(s_pow[-1] * s)
     binom, fact, bracket = [[1]], [1], 0
-    for n in range(1, max(ms | ks, default=0) + 1):
+    for n in range(1, max(m_top, k_top) + 1):
         prev = binom[-1] + [0]
-        binom.append([1] + [s ** (n - j) * prev[j - 1] + r**j * prev[j] for j in range(1, n + 1)])
-        bracket = s ** (n - 1) + r * bracket
+        binom.append([1] + [s_pow[n - j] * prev[j - 1] + r_pow[j] * prev[j] for j in range(1, n + 1)])
+        bracket = s_pow[n - 1] + r * bracket
         fact.append(fact[-1] * bracket)
-    top = max(ms, default=0) * max(ks, default=0)
     table = {}
     for m in ms:
         for k in ks:
-            entries = ((j, binom[m][j] * binom[k][j] * fact[j] * r ** ((m - j) * (k - j))
-                        * s ** (top - m * k + j * (j + 1) // 2)) for j in range(min(m, k) + 1))
+            entries = ((j, binom[m][j] * binom[k][j] * fact[j] * r_pow[(m - j) * (k - j)]
+                        * s_pow[top - m * k + j * (j + 1) // 2]) for j in range(min(m, k) + 1))
             table[m, k] = [(j, w) for j, w in entries if w]
-    return s**top, table
+    return s_pow[top], table
 
 
-def normal_order_product(x: FockPoly, y: FockPoly) -> FockPoly:
-    """Normal-ordered product x*y, exact in the shared deformation parameter.
+def _product_ints(x: FockPoly, y: FockPoly) -> Grid:
+    """(d, W, grid) with x*y = sum grid[k*W + m] b^k a^m / d, W = a-degree(x) + a-degree(y) + 1.
 
     The coefficients of x and of y go over the lcm of their denominators and
     the Wick table over a power of q's denominator, so the terms of each
-    output word add up as one integer, reduced once by one `Fraction`.
+    output word add up as one integer.  The pair b^k1 a^m1, b^k2 a^m2 lands
+    at (k1 + k2) W + m1 + m2, and each of its j contractions j (W + 1) places
+    back, at b^(k1+k2-j) a^(m1+m2-j).
     """
     x._check_context(y)
     dt, table = _wick_table(x.q, {m for _, m in x.terms}, {k for k, _ in y.terms})
     dx, xs = _over_lcm(x.terms.values())
     dy, ys = _over_lcm(y.terms.values())
-    acc: dict[Word, int] = {}
+    width = x.a_degree() + y.a_degree() + 1
+    step = width + 1
+    grid = [0] * ((x.b_degree() + y.b_degree() + 1) * width)
+    right = [(k2, k2 * width + m2, c2) for (k2, m2), c2 in zip(y.terms, ys)]
     for (k1, m1), c1 in zip(x.terms, xs):
-        for (k2, m2), c2 in zip(y.terms, ys):
-            c = c1 * c2
+        base = k1 * width + m1
+        for k2, offset, c2 in right:
+            c, at = c1 * c2, base + offset
             for j, w in table[m1, k2]:
-                word = (k1 + k2 - j, m1 - j + m2)
-                acc[word] = acc.get(word, 0) + c * w
-    d = dx * dy * dt
-    return FockPoly({word: Fraction(c, d) for word, c in acc.items()}, x.q)
+                grid[at - j * step] += c * w
+    return dx * dy * dt, width, grid
+
+
+def normal_order_product(x: FockPoly, y: FockPoly) -> FockPoly:
+    """Normal-ordered product x*y, exact in the shared deformation parameter.
+
+    Each output word is one integer of `_product_ints`, reduced once by one
+    `Fraction`.
+    """
+    return FockPoly._of_grid(x.q, *_product_ints(x, y))
+
+
+def _bracket_ints(xy: Grid, yx: Grid, lam: Fraction) -> Grid:
+    """xy - lam*yx for two products on one word grid, each as `_product_ints` returns it."""
+    (d1, width, g1), (d2, _, g2) = xy, yx
+    g = gcd(d1, d2)
+    u, v = d2 // g * lam.denominator, lam.numerator * (d1 // g)
+    return d1 // g * d2 * lam.denominator, width, [a * u - b * v for a, b in zip(g1, g2)]
 
 
 def q_bracket(x: FockPoly, y: FockPoly, lam: Rat) -> FockPoly:
-    """Deformed bracket x*y - lam*y*x, normal ordered."""
-    return normal_order_product(x, y) - normal_order_product(y, x).scale(lam)
+    """Deformed bracket x*y - lam*y*x, normal ordered.
+
+    x*y and y*x fill word grids of the same shape, so the two are combined
+    as integers and each word's `Fraction` is built once.
+    """
+    lam = exact(lam, "lam")
+    return FockPoly._of_grid(x.q, *_bracket_ints(_product_ints(x, y), _product_ints(y, x), lam))
 
 
 def commutator(x: FockPoly, y: FockPoly) -> FockPoly:

@@ -150,7 +150,7 @@ A = FockPoly({(0, 1): 1})
         ("offset", lambda: ONE.shift_arg(0.1)),
         ("k", lambda: HALF.scale(0.1)),
         ("k", lambda: A.scale(0.1)),
-        ("k", lambda: q_bracket(A, A, 0.1)),
+        ("lam", lambda: q_bracket(A, A, 0.1)),
         ("n", lambda: sl2_generators(0.1)),
         ("q", lambda: q_number(3, 0.1)),
         ("alpha", lambda: laguerre(2, 0.1)),

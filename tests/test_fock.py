@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -105,6 +106,46 @@ class TestQBracket:
         jminus = FockPoly.a(q)
         out = (jzero * jminus).scale(q) - jminus * jzero
         assert out == -jminus
+
+
+def oracle_bracket(x, y, lam):
+    """x*y - lam*y*x with both products by single swaps, in word order."""
+    out = oracle_product(x, y)
+    for w, c in oracle_product(y, x).items():
+        out[w] = out.get(w, F(0)) - lam * c
+    return {w: c for w, c in sorted(out.items()) if c}
+
+
+def seeded_element(rng, q, max_b, max_a):
+    """Seeded coefficients on some words b^k a^m, k <= max_b, m <= max_a, always with b^max_b a^max_a."""
+    terms = {(k, m): F(rng.randint(-9, 9), rng.randint(1, 7))
+             for k in range(max_b + 1) for m in range(max_a + 1) if rng.random() < 0.6}
+    terms[max_b, max_a] = F(rng.randint(1, 9), rng.randint(1, 7))
+    return FockPoly(terms, q)
+
+
+@pytest.mark.parametrize("q", [F(1), F(-6, 7), F(7, 6), F(-1), F(0)], ids=str)
+@pytest.mark.parametrize("lam", ["0", "1", "q", "-7/6"])
+def test_bracket_matches_arithmetic_and_swaps(q, lam):
+    """q_bracket and commutator against x*y - (y*x).scale(lam) and against single swaps.
+
+    The pairs include x with itself, the zero element, the identity, and
+    elements whose a-degree differs from their b-degree, so the word grid of
+    each product is wider than it is high or higher than it is wide.
+    """
+    lam = q if lam == "q" else F(lam)
+    rng = random.Random(f"bracket/{q}/{lam}")
+    x, y, z = (seeded_element(rng, q, *degrees) for degrees in ((1, 3), (3, 0), (2, 1)))
+    assert x.a_degree() != x.b_degree() and y.a_degree() != y.b_degree()
+    zero, one = FockPoly({}, q), FockPoly.identity(q)
+    for u, v in ((x, y), (y, x), (x, z), (z, y), (x, x), (zero, x), (y, zero), (one, z), (x, one)):
+        expected = oracle_bracket(u, v, lam)
+        out = q_bracket(u, v, lam)
+        assert out == u * v - (v * u).scale(lam)
+        assert out.q == q and list(out.terms.items()) == list(expected.items())
+        assert commutator(u, v) == u * v - v * u
+        assert commutator(u, v).terms == oracle_bracket(u, v, 1)
+    assert commutator(x, x).is_zero and q_bracket(y, y, 1).is_zero
 
 
 class TestSL2:

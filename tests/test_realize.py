@@ -21,7 +21,7 @@ from fockosc.algebra import (
     basis_transplant,
     preserves_flag,
 )
-from fockosc.fock import AlgebraMismatchError, FockPoly, build_hf, build_hg, number_matrix, q_number
+from fockosc.fock import AlgebraMismatchError, FockPoly, build_hf, build_hg, number_matrix, q_bracket, q_number
 from fockosc.realize import (
     Differential,
     FiniteDifference,
@@ -916,6 +916,19 @@ def _full_contraction_dropped(wick_table):
     return faulty
 
 
+def _product_ints_stepping_by_width(x, y):
+    """_product_ints with j contractions j*W places back, at b^(k-j) a^m, where j*(W + 1) belongs."""
+    dt, table = fock._wick_table(x.q, {m for _, m in x.terms}, {k for k, _ in y.terms})
+    (dx, xs), (dy, ys) = algebra._over_lcm(x.terms.values()), algebra._over_lcm(y.terms.values())
+    width = x.a_degree() + y.a_degree() + 1
+    grid = [0] * ((x.b_degree() + y.b_degree() + 1) * width)
+    for (k1, m1), c1 in zip(x.terms, xs):
+        for (k2, m2), c2 in zip(y.terms, ys):
+            for j, w in table[m1, k2]:
+                grid[(k1 + k2 - j) * width + m1 + m2] += c1 * c2 * w
+    return dx * dy * dt, width, grid
+
+
 def _scale_numerator_only(scale):
     """_Polynomial.scale with k read as its numerator."""
     return lambda self, k: scale(self, F(k).numerator)
@@ -996,12 +1009,16 @@ def solver_matches_dense_apply(regimes=SOLVER_REGIMES) -> list[bool]:
 
 
 def wick_matches_swaps() -> list[bool]:
-    """Normal-ordered products against single swaps (`oracle_product`), at q = 1, -6/7, -1 and 0."""
-    checks = []
+    """Normal-ordered products, and the bracket x*y - lam*y*x at lam = -7/6, against
+    single swaps (`oracle_product`), at q = 1, -6/7, -1 and 0."""
+    checks, lam = [], F(-7, 6)
     for q in (F(1), F(-6, 7), F(-1), F(0)):
         x = FockPoly({(1, 2): 3, (0, 3): F(1, 2), (2, 0): -1}, q)
         y = FockPoly({(2, 1): F(-2, 3), (3, 2): 1, (0, 1): 5}, q)
-        checks += [(x * y).terms == oracle_product(x, y), (y * x).terms == oracle_product(y, x)]
+        xy, yx = oracle_product(x, y), oracle_product(y, x)
+        bracket = {w: xy.get(w, 0) - lam * yx.get(w, 0) for w in sorted(xy.keys() | yx.keys())}
+        checks += [(x * y).terms == xy, (y * x).terms == yx]
+        checks.append(q_bracket(x, y, lam).terms == {w: c for w, c in bracket.items() if c})
     return checks
 
 
@@ -1085,6 +1102,19 @@ KERNEL_FAULTS = {
     # Only a band-2 row has a term with F_(i+1) // F_j != 1.
     "solver-rescale-dropped": (algebra, "_row_ints", _rescale_dropped, solver_matches_dense_apply),
     "wick-full-contraction-dropped": (fock, "_wick_table", _full_contraction_dropped, wick_matches_swaps),
+    "grid-contraction-steps-by-width": (
+        fock,
+        "_product_ints",
+        lambda f: _product_ints_stepping_by_width,
+        wick_matches_swaps,
+    ),
+    # x*y - numerator(lam)*y*x.
+    "bracket-lam-denominator-dropped": (
+        fock,
+        "_bracket_ints",
+        lambda f: lambda xy, yx, lam: f(xy, yx, F(lam.numerator)),
+        wick_matches_swaps,
+    ),
     # {j + 1} read where {j} belongs.
     "number-bracket-off-by-one": (
         fock,
@@ -1185,6 +1215,8 @@ INTEGER_KERNELS = [
     (algebra, "_row_ints"),
     (algebra._Polynomial, "scale"),
     (fock, "_wick_table"),
+    (fock, "_product_ints"),
+    (fock, "_bracket_ints"),
     (fock, "_brackets"),
     (realize, "_move_ints"),
     (algebra, "_dilate"),
