@@ -9,8 +9,8 @@ first, held as reduced Fractions or as an integer pair (d, xs), sum
 xs[k] y^k / d, whichever was built first; the other form is built on its
 first read and kept.  A `LaurentPoly` additionally admits negative powers
 and is held as the triple (low, d, xs), y^low times a pair.  Both take
-their arithmetic, `==`, `hash` and `repr` from the private base
-`_Polynomial`, and mixing the two types raises TypeError.  Polynomials
+their arithmetic and `repr` from the private base `_Polynomial`, and
+mixing the two types raises TypeError.  Polynomials
 are expressed in a quasi-monomial basis 1, y, y(y-d), ... whose elements
 vanish on the grid 0, d, 2d, ...; step d = 0 is the monomial basis 1, y,
 y^2, ...  `basis_transplant` moves coefficient vectors between any two.
@@ -29,9 +29,8 @@ built from rationals and for `fock`.  `back_substitute` solves every
 level of M v = E v on integers too, one `_row_ints` step per row, until
 the running denominator passes `_INTEGER_BITS` and Fractions take over.
 `exact` turns a parameter into a Fraction and refuses a float.  The
-private base `_Value` gives the package's other immutable values (bases,
-matrices, realizations, stencils and reports) a frozen dataclass's
-`__init__`, `==`, `hash` and `repr` on `__slots__` fields.
+private base `_Value` gives every immutable value of the package a frozen
+dataclass's `__init__`, `==`, `hash`, `repr` and guards on `__slots__` fields.
 """
 
 from __future__ import annotations
@@ -81,10 +80,12 @@ class _Value:
 
     It behaves as a frozen dataclass: `__init__` sets the fields from
     positional or keyword arguments, `==` holds only for the same type with
-    equal fields, `hash` is the hash of the field tuple, `repr` is
-    `Type(field=value, ...)`, and setting or deleting an attribute raises
-    AttributeError.  A subclass lists every field in its own `__slots__`; one
-    that checks or converts its arguments defines `__init__` and calls this one.
+    equal `_key` (the field tuple unless a subclass names another), `hash`
+    is the hash of `_key`, `repr` is `Type(field=value, ...)`, and setting
+    or deleting an attribute raises AttributeError.  A subclass lists every
+    field in its own `__slots__`; one that checks or converts its arguments
+    defines `__init__` and calls this one.  The polynomials, `FockPoly`, and
+    the bases, matrices, realizations, stencils and reports all derive from it.
     """
 
     __slots__ = ()
@@ -98,16 +99,17 @@ class _Value:
         for name, value in zip(names, args):
             object.__setattr__(self, name, value)
 
-    def _fields(self) -> tuple:
+    @property
+    def _key(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
             return NotImplemented
-        return self._fields() == other._fields()
+        return self._key == other._key
 
     def __hash__(self) -> int:
-        return hash(self._fields())
+        return hash(self._key)
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
@@ -125,27 +127,15 @@ class _Value:
 # ---------------------------------------------------------------------------
 
 
-class _Polynomial:
-    """`+ - * scale`, `==`, `hash`, `repr` and immutability of both polynomial types.
+class _Polynomial(_Value):
+    """`+ - * scale` and `repr` of both polynomial types.
 
     A subclass gives `_triple`, its value as a Laurent triple (low, d, xs),
-    the constructor `_of_triple(low, d, xs)` and `_key`, which `==` and
-    `hash` read.  Operands of different types raise TypeError.
+    and the constructor `_of_triple(low, d, xs)`.  Operands of different
+    types raise TypeError.  `==`, `hash` and immutability come from `_Value`.
     """
 
     __slots__ = ()
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __eq__(self, other: object) -> bool:
-        return type(other) is type(self) and self._key == other._key
-
-    def __hash__(self) -> int:
-        return hash(self._key)
 
     def _sum(self, other, sign: int):
         if type(other) is not type(self):
@@ -427,9 +417,10 @@ class LaurentPoly(_Polynomial):
 
     __slots__ = ("low", "poly")
 
-    def __new__(cls, terms: Mapping[int, Rat] = {}):
+    def __init__(self, terms: Mapping[int, Rat] = {}):
         low, high = min(terms, default=0), max(terms, default=-1)
-        return cls.from_ints(low, *Poly([terms.get(p, 0) for p in range(low, high + 1)]).ints)
+        value = LaurentPoly.from_ints(low, *Poly([terms.get(p, 0) for p in range(low, high + 1)]).ints)
+        super().__init__(value.low, value.poly)
 
     @staticmethod
     def from_ints(low: int, d: int, xs: Sequence[int]) -> "LaurentPoly":
@@ -446,10 +437,6 @@ class LaurentPoly(_Polynomial):
         return (self.low, *self.poly.ints)
 
     _triple, _of_triple = ints, from_ints
-
-    @property
-    def _key(self) -> tuple[int, Poly]:
-        return self.low, self.poly
 
     @property
     def terms(self) -> dict[int, Fraction]:
@@ -587,11 +574,11 @@ def _row_ints(
 def back_substitute(matrix: OperatorMatrix) -> list[tuple[Fraction, Poly]]:
     """Every level (E_n, v_n) of M v = E v, with v_n monic of degree n.
 
-    A matrix that leaves the flag raises NotTriangularError before any
-    level is solved.  Level n has E_n = M[n][n] and is solved upward,
+    Level n has E_n = M[n][n] and is solved upward,
     v_i = sum_(j>i) (M[i][j] / (E_n - M[i][i])) v_j.  The divisor vanishes
-    only where level n repeats the eigenvalue of a lower level i; the first
-    such (i, n) raises DegenerateSpectrumError.
+    only where level n repeats the eigenvalue of a lower level i.  Before any
+    level is solved, a matrix that leaves the flag raises NotTriangularError,
+    and the first such pair (lowest n, then highest i) raises DegenerateSpectrumError.
 
     Row i is read once over the lcm R_i of its entries' denominators, as
     integers A_ij = R_i M[i][j], so v_i = z sum_j A_ij v_j / p_i with
@@ -600,15 +587,20 @@ def back_substitute(matrix: OperatorMatrix) -> list[tuple[Fraction, Poly]]:
     `_row_ints` divides gcd(t, p_i) out of each row against its own divisor
     only.  Each coefficient is built once, as Fraction(X_i, F_i).  Once F_i
     has more than `_INTEGER_BITS` bits, the level's remaining rows run on
-    Fractions: on the one-term rows of a deformed (qdil) level, their
-    cross-reductions cost less than one gcd of X_i and F_i that large.
-    Only a nonzero entry times a nonzero v_j costs arithmetic, O(b N^2)
-    operations for a matrix of upper bandwidth b.
+    Fractions, v_i = sum_j Fraction(z A_ij, p_i) v_j: on the one-term rows
+    of a deformed (qdil) level, their cross-reductions cost less than one
+    gcd of X_i and F_i that large.  Only a nonzero entry times a nonzero v_j
+    costs arithmetic, O(b N^2) operations for a matrix of upper bandwidth b.
     """
     if not preserves_flag(matrix):
         raise NotTriangularError("matrix does not preserve the flag")
     columns = matrix.columns
     diagonal = [column.coeff(i) for i, column in enumerate(columns)]
+    # Compared as (numerator, denominator): hashing a Fraction costs a modular pow.
+    pairs = [(e.numerator, e.denominator) for e in diagonal]
+    if len(set(pairs)) < len(pairs):  # the first repeat has one earlier occurrence
+        n = next(n for n, pair in enumerate(pairs) if pair in pairs[:n])
+        raise DegenerateSpectrumError((pairs.index(pairs[n]), n), diagonal[n])
     above = [[] for _ in columns]
     for j, column in enumerate(columns):
         for i, e in enumerate(column.coeffs[:j]):
@@ -623,22 +615,18 @@ def back_substitute(matrix: OperatorMatrix) -> list[tuple[Fraction, Poly]]:
     for n, eigenvalue in enumerate(diagonal):
         xs, fs = [0] * len(columns), [1] * len(columns)
         xs[n] = 1
-        en, ed = eigenvalue.numerator, eigenvalue.denominator
+        en, ed = pairs[n]
         i = n - 1
         while i >= 0 and fs[i + 1].bit_length() <= _INTEGER_BITS:
             r, a, entries = rows[i]
-            p = en * r - ed * a
-            if not p:
-                raise DegenerateSpectrumError((i, n), eigenvalue)
-            xs[i], f = _row_ints(entries, xs, fs, fs[i + 1], ed, p)
+            xs[i], f = _row_ints(entries, xs, fs, fs[i + 1], ed, en * r - ed * a)
             fs[i] = fs[i + 1] * f
             i -= 1
         v = [Fraction(0)] * (i + 1) + [Fraction(x, f) for x, f in zip(xs[i + 1 : n + 1], fs[i + 1 : n + 1])]
         for i in range(i, -1, -1):
-            denom = eigenvalue - diagonal[i]
-            if denom == 0:
-                raise DegenerateSpectrumError((i, n), eigenvalue)
-            terms = [entry / denom * v[j] for j, entry in above[i] if j <= n and v[j]]
+            r, a, entries = rows[i]
+            p = en * r - ed * a
+            terms = [Fraction(ed * c, p) * v[j] for j, c in entries if j <= n and v[j]]
             if terms:
                 v[i] = sum(terms[1:], terms[0])
         levels.append((eigenvalue, Poly(v)))

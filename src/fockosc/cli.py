@@ -188,9 +188,10 @@ def _report_head(args, operator: FockPoly, realization: Realization) -> dict:
 def cmd_spectrum(parser: argparse.ArgumentParser, args) -> tuple[int, dict]:
     if not 0 <= args.N <= MAX_N:
         parser.error(f"--N must be between 0 and {MAX_N}, got {args.N}")
-    if args.realization == "qdil" and _over_budget(_height(args.q), args.N):
-        parser.error(f"--q {args.q} at --N {args.N} is over the budget. {QDIL_LIMIT}")
     realization = _build_realization(parser, args)
+    # Only a qdil q has a height above 1; diff and fd have q = 1.
+    if _over_budget(_height(realization.q), args.N):
+        parser.error(f"--q {realization.q} at --N {args.N} is over the budget. {QDIL_LIMIT}")
     if args.rhs == "scaled" and realization.basis.delta != 0:
         parser.error("scaled right-hand sides need the monomial basis (diff or qdil)")
     operator = _build_operator(args, realization)

@@ -37,7 +37,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Mapping, NamedTuple
 
-from .algebra import OperatorMatrix, Poly, QuasiMonomial, Rat, _over_lcm, exact
+from .algebra import OperatorMatrix, Poly, QuasiMonomial, Rat, _over_lcm, _Value, exact
 
 Word = tuple[int, int]  # (power of b, power of a)
 Grid = tuple[int, int, list[int]]  # (d, W, xs): sum xs[k*W + m] b^k a^m / d
@@ -67,10 +67,11 @@ def q_number(n: int, q: Rat) -> Fraction:
     return acc
 
 
-class FockPoly:
+class FockPoly(_Value):
     """Normal-ordered element sum c_{k,m} b^k a^m of the algebra with parameter q."""
 
     __slots__ = ("q", "terms")
+    __hash__ = None  # `terms` is a dict
 
     def __init__(self, terms: Mapping[Word, Rat], q: Rat = 1):
         kept: dict[Word, Fraction] = {}
@@ -82,9 +83,6 @@ class FockPoly:
                 kept[(k, m)] = c
         object.__setattr__(self, "q", exact(q, "q"))
         object.__setattr__(self, "terms", dict(sorted(kept.items())))
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("FockPoly is immutable")
 
     # -- constructors -------------------------------------------------------
 
@@ -137,13 +135,6 @@ class FockPoly:
             raise NotScalarError(f"non-identity words survive: {sorted(rest)}")
         return self.coeff(0, 0)
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, FockPoly)
-            and self.q == other.q
-            and self.terms == other.terms
-        )
-
     def __repr__(self) -> str:
         if self.is_zero:
             return "FockPoly(0)"
@@ -187,8 +178,8 @@ def _wick_table(q: Fraction, ms: set[int], ks: set[int]) -> tuple[int, dict[Word
     a^m b^k) for m in ms, k in ks, leaving out the zero coefficients.
 
     All in integers: with q = r/s, B[n][j] = s^(j(n-j)) [n j] follows the q-Pascal
-    rule B[n][j] = s^(n-j) B[n-1][j-1] + r^j B[n-1][j], T[j] = s^(j-1) {j} the rule
-    T[j] = s^(j-1) + r T[j-1], and F[j] = T[1]...T[j] = s^(j(j-1)/2) [j]!.  So the
+    rule B[n][j] = s^(n-j) B[n-1][j-1] + r^j B[n-1][j], T[j] = s^(j-1) {j} comes
+    from `_brackets`, and F[j] = T[1]...T[j] = s^(j(j-1)/2) [j]!.  So the
     coefficient [m j][k j][j]! q^((m-j)(k-j)) is B[m][j] B[k][j] F[j] r^((m-j)(k-j))
     s^(j(j+1)/2) over s^(mk), and every entry is an integer over S = s^(max m * max k).
     No exponent passes max m * max k + max m + max k, so every power r^e and s^e is
@@ -202,12 +193,12 @@ def _wick_table(q: Fraction, ms: set[int], ks: set[int]) -> tuple[int, dict[Word
     for _ in range(top + m_top + k_top):
         r_pow.append(r_pow[-1] * r)
         s_pow.append(s_pow[-1] * s)
-    binom, fact, bracket = [[1]], [1], 0
-    for n in range(1, max(m_top, k_top) + 1):
+    brackets = _brackets(r, s, max(m_top, k_top))
+    binom, fact = [[1]], [1]
+    for n in range(1, len(brackets)):
         prev = binom[-1] + [0]
         binom.append([1] + [s_pow[n - j] * prev[j - 1] + r_pow[j] * prev[j] for j in range(1, n + 1)])
-        bracket = s_pow[n - 1] + r * bracket
-        fact.append(fact[-1] * bracket)
+        fact.append(fact[-1] * brackets[n])
     table = {}
     for m in ms:
         for k in ks:

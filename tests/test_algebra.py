@@ -1,4 +1,5 @@
 import operator
+import random
 import sys
 import threading
 from fractions import Fraction as F
@@ -650,18 +651,60 @@ class TestBackSubstitute:
             image = dense_apply(m, v.coeffs)
             assert image == [value * c for c in list(v.coeffs) + [F(0)] * (3 - len(v.coeffs))]
 
-    @pytest.mark.parametrize("bits", [0, 10**9])
-    def test_degenerate_level_named_in_each_regime(self, monkeypatch, bits):
-        # Level 3 repeats the eigenvalue 2 of level 1. Row 2 of level 3 runs on
-        # Fractions (bits 0) or on integers (bits 10**9), and row 1 raises.
-        m = OperatorMatrix(
+    @staticmethod
+    def matrix_repeating_level_1():
+        # Level 3 repeats the eigenvalue 2 of level 1.
+        return OperatorMatrix(
             [Poly([1]), Poly([F(1, 2), 2]), Poly([F(-1, 3), 5, 7]), Poly([0, F(3, 4), 1, 2])],
             QuasiMonomial(0),
         )
+
+    @pytest.mark.parametrize("bits", [0, 10**9])
+    def test_degenerate_level_named_in_each_regime(self, monkeypatch, bits):
+        # The same (i, n) whether the levels would run on Fractions (bits 0) or on integers.
         monkeypatch.setattr(algebra, "_INTEGER_BITS", bits)
         with pytest.raises(DegenerateSpectrumError, match=r"^eigenvalue 2 occurs at levels \(1, 3\)$") as raised:
-            back_substitute(m)
+            back_substitute(self.matrix_repeating_level_1())
         assert (raised.value.levels, raised.value.value) == ((1, 3), 2)
+
+    def test_degeneracy_found_before_any_level(self, monkeypatch):
+        # With the integer row step failing, a degenerate matrix still names (1, 3),
+        # so no row of levels 0 to 2 was solved; a regular one reaches the step.
+        monkeypatch.setattr(algebra, "_row_ints", lambda *args: pytest.fail("a level was solved"))
+        with pytest.raises(DegenerateSpectrumError, match=r"^eigenvalue 2 occurs at levels \(1, 3\)$"):
+            back_substitute(self.matrix_repeating_level_1())
+        with pytest.raises(pytest.fail.Exception, match="a level was solved"):
+            back_substitute(self.matrix_hf_diff_p2())
+
+    @pytest.mark.parametrize("bits", [algebra._INTEGER_BITS, 0])
+    def test_degenerate_level_matches_level_by_level_search(self, monkeypatch, bits):
+        # Random triangular matrices with distinct diagonal values, some of them
+        # then copied to a later level.  Solving level by level, each row upward,
+        # the first divisor to vanish is at the first n whose value occurs at a
+        # lower level, and at the highest such i.  A regular matrix solves.
+        monkeypatch.setattr(algebra, "_INTEGER_BITS", bits)
+        rng = random.Random(3201)
+        values = sorted({F(k, d) for k in range(-5, 6) for d in (1, 3, 7)})
+        for _ in range(150):
+            size = rng.randint(1, 8)
+            diagonal = rng.sample(values, size)
+            for _ in range(rng.randint(0, 3) if size > 1 else 0):
+                i, n = sorted(rng.sample(range(size), 2))
+                diagonal[n] = diagonal[i]
+            columns = [Poly([F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(j)] + [diagonal[j]])
+                       for j in range(size)]
+            m = OperatorMatrix(columns, QuasiMonomial(0))
+            found = [(i, n) for n in range(size) for i in reversed(range(n)) if diagonal[i] == diagonal[n]]
+            if not found:
+                for value, v in back_substitute(m):
+                    padded = list(v.coeffs) + [F(0)] * (size - len(v.coeffs))
+                    assert dense_apply(m, padded) == [value * c for c in padded]
+                continue
+            i, n = found[0]
+            with pytest.raises(DegenerateSpectrumError) as raised:
+                back_substitute(m)
+            assert (raised.value.levels, raised.value.value) == ((i, n), diagonal[n])
+            assert str(raised.value) == f"eigenvalue {diagonal[n]} occurs at levels ({i}, {n})"
 
     def test_matrix_leaving_the_flag_rejected(self):
         # Column 0 is 1 + 5y, so M (1, 0) = (1, 5) and (1, 0) is no eigenvector.

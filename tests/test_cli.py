@@ -265,6 +265,13 @@ class TestSpectrumCommand:
         with pytest.raises(AssertionError, match="matrix built at N = 1$"):
             main(["spectrum", "--realization", realization, "--op", "hg", option, value, "--N", "1"])
 
+    @pytest.mark.parametrize("delta", ["18446744073709551615", "1/18446744073709551615"])
+    def test_fd_at_the_height_cap_is_under_the_budget(self, monkeypatch, delta):
+        # The budget reads the realization's q, and fd has q = 1 whatever its step.
+        monkeypatch.setattr("fockosc.cli.number_matrix", self._no_matrix)
+        with pytest.raises(AssertionError, match="matrix built at N = 128$"):
+            main(["spectrum", "--realization", "fd", "--delta", delta, "--N", "128"])
+
     @pytest.mark.parametrize(
         "q, n",
         [("7/6", 128), ("-6/7", 128), ("18446744073709551615", 26), ("18446744073709551615", 0)],

@@ -225,6 +225,32 @@ class TestBuilders:
         assert FockPoly({(1, 0): "1/10"}).coeff(1, 0) == F(1, 10)
 
 
+class TestValue:
+    """FockPoly takes ==, immutability and its missing hash from algebra._Value."""
+
+    @pytest.mark.parametrize("name", ["q", "terms", "extra"])
+    def test_immutable(self, name):
+        x = FockPoly({(1, 2): F(1, 3), (0, 0): -2}, F(7, 6))
+        before = (x.q, dict(x.terms), repr(x))
+        with pytest.raises(AttributeError, match="^FockPoly is immutable$"):
+            setattr(x, name, None)
+        with pytest.raises(AttributeError, match="^FockPoly is immutable$"):
+            delattr(x, name)
+        assert (x.q, x.terms, repr(x)) == before
+        assert x == FockPoly({(1, 2): F(1, 3), (0, 0): -2}, F(7, 6))
+
+    def test_unhashable_and_unequal_to_other_types(self):
+        x = FockPoly({(0, 0): 1})
+        with pytest.raises(TypeError):
+            hash(x)
+        assert x != Poly([1]) and not x == Poly([1]) and not Poly([1]) == x
+        assert x != FockPoly({(0, 0): 1}, 2)
+
+    def test_keyword_round_trip(self):
+        x = FockPoly({(2, 1): F(-2, 3), (0, 1): 5}, F(-6, 7))
+        assert FockPoly(terms=x.terms, q=x.q) == x
+
+
 class TestActOnPoly:
     def test_ground_state_annihilated(self):
         assert act_on_poly(build_hf(0), Poly.one()).is_zero

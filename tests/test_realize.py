@@ -336,9 +336,9 @@ class TestRealizeMatrix:
         # A realization is a plain value: realizing a matrix leaves nothing on
         # it that a later call, or another thread, could read.
         r = QDilatation(F(7, 6))
-        fields = r._fields()
+        fields = r._key
         realize_matrix(build_hg(F(5, 2), F(-2, 3), q=r.q), r, 64)
-        assert r._fields() == fields == (F(7, 6),)
+        assert r._key == fields == (F(7, 6),)
         assert not hasattr(r, "__dict__")
 
     def test_fock_action_matches_realized_matrix(self):
@@ -1196,6 +1196,13 @@ def test_solver_fault_is_caught_in_each_regime(monkeypatch, fault):
     inject(monkeypatch, fault)
     caught = [not all(solver_matches_dense_apply([bits])) for bits in SOLVER_REGIMES]
     assert caught == [fault != "solver-rescale-dropped", True]
+
+
+def test_bracket_fault_reaches_the_wick_products(monkeypatch):
+    """The Wick table takes its brackets from fock._brackets, so a fault there changes the products."""
+    assert all(wick_matches_swaps())
+    inject(monkeypatch, "number-bracket-off-by-one")
+    assert not all(wick_matches_swaps())
 
 
 @pytest.mark.parametrize("fault", faults_checked_by(both_types_match_sympy))
