@@ -468,6 +468,9 @@ class QuasiMonomial(_Value):
     __slots__ = ("delta",)
     delta: Fraction
 
+    def __init__(self, delta: Rat):
+        super().__init__(exact(delta, "delta"))
+
     def to_json(self) -> dict:
         if self.delta == 0:
             return {"kind": "monomial"}
@@ -523,15 +526,9 @@ class OperatorMatrix(_Value):
         super().__init__(tuple(columns), basis)
 
     @property
-    def size(self) -> int:
-        return len(self.columns)
-
-    @property
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
         """Entry (i, j) is coefficient i of column j, for i, j = 0..N."""
-        return tuple(
-            tuple(column.coeff(i) for column in self.columns) for i in range(self.size)
-        )
+        return tuple(tuple(c.coeff(i) for c in self.columns) for i in range(len(self.columns)))
 
 
 def preserves_flag(matrix: OperatorMatrix) -> bool:
@@ -608,9 +605,8 @@ def back_substitute(matrix: OperatorMatrix) -> list[tuple[Fraction, Poly]]:
                 above[i].append((j, e))
     rows = []
     for i, entries in enumerate(above):
-        r = lcm(diagonal[i].denominator, *(e.denominator for _, e in entries))
-        scaled = [(j, e.numerator * (r // e.denominator)) for j, e in entries]
-        rows.append((r, diagonal[i].numerator * (r // diagonal[i].denominator), scaled))
+        r, (a, *scaled) = _over_lcm([diagonal[i], *(e for _, e in entries)])
+        rows.append((r, a, [(j, x) for (j, _), x in zip(entries, scaled)]))
     levels = []
     for n, eigenvalue in enumerate(diagonal):
         xs, fs = [0] * len(columns), [1] * len(columns)

@@ -87,10 +87,6 @@ class FockPoly(_Value):
     # -- constructors -------------------------------------------------------
 
     @staticmethod
-    def identity(q: Rat = 1) -> "FockPoly":
-        return FockPoly({(0, 0): 1}, q)
-
-    @staticmethod
     def a(q: Rat = 1) -> "FockPoly":
         return FockPoly({(0, 1): 1}, q)
 

@@ -18,11 +18,12 @@ D_q on y^n gives {n} y^(n-1), so every action below is exact.
 
 Each realization carries its own behaviour: the deformation parameter
 `q` it realizes, the generator actions as integer primitives
-`lower_ints(d, xs)` and, where b is not multiplication by y,
-`raise_ints(d, xs)`, the matrix `basis`, its JSON description
-`to_json()` (and the `label` derived from it) and, for the two discrete
-ones, the generator terms that `stencil_of` composes.  Nothing else in
-the package branches on the realization's type.
+`lower_ints(d, xs)` and `raise_ints(d, xs)`, the matrix `basis`, its
+JSON description `to_json()` (and the `label` derived from it) and, for
+the two discrete ones, the generator terms that `stencil_of` composes.
+The base primitives are the number-state action on y^j, so diff (at
+q = 1, {j} = j) and qdil share one lowering; fd overrides both
+generators.  Nothing else in the package branches on the realization's type.
 
 A primitive acts on the pair (d, xs) meaning sum xs[k] y^k / d, with
 d != 0 and the pair not necessarily reduced, and returns such a pair.
@@ -72,14 +73,14 @@ Terms = dict[int, LaurentPoly]
 class Realization(_Value):
     """A substitution of the generators a, b by operators on polynomials.
 
-    Subclasses provide `q`, `lower_ints(d, xs)`, optionally
-    `raise_ints(d, xs)`, `to_json()` and, where a stencil exists,
+    Subclasses provide `q`, `to_json()` and, where a stencil exists,
     `stencil_generators()` returning (mode, param, a terms, b terms).
-    The primitives act on sum xs[k] y^k / d (see the module docstring);
-    `lower` and `raise_` are defined once, on top of them.  The raising
-    generator and the basis default to multiplication by y and the
-    monomial basis QuasiMonomial(0).  A realization is an immutable value
-    whose fields are its parameters.
+    The base primitives `lower_ints` and `raise_ints` are the number-state
+    action y^j -> {j} y^(j-1), y^j -> y^(j+1): diff (q = 1) and qdil share
+    them, fd overrides both.  They act on sum xs[k] y^k / d (see the module
+    docstring); `lower` and `raise_` are defined once, on top of them.  The
+    basis defaults to QuasiMonomial(0), the monomials.  A realization is an
+    immutable value whose fields are its parameters.
     """
 
     __slots__ = ()
@@ -90,6 +91,22 @@ class Realization(_Value):
 
     def raise_(self, f: Poly) -> Poly:
         return Poly.from_ints(*self.raise_ints(*f.ints))
+
+    def lower_ints(self, d: int, xs: list[int]) -> tuple[int, list[int]]:
+        # The number-state action y^k -> {k} y^(k-1), {k} = k at q = 1.  With q = r/s
+        # the integers t_k = s^(k-1) {k} follow t_k = s^(k-1) + r t_(k-1); over the
+        # common denominator d s^(n-1), coefficient k - 1 is xs[k] t_k s^(n-k),
+        # and u_k = t_k s^(n-k) runs as u_k = s^(n-1) + r u_(k-1) / s, exactly.
+        n = len(xs) - 1
+        if n < 1:
+            return d, []
+        r, s = self.q.numerator, self.q.denominator
+        top = s ** (n - 1)
+        out, u = [], 0
+        for x in xs[1:]:
+            u = top + r * (u // s)
+            out.append(x * u)
+        return d * top, out
 
     def raise_ints(self, d: int, xs: list[int]) -> tuple[int, list[int]]:
         return d, [0, *xs]
@@ -106,9 +123,6 @@ class Realization(_Value):
 class Differential(Realization):
     __slots__ = ()
     q = Fraction(1)
-
-    def lower_ints(self, d: int, xs: list[int]) -> tuple[int, list[int]]:
-        return d, [k * x for k, x in enumerate(xs[1:], 1)]
 
     def to_json(self) -> dict:
         return {"kind": "diff"}
@@ -170,22 +184,6 @@ class QDilatation(Realization):
         super().__init__(exact(q, "q"))
         if self.q in (0, 1):
             raise ValueError("dilatation parameter must differ from 0 and 1")
-
-    def lower_ints(self, d: int, xs: list[int]) -> tuple[int, list[int]]:
-        # D_q y^k = {k} y^(k-1), apart from the reference's {n}.  With q = r/s the
-        # integers t_k = s^(k-1) {k} follow t_k = s^(k-1) + r t_(k-1); over the
-        # common denominator d s^(n-1), coefficient k - 1 is xs[k] t_k s^(n-k),
-        # and u_k = t_k s^(n-k) runs as u_k = s^(n-1) + r u_(k-1) / s, exactly.
-        n = len(xs) - 1
-        if n < 1:
-            return d, []
-        r, s = self.q.numerator, self.q.denominator
-        top = s ** (n - 1)
-        out, u = [], 0
-        for x in xs[1:]:
-            u = top + r * (u // s)
-            out.append(x * u)
-        return d * top, out
 
     def to_json(self) -> dict:
         return {"kind": "qdil", "q": str(self.q)}
@@ -262,7 +260,7 @@ def heisenberg_residual(r: Realization, f: Poly) -> Poly:
     f_ints = f.ints
     ab = r.lower_ints(*r.raise_ints(*f_ints))
     ba = r.raise_ints(*r.lower_ints(*f_ints))
-    return Poly.from_ints(*_pair(_laurent_sum([(1, 0, *ab), (-r.q, 0, *ba), (-1, 0, *f_ints)])))
+    return Poly._of_triple(*_laurent_sum([(1, 0, *ab), (-r.q, 0, *ba), (-1, 0, *f_ints)]))
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +296,7 @@ class Stencil(_Value):
         """The composition with f at offset 0, summed over the offsets; poles must cancel."""
         terms = {j: c.ints for j, c in self.terms}
         parts = _compose_ints(terms, {0: (0, *f.ints)}, self.mode, self.param)
-        return Poly.from_ints(*_pair(_laurent_sum([(1, *part) for _, part in parts])))
+        return Poly._of_triple(*_laurent_sum([(1, *part) for _, part in parts]))
 
 
 def _move_ints(f: Triple, j: int, mode: str, param: Fraction) -> Triple:

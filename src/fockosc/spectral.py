@@ -23,12 +23,19 @@ from .algebra import (
     Rat,
     _Value,
     _dilate,
-    _pair,
     back_substitute,
     exact,
 )
 # Unused here: perfbench's spectral.reference span traces q_number in this module.
 from .fock import q_number  # noqa: F401
+
+
+def _scale_ratio(q: Fraction, s: Rat) -> tuple[int, int]:
+    """q^(-s) as an integer ratio; s must be a whole number, not a float."""
+    s = exact(s, "s")
+    if s.denominator != 1:
+        raise ValueError(f"scale power s must be a whole number, not {s}")
+    return (q ** -int(s)).as_integer_ratio()
 
 
 def reference_spectrum(count: int, q: Rat = 1, s: int = 0) -> list[Fraction]:
@@ -41,7 +48,7 @@ def reference_spectrum(count: int, q: Rat = 1, s: int = 0) -> list[Fraction]:
     ZeroDivisionError.
     """
     q = exact(q, "q")
-    a, b = (q**-s).as_integer_ratio()
+    a, b = _scale_ratio(q, s)
     r, t = q.numerator, q.denominator
     values, top, den, wa, wb = [], 0, 1, 1, 1
     for _ in range(count):
@@ -103,12 +110,12 @@ def pencil_solve(matrix: OperatorMatrix, s: int, q: Rat) -> SpectralReport:
     q = exact(q, "q")
     if q == 0:
         raise ValueError("pencil parameter must be nonzero")
+    a, b = _scale_ratio(q, s)
     if s not in (-2, -1, 1, 2):
         raise ValueError("scale power must be one of -2, -1, 1, 2")
     if matrix.basis.delta != 0:
         raise NotTriangularError("pencil solving expects the monomial basis")
-    a, b = (q**-s).as_integer_ratio()
-    columns = [Poly.from_ints(*_pair(_dilate((0, *c.ints), a, b))) for c in matrix.columns]
+    columns = [Poly._of_triple(*_dilate((0, *c.ints), a, b)) for c in matrix.columns]
     return eigensolve_flag(OperatorMatrix(columns, matrix.basis))
 
 

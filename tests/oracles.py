@@ -94,7 +94,7 @@ def act_on_poly(h: FockPoly, p: Poly) -> Poly:
 def dense_apply(matrix: OperatorMatrix, vec) -> list[Fraction]:
     """Product of the (N+1)x(N+1) view `matrix.rows` with a zero-padded vector."""
     v = [Fraction(x) for x in vec]
-    v += [Fraction(0)] * (matrix.size - len(v))
+    v += [Fraction(0)] * (len(matrix.columns) - len(v))
     return [sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in matrix.rows]
 
 

@@ -32,7 +32,7 @@ from fockosc.specfun import (
     modified_laguerre,
 )
 from fockosc.realize import Differential, FiniteDifference, QDilatation, Stencil, _move_ints
-from fockosc.spectral import SpectralEntry, SpectralReport
+from fockosc.spectral import SpectralEntry, SpectralReport, reference_spectrum
 from fockosc.verify import Case, Note, VerifyReport
 from oracles import dense_apply, newton_coefficients, shift_by_powers
 
@@ -162,6 +162,8 @@ A = FockPoly({(0, 1): 1})
         ("omega", lambda: kratzer_eigencheck(1, 1, 0.1)),
         ("p", lambda: gauge_conjugate_check(ONE, 0.1, 1)),
         ("omega", lambda: gauge_conjugate_check(ONE, 1, 0.1)),
+        ("s", lambda: reference_spectrum(3, F(7, 6), 0.1)),
+        pytest.param("delta", lambda: QuasiMonomial(0.1), id="delta-QuasiMonomial"),
     ],
 )
 def test_float_argument_is_refused(name, call):
@@ -200,7 +202,7 @@ VALUES = [
     (lambda: QuasiMonomial(F(1, 3)), "QuasiMonomial(delta=Fraction(1, 3))"),
     (
         lambda: OperatorMatrix([Poly([1]), Poly([0, F(-2, 3)])], QuasiMonomial(0)),
-        "OperatorMatrix(columns=(Poly(1*y^0), Poly(-2/3*y^1)), basis=QuasiMonomial(delta=0))",
+        "OperatorMatrix(columns=(Poly(1*y^0), Poly(-2/3*y^1)), basis=QuasiMonomial(delta=Fraction(0, 1)))",
     ),
     (Differential, "Differential()"),
     (lambda: FiniteDifference(F(1, 3)), "FiniteDifference(delta=Fraction(1, 3))"),
@@ -211,7 +213,7 @@ VALUES = [
     ),
     (
         lambda: SpectralReport(QuasiMonomial(0), (SpectralEntry(0, F(0), Poly.one()),)),
-        "SpectralReport(basis=QuasiMonomial(delta=0), entries=(SpectralEntry(level=0, "
+        "SpectralReport(basis=QuasiMonomial(delta=Fraction(0, 1)), entries=(SpectralEntry(level=0, "
         "eigenvalue=Fraction(0, 1), eigenpoly=Poly(1*y^0)),))",
     ),
     (_case, "Case(case='casimir', inputs={'n': '2'}, expected='-8', got='-8', passed=True)"),

@@ -156,6 +156,12 @@ class TestPencilSolve:
         with pytest.raises(TypeError, match=r'^q must be exact.*Fraction\("0\.5"\)$'):
             pencil_solve(matrix, -1, 0.5)
 
+    def test_float_s_is_refused(self):
+        # s = -1.0 used to give level 1 as -5254199565265579/2^50, not -14/3.
+        matrix = realize_matrix(build_hf(0, q=F(7, 6)), QDilatation(F(7, 6)), 3)
+        with pytest.raises(TypeError, match=r'^s must be exact.*Fraction\("-1\.0"\)$'):
+            pencil_solve(matrix, -1.0, F(7, 6))
+
     @pytest.mark.parametrize("q", [F(2), F(1, 2), F(3, 7)])
     def test_scaled_once(self, q):
         matrix = realize_matrix(build_hf(0, q=q), QDilatation(q), 10)
@@ -277,7 +283,7 @@ class TestSolverProperty:
             assert v.degree == entry.level and v.leading == 1
             image = dense_apply(matrix, v.coeffs)
             assert image == [
-                entry.eigenvalue * q ** (s * i) * v.coeff(i) for i in range(matrix.size)
+                entry.eigenvalue * q ** (s * i) * v.coeff(i) for i in range(len(matrix.columns))
             ]
 
 
@@ -294,7 +300,7 @@ def assert_matches_recurrence(matrix, level, q, s):
         return eigensolve_flag(matrix) if s == 0 else pencil_solve(matrix, s, q)
 
     try:
-        expected = [level(n) for n in range(matrix.size)]
+        expected = [level(n) for n in range(len(matrix.columns))]
     except ZeroDivisionError:
         with pytest.raises(DegenerateSpectrumError):
             solve()
@@ -421,6 +427,15 @@ class TestReferenceSpectrum:
     def test_float_q_is_refused(self):
         with pytest.raises(TypeError, match=r'^q must be exact.*Fraction\("0\.5"\)$'):
             reference_spectrum(2, 0.5, -1)
+
+    def test_float_s_is_refused(self):
+        # s = -1.0 used to give level 1 as -5254199565265579/2^50, not -14/3.
+        with pytest.raises(TypeError, match=r'^s must be exact.*Fraction\("-1\.0"\)$'):
+            reference_spectrum(4, F(7, 6), -1.0)
+
+    def test_fractional_s_is_refused(self):
+        with pytest.raises(ValueError, match="whole number"):
+            reference_spectrum(3, F(7, 6), F(1, 2))
 
     @pytest.mark.parametrize(
         "q, s, label",

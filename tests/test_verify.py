@@ -161,7 +161,7 @@ def _swapped(commutator):
 
 
 def _mul_plus_identity(mul):
-    return lambda x, y: mul(x, y) + FockPoly.identity(x.q)
+    return lambda x, y: mul(x, y) + FockPoly({(0, 0): 1}, x.q)
 
 
 def _casimir_plus_one(casimir_value):
@@ -170,7 +170,7 @@ def _casimir_plus_one(casimir_value):
 
 def _constant_plus_one(build):
     """An operator builder whose element carries an extra identity term."""
-    return lambda *args, q=1: build(*args, q=q) + FockPoly.identity(q)
+    return lambda *args, q=1: build(*args, q=q) + FockPoly({(0, 0): 1}, q)
 
 
 def _extra_b_term(build_hg):
