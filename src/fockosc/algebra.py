@@ -85,7 +85,7 @@ class _Value:
     or deleting an attribute raises AttributeError.  A subclass lists every
     field in its own `__slots__`; one that checks or converts its arguments
     defines `__init__` and calls this one.  The polynomials, `FockPoly`, and
-    the bases, matrices, realizations, stencils and reports all derive from it.
+    the bases, matrices, realizations, stencils and spectral reports all derive from it.
     """
 
     __slots__ = ()

@@ -25,7 +25,6 @@ import os
 import re
 import sys
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 from .algebra import DegenerateSpectrumError
 from .fock import FockPoly, build_hf, build_hg, number_matrix
@@ -42,10 +41,6 @@ from .spectral import (
     reference_label,
     reference_spectrum,
 )
-
-if TYPE_CHECKING:
-    from .verify import VerifyReport
-
 
 # The names of verify.SUITES, in its order (a test pins the two together):
 # `verify` and the special functions it checks load only when `fockosc verify` runs.
@@ -113,24 +108,6 @@ def _rational(text: str) -> Fraction:
     if _height(value) > MAX_HEIGHT:
         raise argparse.ArgumentTypeError(f"{_quote(text)} is over the height cap. {LIMITS}")
     return value
-
-
-def _verify_json(report: VerifyReport) -> dict:
-    return {
-        "suite": report.suite,
-        "passed": report.passed,
-        "cases": [
-            {
-                "case": c.case,
-                "inputs": c.inputs,
-                "expected": c.expected,
-                "got": c.got,
-                "pass": c.passed,
-            }
-            for c in report.cases
-        ],
-        "notes": [{"id": n.note_id, "text": n.text} for n in report.notes],
-    }
 
 
 @contextlib.contextmanager
@@ -241,10 +218,9 @@ def cmd_verify(parser: argparse.ArgumentParser, args) -> tuple[int, dict]:
 
     if args.suite != "all":
         report = verify.run_suite(args.suite)
-        return (0 if report.passed else 1), {"command": "verify", **_verify_json(report)}
-    reports = verify.run_all()
-    passed = all(r.passed for r in reports)
-    suites = [_verify_json(r) for r in reports]
+        return (0 if report["passed"] else 1), {"command": "verify", **report}
+    suites = verify.run_all()
+    passed = all(r["passed"] for r in suites)
     return (0 if passed else 1), {"command": "verify", "suite": "all", "passed": passed, "suites": suites}
 
 

@@ -91,10 +91,6 @@ class FockPoly(_Value):
         return FockPoly({(0, 1): 1}, q)
 
     @staticmethod
-    def b(q: Rat = 1) -> "FockPoly":
-        return FockPoly({(1, 0): 1}, q)
-
-    @staticmethod
     def word(k: int, m: int, coeff: Rat = 1, q: Rat = 1) -> "FockPoly":
         return FockPoly({(k, m): coeff}, q)
 

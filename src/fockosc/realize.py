@@ -282,6 +282,11 @@ class Stencil(_Value):
     param: Fraction
     terms: tuple[tuple[int, LaurentPoly], ...]  # sorted by offset
 
+    def __init__(self, mode: str, param: Rat, terms: tuple[tuple[int, LaurentPoly], ...]):
+        if mode not in ("shift", "scale"):
+            raise ValueError(f"stencil mode must be 'shift' or 'scale', not {mode!r}")
+        super().__init__(mode, exact(param, "param"), terms)
+
     @property
     def offsets(self) -> tuple[int, ...]:
         return tuple(j for j, _ in self.terms)

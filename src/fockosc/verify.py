@@ -1,10 +1,12 @@
 """Named verification suites over fixed parameter grids.
 
-Each suite runs a batch of exact identity checks and returns a report of
-cases (inputs, expected, got, pass) plus convention notes for the places
-where more than one sign or constant convention is in circulation.  The
-grids are fixed in code so a verification run is reproducible
-byte-for-byte.
+Each suite runs a batch of exact identity checks and returns the
+JSON-ready report dict that `fockosc verify` writes: the suite name,
+whether it passed, its cases (case, inputs, expected, got, pass) and
+convention notes (id, text) for the places where more than one sign or
+constant convention is in circulation.  Every call builds a fresh
+report.  The grids are fixed in code so a verification run is
+reproducible byte-for-byte.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import math
 import random
 from fractions import Fraction
 
-from .algebra import OperatorMatrix, Poly, QuasiMonomial, _Value, basis_transplant
+from .algebra import OperatorMatrix, Poly, QuasiMonomial, basis_transplant
 from .fock import FockPoly, build_hf, build_hg, casimir_value, commutator, sl2_generators
 from .realize import (
     Differential,
@@ -52,36 +54,7 @@ RESIDUAL_COUNT = 200
 RESIDUAL_MAX_DEGREE = 15
 
 
-class Case(_Value):
-    __slots__ = ("case", "inputs", "expected", "got", "passed")
-    case: str
-    inputs: dict
-    expected: str
-    got: str
-    passed: bool
-
-
-class Note(_Value):
-    __slots__ = ("note_id", "text")
-    note_id: str
-    text: str
-
-
-class VerifyReport(_Value):
-    __slots__ = ("suite", "cases", "notes")
-    suite: str
-    cases: tuple[Case, ...]
-    notes: tuple[Note, ...]
-
-    def __init__(self, suite: str, cases: tuple[Case, ...], notes: tuple[Note, ...] = ()):
-        super().__init__(suite, cases, notes)
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.cases)
-
-
-NOTE_DILATATION_SIGN = Note(
+NOTE_DILATATION_SIGN = (
     "dilatation-sign",
     "The dilatation derivative is (f(qy) - f(y)) / (y(q-1)).  The opposite "
     "denominator sign y(1-q) fails the deformed product rule (it gives "
@@ -90,7 +63,7 @@ NOTE_DILATATION_SIGN = Note(
     "coefficient 4/(y q (q-1)^2).",
 )
 
-NOTE_HG_CONSTANT = Note(
+NOTE_HG_CONSTANT = (
     "four-point-constant",
     "The four-point element carries the lowering-order constant 4(p + 1/2), "
     "which makes its B = 0 case reduce exactly to the three-point element.  "
@@ -98,7 +71,7 @@ NOTE_HG_CONSTANT = Note(
     "breaks that reduction, so it is not used.",
 )
 
-NOTE_SCALE_DIRECTION = Note(
+NOTE_SCALE_DIRECTION = (
     "scale-direction",
     "For the scaled right-hand side H f = E f(q^s .), back-substitution gives "
     "E_n = -4 {n} q^(-s n).  The families -4 q^n {n} and -4 q^(2n) {n} are "
@@ -107,7 +80,7 @@ NOTE_SCALE_DIRECTION = Note(
     "-4 q^(-2n) {n}, which are emitted for comparison.",
 )
 
-NOTE_Q_STENCIL_SIGNS = Note(
+NOTE_Q_STENCIL_SIGNS = (
     "dilatation-stencil-signs",
     "Composing the dilatation realization gives the three-point coefficients "
     "c2 = 4/(y q (q-1)^2), c1 = -4[1 + q + (y - p - 1/2) q (q-1)]/(y q (q-1)^2) "
@@ -116,14 +89,14 @@ NOTE_Q_STENCIL_SIGNS = Note(
     "inconsistent with c2 and with the commutation rule, and is not used.",
 )
 
-NOTE_KRATZER_GAP = Note(
+NOTE_KRATZER_GAP = (
     "inverse-square-spacing",
     "At fixed weight p the measured levels of the inverse-square oscillator "
     "are w(4n + 2p + 1): the spacing within one p family is 4w, and the "
     "p = 0 and p = 1 families interleave with spacing 2w.",
 )
 
-NOTE_SHIFTED_LAGUERRE = Note(
+NOTE_SHIFTED_LAGUERRE = (
     "shifted-laguerre",
     "Measured by back-substitution, the eigenpolynomials of the four-point "
     "element under the differential realization are monic Laguerre "
@@ -131,9 +104,16 @@ NOTE_SHIFTED_LAGUERRE = Note(
 )
 
 
-def _case(name: str, inputs: dict, expected: str, got: str, passed: bool | None = None) -> Case:
+def _case(name: str, inputs: dict, expected: str, got: str, passed: bool | None = None) -> dict:
     """A case that passes when `got` reads exactly as `expected`, unless told otherwise."""
-    return Case(name, inputs, expected, got, got == expected if passed is None else passed)
+    passed = got == expected if passed is None else passed
+    return {"case": name, "inputs": inputs, "expected": expected, "got": got, "pass": passed}
+
+
+def _report(suite: str, cases: list[dict], *notes: tuple[str, str]) -> dict:
+    """The suite's report, passed when every case passes, with one fresh dict per (id, text) note."""
+    notes = [{"id": note_id, "text": text} for note_id, text in notes]
+    return {"suite": suite, "passed": all(c["pass"] for c in cases), "cases": cases, "notes": notes}
 
 
 def _random_poly(rng: random.Random) -> Poly:
@@ -145,7 +125,7 @@ def _random_poly(rng: random.Random) -> Poly:
     return Poly(coeffs)
 
 
-def suite_heisenberg() -> VerifyReport:
+def suite_heisenberg() -> dict:
     """(a.b - q.b.a - 1) f = 0 and a(1) = 0 for every realization."""
     realizations: list[Realization] = [Differential()]
     realizations += [FiniteDifference(d) for d in DELTA_GRID]
@@ -177,10 +157,10 @@ def suite_heisenberg() -> VerifyReport:
                 "0" if image.is_zero else repr(image),
             )
         )
-    return VerifyReport("heisenberg", tuple(cases), (NOTE_DILATATION_SIGN,))
+    return _report("heisenberg", cases, NOTE_DILATATION_SIGN)
 
 
-def suite_sl2() -> VerifyReport:
+def suite_sl2() -> dict:
     """Triple commutation relations and the deformed lowering relation."""
     cases = []
     for n in (Fraction(0), Fraction(1), Fraction(2), Fraction(3), Fraction(7, 2)):
@@ -213,10 +193,10 @@ def suite_sl2() -> VerifyReport:
                 "0" if residual.is_zero else repr(residual),
             )
         )
-    return VerifyReport("sl2", tuple(cases))
+    return _report("sl2", cases)
 
 
-def suite_casimir() -> VerifyReport:
+def suite_casimir() -> dict:
     """(1/2){J+,J-} - J0^2 collapses to the scalar -(n/2)(n/2 + 1)."""
     cases = []
     for n in range(9):
@@ -225,7 +205,7 @@ def suite_casimir() -> VerifyReport:
         cases.append(
             _case(f"casimir n={n}", {"n": str(n)}, str(expected), str(got))
         )
-    return VerifyReport("casimir", tuple(cases))
+    return _report("casimir", cases)
 
 
 def _values_string(values) -> str:
@@ -236,14 +216,14 @@ def _reference_string(count: int, q: Fraction = Fraction(1), s: int = 0) -> str:
     return _values_string(reference_spectrum(count, q, s))
 
 
-def _comparison_case(name: str, inputs: dict, a: SpectralReport, b: SpectralReport) -> Case:
+def _comparison_case(name: str, inputs: dict, a: SpectralReport, b: SpectralReport) -> dict:
     """A case that passes when the two reports agree on every eigenvalue."""
     mismatches = list(isospectral_compare(a, b))
     got = f"spectra differ (mismatch at levels {mismatches})" if mismatches else "isospectral"
     return _case(name, inputs, "all levels equal", got, not mismatches)
 
 
-def suite_spectrum() -> VerifyReport:
+def suite_spectrum() -> dict:
     """Diagonal spectra: -4n for the flat realizations, -4{n} for dilatation."""
     cases = []
     for p in P_GRID:
@@ -266,7 +246,7 @@ def suite_spectrum() -> VerifyReport:
                 _values_string(eigensolve_flag(matrix).eigenvalues),
             )
         )
-    return VerifyReport("spectrum", tuple(cases), (NOTE_DILATATION_SIGN,))
+    return _report("spectrum", cases, NOTE_DILATATION_SIGN)
 
 
 def _hf_grid() -> dict[tuple[Fraction, Fraction], tuple[OperatorMatrix, SpectralReport]]:
@@ -283,7 +263,7 @@ def _hf_grid() -> dict[tuple[Fraction, Fraction], tuple[OperatorMatrix, Spectral
     return grid
 
 
-def suite_isospectral(grid: dict | None = None) -> VerifyReport:
+def suite_isospectral(grid: dict | None = None) -> dict:
     """Eigenvalue equality across realizations and the four-point structure."""
     grid = _hf_grid() if grid is None else grid
     cases = []
@@ -374,14 +354,10 @@ def suite_isospectral(grid: dict | None = None) -> VerifyReport:
             diverges,
         )
     )
-    return VerifyReport(
-        "isospectral",
-        tuple(cases),
-        (NOTE_HG_CONSTANT, NOTE_SHIFTED_LAGUERRE, NOTE_Q_STENCIL_SIGNS),
-    )
+    return _report("isospectral", cases, NOTE_HG_CONSTANT, NOTE_SHIFTED_LAGUERRE, NOTE_Q_STENCIL_SIGNS)
 
 
-def suite_transplant(grid: dict | None = None) -> VerifyReport:
+def suite_transplant(grid: dict | None = None) -> dict:
     """Coefficient transplants: matrices match and eigenfunctions carry over."""
     grid = _hf_grid() if grid is None else grid
     cases = []
@@ -425,10 +401,10 @@ def suite_transplant(grid: dict | None = None) -> VerifyReport:
                     ok,
                 )
             )
-    return VerifyReport("transplant", tuple(cases))
+    return _report("transplant", cases)
 
 
-def suite_kratzer() -> VerifyReport:
+def suite_kratzer() -> dict:
     """Inverse-square oscillator eigenvalues and the gauge-conjugation match."""
     cases = []
     for p in KRATZER_P_GRID:
@@ -456,10 +432,10 @@ def suite_kratzer() -> VerifyReport:
                     ok,
                 )
             )
-    return VerifyReport("kratzer", tuple(cases), (NOTE_KRATZER_GAP,))
+    return _report("kratzer", cases, NOTE_KRATZER_GAP)
 
 
-def suite_parity() -> VerifyReport:
+def suite_parity() -> dict:
     """Even/odd reduction of Hermite to Laguerre: ratios measured and recorded."""
     cases = []
     for p in (0, 1):
@@ -474,10 +450,10 @@ def suite_parity() -> VerifyReport:
                     str(measured),
                 )
             )
-    return VerifyReport("parity", tuple(cases))
+    return _report("parity", cases)
 
 
-def suite_qpencil() -> VerifyReport:
+def suite_qpencil() -> dict:
     """Scaled right-hand sides: both dilation directions, coincidence at q = 1."""
     cases = []
     for q in Q_SPECTRUM_GRID:
@@ -503,7 +479,7 @@ def suite_qpencil() -> VerifyReport:
                 _values_string(pencil_solve(flat, s, Fraction(1)).eigenvalues),
             )
         )
-    return VerifyReport("qpencil", tuple(cases), (NOTE_SCALE_DIRECTION,))
+    return _report("qpencil", cases, NOTE_SCALE_DIRECTION)
 
 
 SUITES = {
@@ -519,13 +495,13 @@ SUITES = {
 }
 
 
-def run_suite(name: str) -> VerifyReport:
+def run_suite(name: str) -> dict:
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     return SUITES[name]()
 
 
-def run_all() -> list[VerifyReport]:
+def run_all() -> list[dict]:
     """Every suite in order; the hf grid that two of them share is built once per call."""
     grid = _hf_grid()
     return [SUITES[n](grid) if n in ("isospectral", "transplant") else SUITES[n]() for n in SUITES]

@@ -446,6 +446,47 @@ class TestStencilCommand:
         assert info.value.code == 2
 
 
+# `verify <suite>` reports pinned byte for byte, (JSON, CSV) per suite.
+VERIFY_SUITE_PINS = {
+    "heisenberg": (
+        "87c05e885d1c8cabaa56b5d5c509c138c8edb38b2cf8e9a4f7d11ce6f78f81b0",
+        "d3504bf1de1ebf001eb32923d26861beba53a634bde5bce726f855dbb0589850",
+    ),
+    "sl2": (
+        "d57b23e2e8a8441328bd2dadbe5875a4d9018fbbc4c635072e8cbb42c6abeb35",
+        "c6a31ad52d5f448a227c2b6d63c7bd52dd35f7c4df64bd729c4adf6a29e6527e",
+    ),
+    "casimir": (
+        "05b8b2c4f4f26b63e83ff325e912f45a9e9e2e4e6450889011223de1728f6a39",
+        "8380ce34de2c751b77fb06b6209ef5dc430fa4cadd0804a10811022deb4ea7bb",
+    ),
+    "spectrum": (
+        "bba67d0ab841e6d7d281a9834e01cb56c74edbd47487e6c02c08c84edecbcebc",
+        "006b114a67bdd191fb1d3956674ab7ae9b6a9aecbe8f071adb71755d544b399e",
+    ),
+    "isospectral": (
+        "6023d344edce253a5c8d4be1c4671b519b296e142052ef31116c456ff85d0999",
+        "c8fc8ef2e3262e22d3b96f3e3d1101a2773f0ee337f3434f7c2fe706b0a51345",
+    ),
+    "transplant": (
+        "666cb5faa3b294311ed3a557576bcad5a6d2368cad879c382e832cc2fbab18fe",
+        "62a5efac04591a262fd58de6beae27d9c84ea6c82cb9a11bdd46d774d729e9a4",
+    ),
+    "kratzer": (
+        "2c8f495bda679be298d5b44d3084c169efab39cfcef6a9b1f984d813b73a7e8e",
+        "4c5632a62c4e414d251f153331e6f02e38b7d67390e8a1195fffe20132c13050",
+    ),
+    "parity": (
+        "0a6f656a0db48e3b4464b89ded399b6924641d680ec882f237af1f573dd5b799",
+        "fbb994293238805b9b13b68c0dcbacca057a2b90aea2612d4dd64be3407c880d",
+    ),
+    "qpencil": (
+        "489aeec8cda0dcc55ffa88896ffd24d5fd6623490ca889acd3b614587b2e580c",
+        "747318361c937707b6a8d5d9289c0622da5e74a61de85d8730ecc651336d39c2",
+    ),
+}
+
+
 class TestVerifyCommand:
     def test_casimir_suite(self, tmp_path):
         code, data = run_json(["verify", "casimir"], tmp_path)
@@ -476,6 +517,14 @@ class TestVerifyCommand:
         assert main(["verify", "all", "--format", "csv", "--out", str(out)]) == 0
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
         assert digest == "2b6e30e30136d8c0557ef8018fa2714427029bf37b7a6ed39e925ea54d390aeb"
+
+    @pytest.mark.parametrize("suite", VERIFY_SUITE_PINS)
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_suite_pinned(self, tmp_path, suite, fmt):
+        out = tmp_path / f"out.{fmt}"
+        assert main(["verify", suite, "--format", fmt, "--out", str(out)]) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == VERIFY_SUITE_PINS[suite][fmt == "csv"]
 
     def test_suite_names_match_verify(self):
         # The parser reads the suite names from cli, which does not import verify.

@@ -40,12 +40,12 @@ fock_terms = st.dictionaries(word_keys, coeffs, max_size=4)
 
 class TestNormalOrderProduct:
     def test_ab_undeformed(self):
-        out = FockPoly.a() * FockPoly.b()
+        out = FockPoly.a() * FockPoly.word(1, 0)
         assert out == FockPoly({(1, 1): 1, (0, 0): 1})
 
     def test_ab_deformed(self):
         q = F(5, 3)
-        out = FockPoly.a(q) * FockPoly.b(q)
+        out = FockPoly.a(q) * FockPoly.word(1, 0, q=q)
         assert out == FockPoly({(1, 1): q, (0, 0): 1}, q)
 
     def test_a2_b2_undeformed(self):
@@ -72,7 +72,7 @@ class TestNormalOrderProduct:
 
     def test_context_mixing_raises(self):
         with pytest.raises(AlgebraMismatchError):
-            normal_order_product(FockPoly.a(q=1), FockPoly.b(q=2))
+            normal_order_product(FockPoly.a(q=1), FockPoly.word(1, 0, q=2))
 
     @given(fock_terms, fock_terms, fock_terms, st.sampled_from(Q_SAMPLES))
     @settings(max_examples=50, deadline=None)
@@ -92,7 +92,7 @@ class TestNormalOrderProduct:
 class TestQBracket:
     def test_defining_relation(self):
         for q in (F(1), F(4, 7)):
-            out = q_bracket(FockPoly.a(q), FockPoly.b(q), q)
+            out = q_bracket(FockPoly.a(q), FockPoly.word(1, 0, q=q), q)
             assert out == FockPoly({(0, 0): 1}, q)
 
     def test_self_commutator_vanishes(self):

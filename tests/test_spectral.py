@@ -71,7 +71,7 @@ class TestPreservesFlag:
             eigensolve_flag(realize_matrix(jplus2, Differential(), 2))
 
     @pytest.mark.parametrize(
-        "h, n", [(FockPoly.b(), 0), (FockPoly.word(3, 1), 1)], ids=["b-on-P0", "b3a-on-P1"]
+        "h, n", [(FockPoly.word(1, 0), 0), (FockPoly.word(3, 1), 1)], ids=["b-on-P0", "b3a-on-P1"]
     )
     def test_images_leaving_the_flag_are_rejected(self, h, n):
         # b y^0 = y and b^3 a y = y^3 leave P_N; the square view inside

@@ -39,20 +39,20 @@ def test_unknown_suite_rejected():
 
 def test_spectrum_suite_passes():
     report = run_suite("spectrum")
-    assert report.passed
-    assert len(report.cases) == 6
+    assert report["passed"]
+    assert len(report["cases"]) == 6
 
 
 def test_qpencil_suite_carries_direction_note():
     report = run_suite("qpencil")
-    assert report.passed
-    assert any(note.note_id == "scale-direction" for note in report.notes)
+    assert report["passed"]
+    assert any(note["id"] == "scale-direction" for note in report["notes"])
 
 
 def test_isospectral_suite_records_shift_conventions():
     report = run_suite("isospectral")
-    assert report.passed
-    ids = {note.note_id for note in report.notes}
+    assert report["passed"]
+    ids = {note["id"] for note in report["notes"]}
     assert {"four-point-constant", "shifted-laguerre", "dilatation-stencil-signs"} <= ids
 
 
@@ -60,16 +60,36 @@ def test_negative_control_needs_two_solved_spectra(monkeypatch):
     """With one report standing in for both solves, the divergence case must fail."""
     report = verify.eigensolve_flag(realize_matrix(build_hf(0), Differential(), 4))
     monkeypatch.setattr(verify, "eigensolve_flag", lambda matrix: report)
-    cases = {case.case: case for case in run_suite("isospectral").cases}
+    cases = {case["case"]: case for case in run_suite("isospectral")["cases"]}
     control = cases["classic-vs-deformed q=2 diverges"]
-    assert not control.passed
-    assert control.got == "unexpected pattern"
+    assert not control["pass"]
+    assert control["got"] == "unexpected pattern"
 
 
 def test_kratzer_suite_records_spacing_note():
     report = run_suite("kratzer")
-    assert report.passed
-    assert any(note.note_id == "inverse-square-spacing" for note in report.notes)
+    assert report["passed"]
+    assert any(note["id"] == "inverse-square-spacing" for note in report["notes"])
+
+
+def test_reports_have_the_written_schema():
+    """Each suite returns the report dict `fockosc verify` writes, and nothing more."""
+    for report in verify.run_all() + [run_suite(name) for name in SUITES]:
+        assert set(report) == {"suite", "passed", "cases", "notes"}
+        assert report["passed"] is all(c["pass"] for c in report["cases"])
+        assert all(set(c) == {"case", "inputs", "expected", "got", "pass"} for c in report["cases"])
+        assert all(set(n) == {"id", "text"} for n in report["notes"])
+
+
+def test_each_call_returns_a_fresh_report():
+    """A caller that changes a returned report leaves the next one pristine."""
+    pristine = run_suite("isospectral")
+    changed = run_suite("isospectral")
+    changed["cases"][0]["inputs"].clear()
+    changed["cases"].clear()
+    changed["notes"][0]["text"] = "edited"
+    assert run_suite("isospectral") == pristine
+    assert verify.NOTE_HG_CONSTANT[1] == pristine["notes"][0]["text"] != "edited"
 
 
 def test_run_all_matches_each_suite_alone():
@@ -110,11 +130,11 @@ def test_matrix_transplant_compares_separate_matrices(monkeypatch):
     cases = [
         case
         for report in verify.run_all()
-        for case in report.cases
-        if case.case.startswith("matrix-transplant")
+        for case in report["cases"]
+        if case["case"].startswith("matrix-transplant")
     ]
     assert len(cases) == 9
-    assert not any(case.passed for case in cases)
+    assert not any(case["pass"] for case in cases)
 
 
 # One plausible fault per case family of `verify all`.  Each wraps the
@@ -253,16 +273,16 @@ def _inject(monkeypatch, family: str) -> str:
 
 
 def test_every_family_has_a_fault():
-    assert {_family(c.case) for report in verify.run_all() for c in report.cases} == set(FAULTS)
+    assert {_family(c["case"]) for report in verify.run_all() for c in report["cases"]} == set(FAULTS)
 
 
 @pytest.mark.parametrize("family", FAULTS)
 def test_family_fails_under_its_fault(monkeypatch, family):
     """No verdict holds by construction: one fault fails every case of its family."""
     suite = _inject(monkeypatch, family)
-    cases = [c for c in run_suite(suite).cases if _family(c.case) == family]
+    cases = [c for c in run_suite(suite)["cases"] if _family(c["case"]) == family]
     assert cases
-    assert [c.case for c in cases if c.passed] == []
+    assert [c["case"] for c in cases if c["pass"]] == []
 
 
 def test_verify_all_exits_1_under_a_fault(monkeypatch, tmp_path):
