@@ -143,6 +143,8 @@ class FockPoly(_Value):
             raise AlgebraMismatchError(f"mixing deformation parameters {self.q} and {other.q}")
 
     def __add__(self, other: "FockPoly") -> "FockPoly":
+        if type(other) is not FockPoly:
+            return NotImplemented
         self._check_context(other)
         acc = dict(self.terms)
         for w, c in other.terms.items():
@@ -153,6 +155,8 @@ class FockPoly(_Value):
         return FockPoly({w: -c for w, c in self.terms.items()}, self.q)
 
     def __sub__(self, other: "FockPoly") -> "FockPoly":
+        if type(other) is not FockPoly:
+            return NotImplemented
         return self + (-other)
 
     def scale(self, k: Rat) -> "FockPoly":
@@ -162,6 +166,8 @@ class FockPoly(_Value):
         return FockPoly({w: k * c for w, c in self.terms.items()}, self.q)
 
     def __mul__(self, other: "FockPoly") -> "FockPoly":
+        if type(other) is not FockPoly:
+            return NotImplemented
         return normal_order_product(self, other)
 
 

@@ -107,14 +107,14 @@ def pencil_solve(matrix: OperatorMatrix, s: int, q: Rat) -> SpectralReport:
     eigenvalue H[n][n] q^(-s n).  Both signs of s are accepted so either
     dilation direction can be matched against a reference family.
     """
-    q = exact(q, "q")
+    q, s = exact(q, "q"), exact(s, "s")
     if q == 0:
         raise ValueError("pencil parameter must be nonzero")
-    a, b = _scale_ratio(q, s)
     if s not in (-2, -1, 1, 2):
         raise ValueError("scale power must be one of -2, -1, 1, 2")
     if matrix.basis.delta != 0:
         raise NotTriangularError("pencil solving expects the monomial basis")
+    a, b = _scale_ratio(q, s)
     columns = [Poly._of_triple(*_dilate((0, *c.ints), a, b)) for c in matrix.columns]
     return eigensolve_flag(OperatorMatrix(columns, matrix.basis))
 

@@ -4,9 +4,12 @@ Each suite runs a batch of exact identity checks and returns the
 JSON-ready report dict that `fockosc verify` writes: the suite name,
 whether it passed, its cases (case, inputs, expected, got, pass) and
 convention notes (id, text) for the places where more than one sign or
-constant convention is in circulation.  Every call builds a fresh
-report.  The grids are fixed in code so a verification run is
-reproducible byte-for-byte.
+constant convention is in circulation.  Every case is one of three
+checks, each with its pass rule written once: `_case`, a value that
+reads exactly as expected; `_holds`, a flag, whose `got` is the word for
+it; `_zero`, a residual that is zero, whose `got` is "0" or the
+residual.  Every call builds a fresh report.  The grids are fixed in
+code so a verification run is reproducible byte-for-byte.
 """
 
 from __future__ import annotations
@@ -104,10 +107,22 @@ NOTE_SHIFTED_LAGUERRE = (
 )
 
 
-def _case(name: str, inputs: dict, expected: str, got: str, passed: bool | None = None) -> dict:
-    """A case that passes when `got` reads exactly as `expected`, unless told otherwise."""
-    passed = got == expected if passed is None else passed
-    return {"case": name, "inputs": inputs, "expected": expected, "got": got, "pass": passed}
+def _case(name: str, inputs: dict, expected: str, got: str) -> dict:
+    """A case that passes when `got` reads exactly as `expected`."""
+    return {"case": name, "inputs": inputs, "expected": expected, "got": got, "pass": got == expected}
+
+
+def _holds(
+    name: str, inputs: dict, expected: str, ok: bool, words: tuple[str, str] = ("match", "mismatch")
+) -> dict:
+    """A case that passes when the flag `ok` holds; `got` is its first word if so, else its second."""
+    got = words[0] if ok else words[1]
+    return {"case": name, "inputs": inputs, "expected": expected, "got": got, "pass": ok}
+
+
+def _zero(name: str, inputs: dict, residual: Poly | FockPoly) -> dict:
+    """A case that passes when `residual` is zero; `got` reads "0" or the residual's repr."""
+    return _case(name, inputs, "0", "0" if residual.is_zero else repr(residual))
 
 
 def _report(suite: str, cases: list[dict], *notes: tuple[str, str]) -> dict:
@@ -132,31 +147,14 @@ def suite_heisenberg() -> dict:
     realizations += [QDilatation(q) for q in Q_BRACKET_GRID]
     rng = random.Random(RANDOM_SEED)
     polys = [_random_poly(rng) for _ in range(RESIDUAL_COUNT)]
+    expected = f"{RESIDUAL_COUNT}/{RESIDUAL_COUNT} residuals zero"
+    sample = {"polynomials": RESIDUAL_COUNT, "max_degree": RESIDUAL_MAX_DEGREE}
     cases = []
     for r in realizations:
         zero = sum(heisenberg_residual(r, f).is_zero for f in polys)
-        cases.append(
-            _case(
-                f"bracket-{r.label}",
-                {
-                    "realization": r.label,
-                    "q": str(r.q),
-                    "polynomials": RESIDUAL_COUNT,
-                    "max_degree": RESIDUAL_MAX_DEGREE,
-                },
-                f"{RESIDUAL_COUNT}/{RESIDUAL_COUNT} residuals zero",
-                f"{zero}/{RESIDUAL_COUNT} residuals zero",
-            )
-        )
-        image = r.lower(Poly.one())
-        cases.append(
-            _case(
-                f"vacuum-{r.label}",
-                {"realization": r.label},
-                "0",
-                "0" if image.is_zero else repr(image),
-            )
-        )
+        inputs = {"realization": r.label, "q": str(r.q), **sample}
+        cases.append(_case(f"bracket-{r.label}", inputs, expected, f"{zero}/{RESIDUAL_COUNT} residuals zero"))
+        cases.append(_zero(f"vacuum-{r.label}", {"realization": r.label}, r.lower(Poly.one())))
     return _report("heisenberg", cases, NOTE_DILATATION_SIGN)
 
 
@@ -171,28 +169,14 @@ def suite_sl2() -> dict:
             "[J+,J-]=-2J0": commutator(gens.jplus, gens.jminus) + gens.jzero.scale(2),
         }
         for label, residual in relations.items():
-            cases.append(
-                _case(
-                    f"{label} @ n={n}",
-                    {"n": str(n), "relation": label},
-                    "0",
-                    "0" if residual.is_zero else repr(residual),
-                )
-            )
+            cases.append(_zero(f"{label} @ n={n}", {"n": str(n), "relation": label}, residual))
     # Deformed Borel relation in its verified normalization:
     # q*(J0.J-) - (J-.J0) = -J- with J0 = ba, J- = a.
     for q in (Fraction(2), Fraction(1, 3)):
         jzero = FockPoly.word(1, 1, q=q)
         jminus = FockPoly.a(q=q)
         residual = (jzero * jminus).scale(q) - jminus * jzero + jminus
-        cases.append(
-            _case(
-                f"q(J0.J-)-(J-.J0)=-J- @ q={q}",
-                {"q": str(q)},
-                "0",
-                "0" if residual.is_zero else repr(residual),
-            )
-        )
+        cases.append(_zero(f"q(J0.J-)-(J-.J0)=-J- @ q={q}", {"q": str(q)}, residual))
     return _report("sl2", cases)
 
 
@@ -202,9 +186,7 @@ def suite_casimir() -> dict:
     for n in range(9):
         expected = -Fraction(n, 2) * (Fraction(n, 2) + 1)
         got = casimir_value(n).value
-        cases.append(
-            _case(f"casimir n={n}", {"n": str(n)}, str(expected), str(got))
-        )
+        cases.append(_case(f"casimir n={n}", {"n": str(n)}, str(expected), str(got)))
     return _report("casimir", cases)
 
 
@@ -219,8 +201,8 @@ def _reference_string(count: int, q: Fraction = Fraction(1), s: int = 0) -> str:
 def _comparison_case(name: str, inputs: dict, a: SpectralReport, b: SpectralReport) -> dict:
     """A case that passes when the two reports agree on every eigenvalue."""
     mismatches = list(isospectral_compare(a, b))
-    got = f"spectra differ (mismatch at levels {mismatches})" if mismatches else "isospectral"
-    return _case(name, inputs, "all levels equal", got, not mismatches)
+    words = ("isospectral", f"spectra differ (mismatch at levels {mismatches})")
+    return _holds(name, inputs, "all levels equal", not mismatches, words)
 
 
 def suite_spectrum() -> dict:
@@ -228,24 +210,14 @@ def suite_spectrum() -> dict:
     cases = []
     for p in P_GRID:
         report = eigensolve_flag(realize_matrix(build_hf(p), Differential(), 20))
-        cases.append(
-            _case(
-                f"classic-diff p={p}",
-                {"operator": "hf", "realization": "diff", "p": str(p), "N": 20},
-                _reference_string(21),
-                _values_string(report.eigenvalues),
-            )
-        )
+        inputs = {"operator": "hf", "realization": "diff", "p": str(p), "N": 20}
+        got = _values_string(report.eigenvalues)
+        cases.append(_case(f"classic-diff p={p}", inputs, _reference_string(21), got))
     for q in Q_SPECTRUM_GRID:
-        matrix = realize_matrix(build_hf(Fraction(0), q=q), QDilatation(q), 16)
-        cases.append(
-            _case(
-                f"deformed-qdil q={q}",
-                {"operator": "hf", "realization": "qdil", "q": str(q), "N": 16},
-                _reference_string(17, q),
-                _values_string(eigensolve_flag(matrix).eigenvalues),
-            )
-        )
+        report = eigensolve_flag(realize_matrix(build_hf(Fraction(0), q=q), QDilatation(q), 16))
+        inputs = {"operator": "hf", "realization": "qdil", "q": str(q), "N": 16}
+        got = _values_string(report.eigenvalues)
+        cases.append(_case(f"deformed-qdil q={q}", inputs, _reference_string(17, q), got))
     return _report("spectrum", cases, NOTE_DILATATION_SIGN)
 
 
@@ -269,27 +241,14 @@ def suite_isospectral(grid: dict | None = None) -> dict:
     cases = []
     for p in P_GRID:
         for d in DELTA_GRID:
-            cases.append(
-                _comparison_case(
-                    f"diff-vs-fd p={p} delta={d}",
-                    {"p": str(p), "delta": str(d), "N": 16},
-                    grid[p, 0][1],
-                    grid[p, d][1],
-                )
-            )
+            name, inputs = f"diff-vs-fd p={p} delta={d}", {"p": str(p), "delta": str(d), "N": 16}
+            cases.append(_comparison_case(name, inputs, grid[p, 0][1], grid[p, d][1]))
     for p in (Fraction(0), Fraction(1)):
         hf_report = grid[p, 0][1]
         for big_b in B_GRID:
-            hg = build_hg(p, big_b)
-            hg_report = eigensolve_flag(realize_matrix(hg, Differential(), 16))
-            cases.append(
-                _comparison_case(
-                    f"hg-vs-hf p={p} B={big_b}",
-                    {"p": str(p), "B": str(big_b), "N": 16},
-                    hf_report,
-                    hg_report,
-                )
-            )
+            hg_report = eigensolve_flag(realize_matrix(build_hg(p, big_b), Differential(), 16))
+            inputs = {"p": str(p), "B": str(big_b), "N": 16}
+            cases.append(_comparison_case(f"hg-vs-hf p={p} B={big_b}", inputs, hf_report, hg_report))
             # Eigenpolynomials: monic Laguerre with superscript p+B-1/2,
             # argument y+B.  The shift is recorded, not assumed.
             alpha = p + big_b - Fraction(1, 2)
@@ -297,63 +256,30 @@ def suite_isospectral(grid: dict | None = None) -> dict:
                 entry.eigenpoly == laguerre(n, alpha).shift_arg(big_b).monic()
                 for n, entry in enumerate(hg_report.entries)
             )
-            cases.append(
-                _case(
-                    f"hg-shifted-laguerre p={p} B={big_b}",
-                    {
-                        "p": str(p),
-                        "B": str(big_b),
-                        "alpha": str(alpha),
-                        "shift": str(big_b),
-                    },
-                    "monic Laguerre(alpha) at y+shift",
-                    "match" if match else "mismatch",
-                    match,
-                )
-            )
+            inputs = {"p": str(p), "B": str(big_b), "alpha": str(alpha), "shift": str(big_b)}
+            expected = "monic Laguerre(alpha) at y+shift"
+            cases.append(_holds(f"hg-shifted-laguerre p={p} B={big_b}", inputs, expected, match))
     for big_b in B_GRID:
         for d in DELTA_GRID:
             stencil = stencil_of(build_hg(Fraction(0), big_b), FiniteDifference(d))
-            cases.append(
-                _case(
-                    f"four-point B={big_b} delta={d}",
-                    {"B": str(big_b), "delta": str(d)},
-                    f"offsets (-1, 0, 1, 2), c2 = {4 * big_b / d**2}",
-                    f"offsets {stencil.offsets}, c2 = {stencil.coeff(2).coeff(0)}",
-                )
-            )
+            expected = f"offsets (-1, 0, 1, 2), c2 = {4 * big_b / d**2}"
+            got = f"offsets {stencil.offsets}, c2 = {stencil.coeff(2).coeff(0)}"
+            inputs = {"B": str(big_b), "delta": str(d)}
+            cases.append(_case(f"four-point B={big_b} delta={d}", inputs, expected, got))
     three_point = stencil_of(build_hf(Fraction(0)), FiniteDifference(Fraction(1)))
-    cases.append(
-        _case(
-            "three-point structure",
-            {"operator": "hf", "delta": "1", "p": "0"},
-            "offsets (-1, 0, 1)",
-            f"offsets {three_point.offsets}",
-        )
-    )
+    inputs, got = {"operator": "hf", "delta": "1", "p": "0"}, f"offsets {three_point.offsets}"
+    cases.append(_case("three-point structure", inputs, "offsets (-1, 0, 1)", got))
     dilatation = stencil_of(build_hf(Fraction(0), q=Fraction(2)), QDilatation(Fraction(2)))
-    cases.append(
-        _case(
-            "dilatation three-point structure",
-            {"operator": "hf", "q": "2", "p": "0"},
-            "offsets (0, 1, 2)",
-            f"offsets {dilatation.offsets}",
-        )
-    )
+    inputs, got = {"operator": "hf", "q": "2", "p": "0"}, f"offsets {dilatation.offsets}"
+    cases.append(_case("dilatation three-point structure", inputs, "offsets (0, 1, 2)", got))
     # Negative control: the solved deformed spectrum leaves the flat one at level 2.
     q2 = Fraction(2)
     flat = eigensolve_flag(realize_matrix(build_hf(Fraction(0)), Differential(), 4))
     deformed = eigensolve_flag(realize_matrix(build_hf(Fraction(0), q=q2), QDilatation(q2), 4))
     diverges = isospectral_compare(flat, deformed) == (2, 3, 4)
-    cases.append(
-        _case(
-            "classic-vs-deformed q=2 diverges",
-            {"q": "2", "levels": 5},
-            "equal below level 2, distinct from level 2 on",
-            "as expected" if diverges else "unexpected pattern",
-            diverges,
-        )
-    )
+    name, expected = "classic-vs-deformed q=2 diverges", "equal below level 2, distinct from level 2 on"
+    words = ("as expected", "unexpected pattern")
+    cases.append(_holds(name, {"q": "2", "levels": 5}, expected, diverges, words))
     return _report("isospectral", cases, NOTE_HG_CONSTANT, NOTE_SHIFTED_LAGUERRE, NOTE_Q_STENCIL_SIGNS)
 
 
@@ -366,41 +292,23 @@ def suite_transplant(grid: dict | None = None) -> dict:
         alpha = p - Fraction(1, 2)
         for d in DELTA_GRID:
             fd_matrix, fd_report = grid[p, d]
+            tag, inputs = f"p={p} delta={d}", {"p": str(p), "delta": str(d), "N": 16}
             same = fd_matrix.columns == diff_matrix.columns
-            cases.append(
-                _case(
-                    f"matrix-transplant p={p} delta={d}",
-                    {"p": str(p), "delta": str(d), "N": 16},
-                    "matrices identical entry-for-entry",
-                    "identical" if same else "differ",
-                    same,
-                )
-            )
+            expected = "matrices identical entry-for-entry"
+            cases.append(_holds(f"matrix-transplant {tag}", inputs, expected, same, ("identical", "differ")))
             family = [modified_laguerre(n, alpha, d) for n in range(len(fd_report.entries))]
             ok = all(
                 basis_transplant(entry.eigenpoly, QuasiMonomial(d), QuasiMonomial(0)) == f.monic()
                 for entry, f in zip(fd_report.entries, family)
             )
-            cases.append(
-                _case(
-                    f"modified-laguerre p={p} delta={d}",
-                    {"p": str(p), "delta": str(d), "N": 16},
-                    "eigenpolynomials = monic modified Laguerre",
-                    "match" if ok else "mismatch",
-                    ok,
-                )
-            )
+            expected = "eigenpolynomials = monic modified Laguerre"
+            inputs = {"p": str(p), "delta": str(d), "N": 16}
+            cases.append(_holds(f"modified-laguerre {tag}", inputs, expected, ok))
             stencil = stencil_of(build_hf(p), FiniteDifference(d))
             ok = all(stencil.apply(f) == f.scale(-4 * n) for n, f in enumerate(family[:11]))
-            cases.append(
-                _case(
-                    f"stencil-eigenfunction p={p} delta={d}",
-                    {"p": str(p), "delta": str(d), "n_max": 10},
-                    "stencil(modified Laguerre_n) = -4n * modified Laguerre_n",
-                    "holds" if ok else "fails",
-                    ok,
-                )
-            )
+            expected = "stencil(modified Laguerre_n) = -4n * modified Laguerre_n"
+            inputs = {"p": str(p), "delta": str(d), "n_max": 10}
+            cases.append(_holds(f"stencil-eigenfunction {tag}", inputs, expected, ok, ("holds", "fails")))
     return _report("transplant", cases)
 
 
@@ -411,27 +319,15 @@ def suite_kratzer() -> dict:
         for omega in OMEGA_GRID:
             measured = [kratzer_eigencheck(n, p, omega) for n in range(7)]
             expected = [omega * (4 * n + 2 * p + 1) for n in range(7)]
-            cases.append(
-                _case(
-                    f"levels p={p} w={omega}",
-                    {"p": str(p), "w": str(omega), "n_max": 6},
-                    _values_string(expected),
-                    _values_string(measured),
-                )
-            )
+            inputs = {"p": str(p), "w": str(omega), "n_max": 6}
+            got = _values_string(measured)
+            cases.append(_case(f"levels p={p} w={omega}", inputs, _values_string(expected), got))
             polys = [Poly.one(), Poly.monomial(1), laguerre(3, p - Fraction(1, 2))]
             # A returned E0 matched the two actions exactly: residual 0.
             e0 = omega * (2 * p + 1)
             ok = all(gauge_conjugate_check(poly, p, omega) == e0 for poly in polys)
-            cases.append(
-                _case(
-                    f"gauge p={p} w={omega}",
-                    {"p": str(p), "w": str(omega), "polynomials": 3},
-                    f"E0 = {e0}, residual 0",
-                    "match" if ok else "mismatch",
-                    ok,
-                )
-            )
+            inputs = {"p": str(p), "w": str(omega), "polynomials": 3}
+            cases.append(_holds(f"gauge p={p} w={omega}", inputs, f"E0 = {e0}, residual 0", ok))
     return _report("kratzer", cases, NOTE_KRATZER_GAP)
 
 
@@ -440,16 +336,9 @@ def suite_parity() -> dict:
     cases = []
     for p in (0, 1):
         for n in range(9):
-            measured = parity_relation_ratio(n, p)
             pattern = Fraction((-1) ** n * 2 ** (2 * n + p) * math.factorial(n))
-            cases.append(
-                _case(
-                    f"parity n={n} p={p}",
-                    {"n": str(n), "p": str(p), "w": "1"},
-                    str(pattern),
-                    str(measured),
-                )
-            )
+            inputs = {"n": str(n), "p": str(p), "w": "1"}
+            cases.append(_case(f"parity n={n} p={p}", inputs, str(pattern), str(parity_relation_ratio(n, p))))
     return _report("parity", cases)
 
 
@@ -460,25 +349,14 @@ def suite_qpencil() -> dict:
         matrix = realize_matrix(build_hf(Fraction(0), q=q), QDilatation(q), 12)
         for s in (-1, -2, 1, 2):
             name = "scaled" if s < 0 else "scaled-reciprocal"
-            cases.append(
-                _case(
-                    f"{name} s={s} q={q}",
-                    {"q": str(q), "s": str(s), "N": 12},
-                    _reference_string(13, q, s),
-                    _values_string(pencil_solve(matrix, s, q).eigenvalues),
-                )
-            )
+            got = _values_string(pencil_solve(matrix, s, q).eigenvalues)
+            inputs = {"q": str(q), "s": str(s), "N": 12}
+            cases.append(_case(f"{name} s={s} q={q}", inputs, _reference_string(13, q, s), got))
     flat = realize_matrix(build_hf(Fraction(0)), Differential(), 8)
     classic = _reference_string(9)
     for s in (-2, -1, 1, 2):
-        cases.append(
-            _case(
-                f"coincide-at-q=1 s={s}",
-                {"q": "1", "s": str(s), "N": 8},
-                classic,
-                _values_string(pencil_solve(flat, s, Fraction(1)).eigenvalues),
-            )
-        )
+        got = _values_string(pencil_solve(flat, s, Fraction(1)).eigenvalues)
+        cases.append(_case(f"coincide-at-q=1 s={s}", {"q": "1", "s": str(s), "N": 8}, classic, got))
     return _report("qpencil", cases, NOTE_SCALE_DIRECTION)
 
 

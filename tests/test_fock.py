@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction as F
 
@@ -248,6 +249,15 @@ class TestValue:
     def test_keyword_round_trip(self):
         x = FockPoly({(2, 1): F(-2, 3), (0, 1): 5}, F(-6, 7))
         assert FockPoly(terms=x.terms, q=x.q) == x
+
+    @pytest.mark.parametrize("other", [2, F(1, 2), Poly([1])], ids=["int", "Fraction", "Poly"])
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul], ids=["+", "-", "*"])
+    def test_mixed_operand_raises_type_error(self, op, other):
+        h = build_hf(0)
+        with pytest.raises(TypeError, match="unsupported operand"):
+            op(h, other)
+        with pytest.raises(TypeError, match="unsupported operand"):
+            op(other, h)
 
 
 class TestActOnPoly:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fockosc import algebra
+from fockosc import algebra, spectral
 from fockosc.algebra import (
     DegenerateSpectrumError,
     NotTriangularError,
@@ -214,6 +214,13 @@ class TestPencilSolve:
         matrix = realize_matrix(build_hf(0), Differential(), 4)
         with pytest.raises(ValueError):
             pencil_solve(matrix, 3, 1)
+
+    def test_scale_power_checked_before_q_power(self):
+        # q^(-s) costs time growing with |s|, so an s out of range is refused first.
+        matrix = realize_matrix(build_hf(0), Differential(), 4)
+        with mock.patch.object(spectral, "_scale_ratio", side_effect=AssertionError("q^(-s) computed")):
+            with pytest.raises(ValueError, match="scale power must be one of"):
+                pencil_solve(matrix, 3, F(7, 6))
 
 
 small_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=7)

@@ -276,13 +276,24 @@ def test_every_family_has_a_fault():
     assert {_family(c["case"]) for report in verify.run_all() for c in report["cases"]} == set(FAULTS)
 
 
+@pytest.fixture(scope="module")
+def clean_got() -> dict[str, str]:
+    """Each case's `got` in an un-faulted run_all."""
+    return {c["case"]: c["got"] for report in verify.run_all() for c in report["cases"]}
+
+
 @pytest.mark.parametrize("family", FAULTS)
-def test_family_fails_under_its_fault(monkeypatch, family):
-    """No verdict holds by construction: one fault fails every case of its family."""
+def test_family_fails_under_its_fault(monkeypatch, clean_got, family):
+    """No verdict holds by construction: one fault fails every case of its family.
+
+    Each failed case also reads a `got` other than its un-faulted one, so a
+    failed case never reads as a pass.
+    """
     suite = _inject(monkeypatch, family)
     cases = [c for c in run_suite(suite)["cases"] if _family(c["case"]) == family]
     assert cases
     assert [c["case"] for c in cases if c["pass"]] == []
+    assert [c["case"] for c in cases if c["got"] == clean_got[c["case"]]] == []
 
 
 def test_verify_all_exits_1_under_a_fault(monkeypatch, tmp_path):
