@@ -22,8 +22,9 @@ the basis change and the finite-difference lowering and stencil moves in
 `realize`; `_dilate` takes a triple f to f((a/b) y), for the scale-mode
 stencil moves and the pencil in `spectral`; `_laurent_sum` adds rational
 multiples of triples over one lcm, for `+` and `-` of both polynomial
-types and the sums in `realize`.  A chain of kernels builds no Fraction;
-the reduced Fractions come once, where a caller reads `coeffs`.
+types, the sums in `realize` and `fock.q_bracket`.  A chain of kernels
+builds no Fraction; the reduced Fractions come once, where a caller reads
+`coeffs`.
 `_over_lcm` puts Fractions over their common denominator, for a Poly
 built from rationals and for `fock`.  `back_substitute` solves every
 level of M v = E v on integers too, one `_row_ints` step per row, until
@@ -381,7 +382,9 @@ def _laurent_sum(parts: list[tuple[Rat, int, int, Sequence[int]]]) -> Triple:
     """sum c y^low xs / d over the parts (c, low, d, xs) as one triple, zero ends dropped.
 
     The denominator is the lcm of the d times c's denominator; each part is
-    rescaled to it by one integer factor that carries c's numerator.
+    rescaled to it by one integer factor that carries c's numerator.  It is
+    the one rational sum of integer vectors: `+` and `-` of both polynomial
+    types, the sums in `realize`, and `fock.q_bracket` on its word grid.
     """
     low = min((p[1] for p in parts), default=0)
     denom = lcm(*(c.denominator * d for c, _, d, _ in parts))

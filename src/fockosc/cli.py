@@ -77,18 +77,8 @@ def _height(value: Fraction) -> int:
 
 
 def _over_budget(height: int, n: int) -> bool:
-    """height^(n^2) > QDIL_BUDGET, decided from bit lengths where they can decide.
-
-    2^(b-1) <= height < 2^b for b = height.bit_length(), so the power has
-    more bits than the budget when (b-1) n^2 reaches its bit length, and
-    fewer when b n^2 stays under it; only between the two is it built.
-    """
-    bits, squares, budget_bits = height.bit_length(), n * n, QDIL_BUDGET.bit_length()
-    if (bits - 1) * squares >= budget_bits:
-        return True
-    if bits * squares < budget_bits:
-        return False
-    return height**squares > QDIL_BUDGET
+    """height^(n^2) > QDIL_BUDGET, exactly: at the caps the power has 64 * 128^2 bits."""
+    return height ** (n * n) > QDIL_BUDGET
 
 
 def _quote(text: str) -> str:
@@ -361,6 +351,3 @@ def main(argv: list[str] | None = None) -> int:
         _write(args, payload)
     return code
 
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -19,8 +19,10 @@ coefficients of x, of y and of the Wick table go over common denominators,
 and the terms of x*y add up on a flat word grid, word b^k a^m at index
 k*W + m with W = a-degree(x) + a-degree(y) + 1.  Contracting j pairs takes
 b^k a^m to b^(k-j) a^(m-j), j*(W + 1) places back, and the grid lists the
-words already sorted.  x*y and y*x share that grid, so `q_bracket` forms
-x*y - lam*y*x as one integer per word and builds its `Fraction`s only then.
+words already sorted.  x*y and y*x share that grid, so `q_bracket` adds
+x*y - lam*y*x in `algebra._laurent_sum`, one integer per word, and builds
+its `Fraction`s only then.  An operand that is not a `FockPoly` raises
+TypeError.
 
 On number states the generators act as a e_j = {j} e_(j-1) and
 b e_j = e_(j+1) (Arik & Coon, J. Math. Phys. 17, 1976).  Every
@@ -34,10 +36,9 @@ b^k a^m e_j = {j}{j-1}...{j-m+1} e_(j-m+k).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 from typing import Mapping, NamedTuple
 
-from .algebra import OperatorMatrix, Poly, QuasiMonomial, Rat, _over_lcm, _Value, exact
+from .algebra import OperatorMatrix, Poly, QuasiMonomial, Rat, _laurent_sum, _over_lcm, _pair, _Value, exact
 
 Word = tuple[int, int]  # (power of b, power of a)
 Grid = tuple[int, int, list[int]]  # (d, W, xs): sum xs[k*W + m] b^k a^m / d
@@ -215,6 +216,9 @@ def _product_ints(x: FockPoly, y: FockPoly) -> Grid:
     at (k1 + k2) W + m1 + m2, and each of its j contractions j (W + 1) places
     back, at b^(k1+k2-j) a^(m1+m2-j).
     """
+    for z in (x, y):
+        if type(z) is not FockPoly:
+            raise TypeError(f"expected FockPoly operands, got {type(z).__name__}")
     x._check_context(y)
     dt, table = _wick_table(x.q, {m for _, m in x.terms}, {k for k, _ in y.terms})
     dx, xs = _over_lcm(x.terms.values())
@@ -238,25 +242,20 @@ def normal_order_product(x: FockPoly, y: FockPoly) -> FockPoly:
     Each output word is one integer of `_product_ints`, reduced once by one
     `Fraction`.
     """
-    return FockPoly._of_grid(x.q, *_product_ints(x, y))
-
-
-def _bracket_ints(xy: Grid, yx: Grid, lam: Fraction) -> Grid:
-    """xy - lam*yx for two products on one word grid, each as `_product_ints` returns it."""
-    (d1, width, g1), (d2, _, g2) = xy, yx
-    g = gcd(d1, d2)
-    u, v = d2 // g * lam.denominator, lam.numerator * (d1 // g)
-    return d1 // g * d2 * lam.denominator, width, [a * u - b * v for a, b in zip(g1, g2)]
+    grid = _product_ints(x, y)  # checks the operands before x.q is read
+    return FockPoly._of_grid(x.q, *grid)
 
 
 def q_bracket(x: FockPoly, y: FockPoly, lam: Rat) -> FockPoly:
     """Deformed bracket x*y - lam*y*x, normal ordered.
 
-    x*y and y*x fill word grids of the same shape, so the two are combined
-    as integers and each word's `Fraction` is built once.
+    x*y and y*x fill word grids of the same shape, so the two add up in
+    `_laurent_sum` as integers and each word's `Fraction` is built once.
     """
     lam = exact(lam, "lam")
-    return FockPoly._of_grid(x.q, *_bracket_ints(_product_ints(x, y), _product_ints(y, x), lam))
+    (d1, width, g1), (d2, _, g2) = _product_ints(x, y), _product_ints(y, x)
+    d, grid = _pair(_laurent_sum([(1, 0, d1, g1), (-lam, 0, d2, g2)]))
+    return FockPoly._of_grid(x.q, d, width, grid)
 
 
 def commutator(x: FockPoly, y: FockPoly) -> FockPoly:

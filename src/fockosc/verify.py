@@ -8,8 +8,11 @@ constant convention is in circulation.  Every case is one of three
 checks, each with its pass rule written once: `_case`, a value that
 reads exactly as expected; `_holds`, a flag, whose `got` is the word for
 it; `_zero`, a residual that is zero, whose `got` is "0" or the
-residual.  Every call builds a fresh report.  The grids are fixed in
-code so a verification run is reproducible byte-for-byte.
+residual.  Every family that reads solved eigenvalues against
+`reference_spectrum` builds its `_case`s through `_spectrum_case`, which
+takes the level count from the case's inputs.  Every call builds a fresh
+report.  The grids are fixed in code so a verification run is
+reproducible byte-for-byte.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import math
 import random
 from fractions import Fraction
 
-from .algebra import OperatorMatrix, Poly, QuasiMonomial, basis_transplant
+from .algebra import OperatorMatrix, Poly, QuasiMonomial, Rat, basis_transplant
 from .fock import FockPoly, build_hf, build_hg, casimir_value, commutator, sl2_generators
 from .realize import (
     Differential,
@@ -194,8 +197,14 @@ def _values_string(values) -> str:
     return ", ".join(map(str, values))
 
 
-def _reference_string(count: int, q: Fraction = Fraction(1), s: int = 0) -> str:
-    return _values_string(reference_spectrum(count, q, s))
+def _spectrum_case(name: str, inputs: dict, report: SpectralReport, q: Rat = 1, s: int = 0) -> dict:
+    """A case that passes when the report's eigenvalues read as reference_spectrum(N + 1, q, s).
+
+    N is the inputs' flag dimension, never the report's level count, so a
+    solve that drops a level fails.
+    """
+    expected = _values_string(reference_spectrum(inputs["N"] + 1, q, s))
+    return _case(name, inputs, expected, _values_string(report.eigenvalues))
 
 
 def _comparison_case(name: str, inputs: dict, a: SpectralReport, b: SpectralReport) -> dict:
@@ -211,13 +220,11 @@ def suite_spectrum() -> dict:
     for p in P_GRID:
         report = eigensolve_flag(realize_matrix(build_hf(p), Differential(), 20))
         inputs = {"operator": "hf", "realization": "diff", "p": str(p), "N": 20}
-        got = _values_string(report.eigenvalues)
-        cases.append(_case(f"classic-diff p={p}", inputs, _reference_string(21), got))
+        cases.append(_spectrum_case(f"classic-diff p={p}", inputs, report))
     for q in Q_SPECTRUM_GRID:
         report = eigensolve_flag(realize_matrix(build_hf(Fraction(0), q=q), QDilatation(q), 16))
         inputs = {"operator": "hf", "realization": "qdil", "q": str(q), "N": 16}
-        got = _values_string(report.eigenvalues)
-        cases.append(_case(f"deformed-qdil q={q}", inputs, _reference_string(17, q), got))
+        cases.append(_spectrum_case(f"deformed-qdil q={q}", inputs, report, q))
     return _report("spectrum", cases, NOTE_DILATATION_SIGN)
 
 
@@ -349,14 +356,12 @@ def suite_qpencil() -> dict:
         matrix = realize_matrix(build_hf(Fraction(0), q=q), QDilatation(q), 12)
         for s in (-1, -2, 1, 2):
             name = "scaled" if s < 0 else "scaled-reciprocal"
-            got = _values_string(pencil_solve(matrix, s, q).eigenvalues)
             inputs = {"q": str(q), "s": str(s), "N": 12}
-            cases.append(_case(f"{name} s={s} q={q}", inputs, _reference_string(13, q, s), got))
+            cases.append(_spectrum_case(f"{name} s={s} q={q}", inputs, pencil_solve(matrix, s, q), q, s))
     flat = realize_matrix(build_hf(Fraction(0)), Differential(), 8)
-    classic = _reference_string(9)
     for s in (-2, -1, 1, 2):
-        got = _values_string(pencil_solve(flat, s, Fraction(1)).eigenvalues)
-        cases.append(_case(f"coincide-at-q=1 s={s}", {"q": "1", "s": str(s), "N": 8}, classic, got))
+        inputs = {"q": "1", "s": str(s), "N": 8}
+        cases.append(_spectrum_case(f"coincide-at-q=1 s={s}", inputs, pencil_solve(flat, s, Fraction(1))))
     return _report("qpencil", cases, NOTE_SCALE_DIRECTION)
 
 

@@ -259,6 +259,18 @@ class TestValue:
         with pytest.raises(TypeError, match="unsupported operand"):
             op(other, h)
 
+    @pytest.mark.parametrize("other", [2, F(1, 2), Poly([1])], ids=["int", "Fraction", "Poly"])
+    @pytest.mark.parametrize("foreign_first", [False, True], ids=["right", "left"])
+    @pytest.mark.parametrize(
+        "product",
+        [normal_order_product, commutator, lambda x, y: q_bracket(x, y, F(1, 2))],
+        ids=["normal_order_product", "commutator", "q_bracket"],
+    )
+    def test_foreign_product_operand_raises_type_error(self, product, foreign_first, other):
+        operands = (other, build_hf(0)) if foreign_first else (build_hf(0), other)
+        with pytest.raises(TypeError, match=f"got {type(other).__name__}$"):
+            product(*operands)
+
 
 class TestActOnPoly:
     def test_ground_state_annihilated(self):

@@ -1110,13 +1110,8 @@ KERNEL_FAULTS = {
         lambda f: _product_ints_stepping_by_width,
         wick_matches_swaps,
     ),
-    # x*y - numerator(lam)*y*x.
-    "bracket-lam-denominator-dropped": (
-        fock,
-        "_bracket_ints",
-        lambda f: lambda xy, yx, lam: f(xy, yx, F(lam.numerator)),
-        wick_matches_swaps,
-    ),
+    # x*y - numerator(lam)*y*x: q_bracket adds its two products in _laurent_sum.
+    "bracket-lam-denominator-dropped": (fock, "_laurent_sum", _scales_as_numerators, wick_matches_swaps),
     # {j + 1} read where {j} belongs.
     "number-bracket-off-by-one": (
         fock,
@@ -1225,7 +1220,6 @@ INTEGER_KERNELS = [
     (algebra._Polynomial, "scale"),
     (fock, "_wick_table"),
     (fock, "_product_ints"),
-    (fock, "_bracket_ints"),
     (fock, "_brackets"),
     (realize, "_move_ints"),
     (algebra, "_dilate"),
